@@ -12,12 +12,10 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/updown"
 	"repro/internal/workload"
 )
 
@@ -309,44 +307,15 @@ func Run(ctx context.Context, m *Manifest, opts Options) (*Result, error) {
 	}
 
 	// Grid cells execute on the campaign session pool: Workers goroutines,
-	// each owning a cache of reusable simulators keyed by (topology, seed).
-	// Results land in their cell's slot, so output order — and therefore
-	// the report — is independent of scheduling.
+	// each keeping every reusable simulator it builds for the whole run,
+	// over one shared cache of systems. Results land in their cell's slot,
+	// so output order — and therefore the report — is independent of
+	// scheduling.
 	cellResults := make([]*CellResult, len(cells))
 	cellErrs := make([]error, len(cells))
 	var cached, computed int
-	var mu sync.Mutex // systems cache + counters
-
-	type sysKey struct {
-		topo    string
-		seed    uint64
-		routing core.Policy
-		root    updown.RootStrategy
-	}
-	systems := map[sysKey]*systemParts{}
-	systemFor := func(topo string, seed uint64, pol core.Policy, root updown.RootStrategy) (*systemParts, error) {
-		k := sysKey{topo, seed, pol, root}
-		mu.Lock()
-		if s, ok := systems[k]; ok {
-			mu.Unlock()
-			return s, nil
-		}
-		mu.Unlock()
-		// Build outside the lock so workers on cached topologies never
-		// wait behind a slow build; construction is deterministic, so a
-		// concurrent duplicate is identical and the loser is dropped.
-		s, err := buildSystem(topo, seed, pol, root)
-		if err != nil {
-			return nil, err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if cached, ok := systems[k]; ok {
-			return cached, nil
-		}
-		systems[k] = s
-		return s, nil
-	}
+	var mu sync.Mutex // counters
+	systems := workload.NewSystemCache(0, nil)
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -364,7 +333,7 @@ func Run(ctx context.Context, m *Manifest, opts Options) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runners := map[runnerKey]*workload.Runner{}
+			runners := workload.NewRunnerCache(0)
 			for i := range next {
 				cell := cells[i]
 				g := m.grid(cell.Grid)
@@ -400,7 +369,7 @@ func Run(ctx context.Context, m *Manifest, opts Options) (*Result, error) {
 						cr = &c
 					}
 				} else {
-					cr, err = runCell(cell, spec, id, opts, systemFor, runners)
+					cr, err = runCell(cell, spec, id, opts, systems, runners)
 				}
 				if err != nil {
 					cellErrs[i] = fmt.Errorf("campaign: cell %s: %w", cell, err)
@@ -471,8 +440,7 @@ func RunSingleCell(ctx context.Context, g Grid, cell Cell, opts Options) (*CellR
 	}
 	spec := cellSpecFor(&g, cell, opts)
 	id := cellID("cell", cell.Grid+"-"+cell.Scenario, spec)
-	runners := map[runnerKey]*workload.Runner{}
-	return runCell(cell, spec, id, opts, buildSystem, runners)
+	return runCell(cell, spec, id, opts, workload.NewSystemCache(0, nil), workload.NewRunnerCache(0))
 }
 
 // cellSpecFor resolves the complete checkpoint identity of a cell,
@@ -505,42 +473,10 @@ func cellSpecFor(g *Grid, cell Cell, opts Options) cellSpec {
 	return cellSpec{Cell: cell, Trials: trials, Warmup: g.WarmupMessages, Params: params}
 }
 
-// systemParts bundles one built topology with its labeling and router —
-// immutable and shared by every runner that simulates it.
-type systemParts struct {
-	net    *topology.Network
-	router *core.Router
-}
-
-func buildSystem(topoSpec string, seed uint64, pol core.Policy, root updown.RootStrategy) (*systemParts, error) {
-	sp, err := topology.ParseSpec(topoSpec)
-	if err != nil {
-		return nil, err
-	}
-	net, err := sp.Build(seed)
-	if err != nil {
-		return nil, err
-	}
-	lab, err := updown.New(net, root)
-	if err != nil {
-		return nil, err
-	}
-	return &systemParts{net: net, router: core.NewRouterPolicy(lab, pol)}, nil
-}
-
-// runnerKey caches one reusable simulator per (system, misroute budget): the
-// budget lives in the simulator configuration, so two grids sharing a system
-// but differing in budget must not share a runner.
-type runnerKey struct {
-	sys    *systemParts
-	budget int
-}
-
 // runCell measures one grid cell on the worker's reusable simulator for the
-// cell's topology.
+// cell's system.
 func runCell(cell Cell, spec cellSpec, id string, opts Options,
-	systemFor func(string, uint64, core.Policy, updown.RootStrategy) (*systemParts, error),
-	runners map[runnerKey]*workload.Runner) (*CellResult, error) {
+	systems *workload.SystemCache, runners *workload.RunnerCache) (*CellResult, error) {
 
 	// The routing-policy and root axes ride the grid Params (validated by
 	// Manifest.Validate; RunSingleCell re-resolves them here so a fleet
@@ -553,20 +489,19 @@ func runCell(cell Cell, spec cellSpec, id string, opts Options,
 	if err != nil {
 		return nil, err
 	}
-	sys, err := systemFor(cell.Topology, cell.Seed, pol, root)
+	sp, err := topology.ParseSpec(cell.Topology)
 	if err != nil {
 		return nil, err
 	}
-	rk := runnerKey{sys: sys, budget: budget}
-	r, ok := runners[rk]
-	if !ok {
-		cfg := opts.Sim
-		cfg.MisrouteBudget = budget
-		r, err = workload.NewRunner(sys.router, cfg)
-		if err != nil {
-			return nil, err
-		}
-		runners[rk] = r
+	sys, err := systems.Get(workload.KeyFor(sp, cell.Seed, pol, root))
+	if err != nil {
+		return nil, err
+	}
+	cfg := opts.Sim
+	cfg.MisrouteBudget = budget
+	r, err := runners.Get(sys, cfg)
+	if err != nil {
+		return nil, err
 	}
 	sc, ok := workload.Lookup(cell.Scenario)
 	if !ok {
@@ -575,14 +510,14 @@ func runCell(cell Cell, spec cellSpec, id string, opts Options,
 	// A grid shares one Params across topologies of very different sizes;
 	// clamp the fan-out knobs to what each network can express. The clamp
 	// is a pure function of the cell, so determinism is unaffected.
-	params := workload.ClampFanOut(spec.Params, sys.net.NumProcs)
+	params := workload.ClampFanOut(spec.Params, sys.Net.NumProcs)
 	w, err := workload.ApplyFaults(sc.New(params), params)
 	if err != nil {
 		return nil, err
 	}
 	warmup := spec.Warmup
 	if warmup == 0 {
-		warmup = workload.Budget(w, sys.net.NumProcs) / 10
+		warmup = workload.Budget(w, sys.Net.NumProcs) / 10
 	}
 	st, err := workload.Measure(r, w, workload.MeasureOpts{
 		Trials:         spec.Trials,
@@ -593,8 +528,8 @@ func runCell(cell Cell, spec cellSpec, id string, opts Options,
 		return nil, err
 	}
 	counters := r.Counters()
-	ts := topology.ComputeStats(sys.net)
-	ms := sys.router.TableMemStats()
+	ts := topology.ComputeStats(sys.Net)
+	ms := sys.Router.TableMemStats()
 	return &CellResult{
 		ID:         id,
 		Cell:       cell,

@@ -7,6 +7,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/updown"
+	"repro/internal/workload"
 )
 
 // AblationConfig is the shared setup for the future-work ablations.
@@ -32,7 +33,7 @@ func RunBufferAblation(cfg AblationConfig, bufSizes []int) (Series, error) {
 	if len(bufSizes) == 0 {
 		bufSizes = []int{1, 2, 4, 8}
 	}
-	rg, err := buildRig(cfg.Nodes, cfg.Seed, updown.RootMinID)
+	sys, err := lattice(cfg.Nodes, cfg.Seed, updown.RootMinID)
 	if err != nil {
 		return Series{}, err
 	}
@@ -41,16 +42,16 @@ func RunBufferAblation(cfg AblationConfig, bufSizes []int) (Series, error) {
 		simCfg := cfg.Sim
 		simCfg.InputBufFlits = buf
 		jobs[bi] = sweepSpec{
-			rigs:   []*rig{rg},
-			cfg:    simCfg,
-			seed:   cfg.Seed ^ uint64(buf)<<8,
-			trials: cfg.Trials,
+			systems: []*workload.System{sys},
+			cfg:     simCfg,
+			seed:    cfg.Seed ^ uint64(buf)<<8,
+			trials:  cfg.Trials,
 			run: func(t *sweepTrial) error {
 				// Measured multicast plus 8 contending multicasts
 				// launched concurrently: buffering matters only when
 				// branches block.
 				src := t.RandProc()
-				k := rg.net.NumProcs / 4
+				k := sys.Net.NumProcs / 4
 				w, err := t.Sim.Submit(0, src, t.PickDests(src, k))
 				if err != nil {
 					return err
@@ -98,25 +99,25 @@ func RunRootAblation(cfg AblationConfig) ([]RootAblationRow, error) {
 	jobs := make([]job, len(strategies))
 	depths := make([]int, len(strategies))
 	for si, strat := range strategies {
-		rg, err := buildRig(cfg.Nodes, cfg.Seed, strat)
+		sys, err := lattice(cfg.Nodes, cfg.Seed, strat)
 		if err != nil {
 			return nil, err
 		}
 		depth := 0
-		for v := 0; v < rg.net.N(); v++ {
-			if int(rg.lab.Level[v]) > depth {
-				depth = int(rg.lab.Level[v])
+		for v := 0; v < sys.Net.N(); v++ {
+			if int(sys.Lab.Level[v]) > depth {
+				depth = int(sys.Lab.Level[v])
 			}
 		}
 		depths[si] = depth
 		jobs[si] = sweepSpec{
-			rigs:   []*rig{rg},
-			cfg:    cfg.Sim,
-			seed:   cfg.Seed ^ uint64(si)<<12,
-			trials: cfg.Trials,
+			systems: []*workload.System{sys},
+			cfg:     cfg.Sim,
+			seed:    cfg.Seed ^ uint64(si)<<12,
+			trials:  cfg.Trials,
 			run: func(t *sweepTrial) error {
 				src := t.RandProc()
-				w, err := t.Sim.Submit(0, src, t.PickDests(src, t.Rig.net.NumProcs-1))
+				w, err := t.Sim.Submit(0, src, t.PickDests(src, t.Sys.Net.NumProcs-1))
 				if err != nil {
 					return err
 				}
@@ -180,7 +181,7 @@ func RunPartitionAblation(cfg AblationConfig, concurrent int) ([]PartitionAblati
 	if concurrent <= 0 {
 		concurrent = 4
 	}
-	rg, err := buildRig(cfg.Nodes, cfg.Seed, updown.RootMinID)
+	sys, err := lattice(cfg.Nodes, cfg.Seed, updown.RootMinID)
 	if err != nil {
 		return nil, err
 	}
@@ -204,16 +205,16 @@ func RunPartitionAblation(cfg AblationConfig, concurrent int) ([]PartitionAblati
 		totalGroups := 0
 		runsCount := 0
 		jobs[vi] = sweepSpec{
-			rigs:   []*rig{rg},
-			cfg:    cfg.Sim,
-			seed:   cfg.Seed ^ uint64(vi)<<10 ^ 0xabc,
-			trials: cfg.Trials,
+			systems: []*workload.System{sys},
+			cfg:     cfg.Sim,
+			seed:    cfg.Seed ^ uint64(vi)<<10 ^ 0xabc,
+			trials:  cfg.Trials,
 			run: func(t *sweepTrial) error {
 				var runs []*partition.Run
 				for c := 0; c < concurrent; c++ {
 					src := t.RandProc()
-					dests := t.PickDests(src, rg.net.NumProcs-1)
-					run, err := partition.Send(t.Sim, rg.lab, v.strategy, v.k, int64(c)*100, src, dests)
+					dests := t.PickDests(src, sys.Net.NumProcs-1)
+					run, err := partition.Send(t.Sim, sys.Lab, v.strategy, v.k, int64(c)*100, src, dests)
 					if err != nil {
 						return err
 					}

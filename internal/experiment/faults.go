@@ -81,11 +81,11 @@ func RunFaultSweep(cfg FaultSweepConfig) ([]Series, error) {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 1
 	}
-	rg, err := buildRig(cfg.Nodes, cfg.Seed, cfg.Root)
+	sys, err := lattice(cfg.Nodes, cfg.Seed, cfg.Root)
 	if err != nil {
 		return nil, err
 	}
-	procs := float64(rg.net.NumProcs)
+	procs := float64(sys.Net.NumProcs)
 	warmup := cfg.Messages / 10
 
 	side := make([]faultPoint, len(cfg.MTBFUs))
@@ -116,8 +116,8 @@ func RunFaultSweep(cfg FaultSweepConfig) ([]Series, error) {
 			}
 		}
 		pointSeed := cfg.Seed ^ uint64(i)<<24 ^ 0x9d2c
-		jobs[i] = func(c *simCache) (*stats.Summary, error) {
-			runner, err := c.runner(rg, cfg.Sim)
+		jobs[i] = func(c *workload.RunnerCache) (*stats.Summary, error) {
+			runner, err := c.Get(sys, cfg.Sim)
 			if err != nil {
 				return nil, err
 			}

@@ -87,20 +87,20 @@ func RunFig2(cfg Fig2Config) ([]Series, error) {
 		if dests == nil {
 			dests = destSweep(nodes)
 		}
-		// Build topology rigs once per size.
-		rigs := make([]*rig, cfg.Topologies)
-		for i := range rigs {
-			r, err := buildRig(nodes, cfg.Seed+uint64(i)*7919, cfg.Root)
+		// Build the topologies once per size.
+		systems := make([]*workload.System, cfg.Topologies)
+		for i := range systems {
+			sys, err := lattice(nodes, cfg.Seed+uint64(i)*7919, cfg.Root)
 			if err != nil {
 				return nil, err
 			}
-			rigs[i] = r
+			systems[i] = sys
 		}
 		jobs := make([]job, len(dests))
 		for di, d := range dests {
 			d := d
 			jobs[di] = sweepSpec{
-				rigs:        rigs,
+				systems:     systems,
 				cfg:         cfg.Sim,
 				seed:        cfg.Seed ^ uint64(nodes)<<20 ^ uint64(d)<<4,
 				trials:      cfg.Trials,
@@ -207,7 +207,7 @@ func RunFig3(cfg Fig3Config) ([]Series, error) {
 	if cfg.Warmup >= cfg.Messages {
 		return nil, fmt.Errorf("experiment: warmup %d >= messages %d", cfg.Warmup, cfg.Messages)
 	}
-	rg, err := buildRig(cfg.Nodes, cfg.Seed, cfg.Root)
+	sys, err := lattice(cfg.Nodes, cfg.Seed, cfg.Root)
 	if err != nil {
 		return nil, err
 	}
@@ -221,8 +221,8 @@ func RunFig3(cfg Fig3Config) ([]Series, error) {
 		for ri, rate := range cfg.Rates {
 			d, ri, rate := d, ri, rate
 			keys = append(keys, key{d: d, ri: ri})
-			jobs = append(jobs, func(c *simCache) (*stats.Summary, error) {
-				runner, err := c.runner(rg, cfg.Sim)
+			jobs = append(jobs, func(c *workload.RunnerCache) (*stats.Summary, error) {
+				runner, err := c.Get(sys, cfg.Sim)
 				if err != nil {
 					return nil, err
 				}
@@ -300,7 +300,7 @@ func RunComparison(cfg ComparisonConfig) ([]ComparisonRow, error) {
 	}
 	var rows []ComparisonRow
 	for _, nodes := range cfg.Nodes {
-		rg, err := buildRig(nodes, cfg.Seed, cfg.Root)
+		sys, err := lattice(nodes, cfg.Seed, cfg.Root)
 		if err != nil {
 			return nil, err
 		}
@@ -350,10 +350,10 @@ func RunComparison(cfg ComparisonConfig) ([]ComparisonRow, error) {
 		for si, sc := range schemes {
 			si, sc := si, sc
 			jobs[si] = sweepSpec{
-				rigs:   []*rig{rg},
-				cfg:    cfg.Sim,
-				seed:   cfg.Seed ^ uint64(nodes)<<16 ^ uint64(si)<<2,
-				trials: cfg.Trials,
+				systems: []*workload.System{sys},
+				cfg:     cfg.Sim,
+				seed:    cfg.Seed ^ uint64(nodes)<<16 ^ uint64(si)<<2,
+				trials:  cfg.Trials,
 				run: func(t *sweepTrial) error {
 					lat, worms, err := sc.run(t)
 					if err != nil {

@@ -140,12 +140,13 @@ func trimFloat(x float64) string {
 
 // job is one parallel work item producing a streaming latency summary. The
 // cache hands it the worker goroutine's reusable simulators.
-type job func(c *simCache) (*stats.Summary, error)
+type job func(c *workload.RunnerCache) (*stats.Summary, error)
 
 // runParallel executes the jobs on a bounded worker pool, preserving order.
-// Every worker goroutine owns a simCache, so jobs (and trials within jobs)
-// that share a (rig, config) pair reuse one resettable simulator instead of
-// rebuilding arenas per trial.
+// Every worker goroutine owns a runner cache that keeps every runner for the
+// whole run, so jobs (and trials within jobs) that share a (system, config)
+// pair reuse one resettable simulator instead of rebuilding arenas per
+// trial.
 //
 // Determinism: results are indexed by job, every job owns its random stream
 // and its summary, and no job reads shared mutable state — so the output is
@@ -166,7 +167,7 @@ func runParallel(jobs []job, workers int) ([]*stats.Summary, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cache := &simCache{}
+			cache := workload.NewRunnerCache(0)
 			for i := range next {
 				results[i], errs[i] = jobs[i](cache)
 			}
@@ -185,131 +186,29 @@ func runParallel(jobs []job, workers int) ([]*stats.Summary, error) {
 	return results, nil
 }
 
-// rig bundles a network with its labeling and router; experiments cache one
-// per (size, seed, root strategy).
-type rig struct {
-	net    *topology.Network
-	lab    *updown.Labeling
-	router *core.Router
+// lattice builds the paper's random lattice of the given size under seed,
+// labeled from root and routed by the baseline policy.
+func lattice(switches int, seed uint64, root updown.RootStrategy) (*workload.System, error) {
+	sp := topology.Spec{Family: "lattice", A: switches}
+	return workload.NewSystem(workload.KeyFor(sp, seed, core.PolicyBaseline, root), nil)
 }
 
-func buildRig(switches int, seed uint64, strategy updown.RootStrategy) (*rig, error) {
-	net, err := topology.RandomLattice(topology.DefaultLattice(switches, seed))
-	if err != nil {
-		return nil, err
-	}
-	lab, err := updown.New(net, strategy)
-	if err != nil {
-		return nil, err
-	}
-	return &rig{net: net, lab: lab, router: core.NewRouter(lab)}, nil
-}
-
-// withPolicy derives a rig sharing this rig's network and labeling but
-// routing under pol — the comparator sweeps measure policies on the *same*
-// up*/down* structure, so every latency difference is the policy's doing.
-func (r *rig) withPolicy(pol core.Policy) *rig {
-	if pol == core.PolicyBaseline {
-		return r
-	}
-	return &rig{net: r.net, lab: r.lab, router: core.NewRouterPolicy(r.lab, pol)}
-}
-
-// buildRigSpec builds a rig from a topology spec string (the comparator
-// sweeps run on zoo families, not just random lattices).
-func buildRigSpec(spec string, seed uint64, strategy updown.RootStrategy) (*rig, error) {
-	sp, err := topology.ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	net, err := sp.Build(seed)
-	if err != nil {
-		return nil, err
-	}
-	lab, err := updown.New(net, strategy)
-	if err != nil {
-		return nil, err
-	}
-	return &rig{net: net, lab: lab, router: core.NewRouter(lab)}, nil
-}
-
-// proc maps a processor index to its node ID.
-func (r *rig) proc(i int) topology.NodeID {
-	return topology.NodeID(r.net.NumSwitches + i)
-}
-
-// pickDests draws k destinations excluding src.
-func (r *rig) pickDests(rand *rng.Source, src topology.NodeID, k int) []topology.NodeID {
-	n := r.net.NumProcs
-	srcIdx := int(src) - r.net.NumSwitches
-	idx := rand.Choose(n-1, k)
-	out := make([]topology.NodeID, k)
-	for i, v := range idx {
-		if v >= srcIdx {
-			v++
-		}
-		out[i] = r.proc(v)
-	}
-	return out
+// withPolicy derives base's system under pol, sharing its network and
+// labeling — the comparator sweeps measure policies on the *same* up*/down*
+// structure, so every latency difference is the policy's doing.
+func withPolicy(base *workload.System, pol core.Policy) (*workload.System, error) {
+	k := base.Key
+	k.Policy = pol
+	return workload.NewSystem(k, base)
 }
 
 const nsPerUs = 1000.0
 
-// runnerKey identifies a reusable simulator: the rig plus every simulator
-// configuration field that shapes behaviour. Logf is deliberately excluded
-// (experiments never trace; a traced simulator must not be pooled).
-type runnerKey struct {
-	rig                *rig
-	params             core.LatencyParams
-	inputBufFlits      int
-	storeAndForward    bool
-	addrsPerHeaderFlit int
-	watchdogNs         int64
-	stallChecks        int
-	maxEvents          uint64
-	misrouteBudget     int
-}
-
-// simCache is a worker goroutine's pool of resettable simulators, keyed by
-// (rig, config). Single-goroutine use only.
-type simCache struct {
-	runners map[runnerKey]*workload.Runner
-}
-
-// runner returns the worker's reusable simulator for (rg, cfg), building it
-// on first use. The caller must Reset before driving it directly (the
-// workload harness resets internally).
-func (c *simCache) runner(rg *rig, cfg sim.Config) (*workload.Runner, error) {
-	key := runnerKey{
-		rig:                rg,
-		params:             cfg.Params,
-		inputBufFlits:      cfg.InputBufFlits,
-		storeAndForward:    cfg.StoreAndForward,
-		addrsPerHeaderFlit: cfg.AddrsPerHeaderFlit,
-		watchdogNs:         cfg.WatchdogNs,
-		stallChecks:        cfg.StallChecks,
-		maxEvents:          cfg.MaxEvents,
-		misrouteBudget:     cfg.MisrouteBudget,
-	}
-	if r, ok := c.runners[key]; ok {
-		return r, nil
-	}
-	r, err := workload.NewRunner(rg.router, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if c.runners == nil {
-		c.runners = map[runnerKey]*workload.Runner{}
-	}
-	c.runners[key] = r
-	return r, nil
-}
-
 // sweepTrial is the context a sweep's run function executes one trial in:
 // a freshly Reset reusable simulator, the point's deterministic random
-// stream and the trial's rig.
+// stream and the trial's system.
 type sweepTrial struct {
-	Rig  *rig
+	Sys  *workload.System
 	Sim  *sim.Simulator
 	Rand *rng.Source
 	// T is the trial index within the point.
@@ -325,24 +224,38 @@ func (t *sweepTrial) AddUs(v float64) { t.st.Add(v) }
 
 // RandProc draws a uniform source processor.
 func (t *sweepTrial) RandProc() topology.NodeID {
-	return t.Rig.proc(t.Rand.Intn(t.Rig.net.NumProcs))
+	return t.proc(t.Rand.Intn(t.Sys.Net.NumProcs))
 }
 
 // PickDests draws k uniform destinations excluding src.
 func (t *sweepTrial) PickDests(src topology.NodeID, k int) []topology.NodeID {
-	return t.Rig.pickDests(t.Rand, src, k)
+	srcIdx := int(src) - t.Sys.Net.NumSwitches
+	idx := t.Rand.Choose(t.Sys.Net.NumProcs-1, k)
+	out := make([]topology.NodeID, k)
+	for i, v := range idx {
+		if v >= srcIdx {
+			v++
+		}
+		out[i] = t.proc(v)
+	}
+	return out
+}
+
+// proc maps a processor index to its node ID.
+func (t *sweepTrial) proc(i int) topology.NodeID {
+	return topology.NodeID(t.Sys.Net.NumSwitches + i)
 }
 
 // sweepSpec is the shared trial loop every single-shot experiment driver
 // runs on: repeated trials of `run` over per-goroutine reusable simulators
-// (rotating through rigs when several topologies are sampled), with the
+// (rotating through systems when several topologies are sampled), with the
 // paper's adaptive stopping rule layered on top — sample until the 95% CI
 // half-width falls below targetRelCI of the mean, bounded by [trials,
 // maxTrials].
 type sweepSpec struct {
-	rigs []*rig
-	cfg  sim.Config
-	seed uint64
+	systems []*workload.System
+	cfg     sim.Config
+	seed    uint64
 	// trials is the minimum trial count; maxTrials caps adaptive sampling
 	// (0 = trials, i.e. fixed effort).
 	trials      int
@@ -353,7 +266,7 @@ type sweepSpec struct {
 
 // job converts the spec into a parallel work item.
 func (sp sweepSpec) job() job {
-	return func(c *simCache) (*stats.Summary, error) {
+	return func(c *workload.RunnerCache) (*stats.Summary, error) {
 		st := stats.NewSummary()
 		rand := rng.New(sp.seed)
 		tr := sweepTrial{Rand: rand, st: st}
@@ -365,13 +278,13 @@ func (sp sweepSpec) job() job {
 			if trial >= sp.trials && (sp.targetRelCI <= 0 || st.CI95Relative() <= sp.targetRelCI) {
 				break
 			}
-			rg := sp.rigs[trial%len(sp.rigs)]
-			runner, err := c.runner(rg, sp.cfg)
+			sys := sp.systems[trial%len(sp.systems)]
+			runner, err := c.Get(sys, sp.cfg)
 			if err != nil {
 				return nil, err
 			}
 			runner.Sim().Reset()
-			tr.Rig, tr.Sim, tr.T = rg, runner.Sim(), trial
+			tr.Sys, tr.Sim, tr.T = sys, runner.Sim(), trial
 			if err := sp.run(&tr); err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"repro/internal/updown"
 	"repro/internal/viz"
+	"repro/internal/workload"
 )
 
 // RunRootShare quantifies the paper's Section 5 observation: "As the number
@@ -15,21 +16,21 @@ func RunRootShare(cfg AblationConfig, destCounts []int) (Series, error) {
 	if len(destCounts) == 0 {
 		destCounts = []int{1, 2, 4, 8, 16, 32, 64}
 	}
-	rg, err := buildRig(cfg.Nodes, cfg.Seed, updown.RootMinID)
+	sys, err := lattice(cfg.Nodes, cfg.Seed, updown.RootMinID)
 	if err != nil {
 		return Series{}, err
 	}
 	jobs := make([]job, len(destCounts))
 	for di, d := range destCounts {
 		d := d
-		if d > rg.net.NumProcs-1 {
-			d = rg.net.NumProcs - 1
+		if d > sys.Net.NumProcs-1 {
+			d = sys.Net.NumProcs - 1
 		}
 		jobs[di] = sweepSpec{
-			rigs:   []*rig{rg},
-			cfg:    cfg.Sim,
-			seed:   cfg.Seed ^ uint64(d)<<6 ^ 0x707,
-			trials: cfg.Trials,
+			systems: []*workload.System{sys},
+			cfg:     cfg.Sim,
+			seed:    cfg.Seed ^ uint64(d)<<6 ^ 0x707,
+			trials:  cfg.Trials,
 			run: func(t *sweepTrial) error {
 				src := t.RandProc()
 				if _, err := t.Sim.Submit(0, src, t.PickDests(src, d)); err != nil {
@@ -38,7 +39,7 @@ func RunRootShare(cfg AblationConfig, destCounts []int) (Series, error) {
 				if err := t.Sim.RunUntilIdle(1e16); err != nil {
 					return err
 				}
-				if t.Sim.NodeThroughLoad(rg.lab.Root) > 0 {
+				if t.Sim.NodeThroughLoad(sys.Lab.Root) > 0 {
 					t.AddUs(100)
 				} else {
 					t.AddUs(0)
@@ -67,7 +68,7 @@ func RunHeaderAblation(cfg AblationConfig, addrsPerFlit []int) (Series, error) {
 	if len(addrsPerFlit) == 0 {
 		addrsPerFlit = []int{0, 16, 8, 4}
 	}
-	rg, err := buildRig(cfg.Nodes, cfg.Seed, updown.RootMinID)
+	sys, err := lattice(cfg.Nodes, cfg.Seed, updown.RootMinID)
 	if err != nil {
 		return Series{}, err
 	}
@@ -76,13 +77,13 @@ func RunHeaderAblation(cfg AblationConfig, addrsPerFlit []int) (Series, error) {
 		simCfg := cfg.Sim
 		simCfg.AddrsPerHeaderFlit = a
 		jobs[ai] = sweepSpec{
-			rigs:   []*rig{rg},
-			cfg:    simCfg,
-			seed:   cfg.Seed ^ uint64(a)<<5 ^ 0x909,
-			trials: cfg.Trials,
+			systems: []*workload.System{sys},
+			cfg:     simCfg,
+			seed:    cfg.Seed ^ uint64(a)<<5 ^ 0x909,
+			trials:  cfg.Trials,
 			run: func(t *sweepTrial) error {
 				src := t.RandProc()
-				w, err := t.Sim.Submit(0, src, t.PickDests(src, rg.net.NumProcs-1))
+				w, err := t.Sim.Submit(0, src, t.PickDests(src, sys.Net.NumProcs-1))
 				if err != nil {
 					return err
 				}

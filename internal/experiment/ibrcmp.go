@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/updown"
+	"repro/internal/workload"
 )
 
 // RunIBRComparison contrasts SPAM's single-flit-buffer wormhole multicast
@@ -19,7 +20,7 @@ func RunIBRComparison(cfg PruneComparisonConfig) ([]Series, error) {
 	if cfg.Trials <= 0 || len(cfg.Flits) == 0 {
 		return nil, fmt.Errorf("experiment: IBR comparison needs trials and flit sweep")
 	}
-	rg, err := buildRig(cfg.Nodes, cfg.Seed, updown.RootMinID)
+	sys, err := lattice(cfg.Nodes, cfg.Seed, updown.RootMinID)
 	if err != nil {
 		return nil, err
 	}
@@ -49,10 +50,10 @@ func RunIBRComparison(cfg PruneComparisonConfig) ([]Series, error) {
 				d = 16
 			}
 			jobs = append(jobs, sweepSpec{
-				rigs:   []*rig{rg},
-				cfg:    simCfg,
-				seed:   cfg.Seed ^ uint64(vi)<<36 ^ uint64(flits)<<2,
-				trials: cfg.Trials,
+				systems: []*workload.System{sys},
+				cfg:     simCfg,
+				seed:    cfg.Seed ^ uint64(vi)<<36 ^ uint64(flits)<<2,
+				trials:  cfg.Trials,
 				run: func(t *sweepTrial) error {
 					src := t.RandProc()
 					w, err := t.Sim.Submit(0, src, t.PickDests(src, d))

@@ -6,6 +6,7 @@ import (
 	"repro/internal/prune"
 	"repro/internal/sim"
 	"repro/internal/updown"
+	"repro/internal/workload"
 )
 
 // PruneComparisonConfig parameterizes the SPAM-versus-pruning comparison.
@@ -50,7 +51,7 @@ func RunPruneComparison(cfg PruneComparisonConfig) ([]Series, error) {
 	if cfg.Concurrent <= 0 {
 		cfg.Concurrent = 4
 	}
-	rg, err := buildRig(cfg.Nodes, cfg.Seed, updown.RootMinID)
+	sys, err := lattice(cfg.Nodes, cfg.Seed, updown.RootMinID)
 	if err != nil {
 		return nil, err
 	}
@@ -70,10 +71,10 @@ func RunPruneComparison(cfg PruneComparisonConfig) ([]Series, error) {
 			simCfg := cfg.Sim
 			simCfg.Params.MessageFlits = flits
 			jobs = append(jobs, sweepSpec{
-				rigs:   []*rig{rg},
-				cfg:    simCfg,
-				seed:   cfg.Seed ^ uint64(vi)<<40 ^ uint64(flits)<<4,
-				trials: cfg.Trials,
+				systems: []*workload.System{sys},
+				cfg:     simCfg,
+				seed:    cfg.Seed ^ uint64(vi)<<40 ^ uint64(flits)<<4,
+				trials:  cfg.Trials,
 				run: func(t *sweepTrial) error {
 					type pending struct {
 						spam *sim.Worm

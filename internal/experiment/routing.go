@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/topology"
 	"repro/internal/updown"
 	"repro/internal/workload"
 )
@@ -77,7 +78,7 @@ func RunRoutingComparison(cfg RoutingConfig) ([]Series, error) {
 	if cfg.Warmup >= cfg.Messages {
 		return nil, fmt.Errorf("experiment: warmup %d >= messages %d", cfg.Warmup, cfg.Messages)
 	}
-	base, err := buildRig(cfg.Nodes, cfg.Seed, updown.RootMinID)
+	base, err := lattice(cfg.Nodes, cfg.Seed, updown.RootMinID)
 	if err != nil {
 		return nil, err
 	}
@@ -86,14 +87,17 @@ func RunRoutingComparison(cfg RoutingConfig) ([]Series, error) {
 	var jobs []job
 	var keys []key
 	for vi, v := range variants {
-		rg := base.withPolicy(v.pol)
+		sys, err := withPolicy(base, v.pol)
+		if err != nil {
+			return nil, err
+		}
 		simCfg := cfg.Sim
 		simCfg.MisrouteBudget = v.budget
 		for ri, rate := range cfg.Rates {
-			rg, ri, rate := rg, ri, rate
+			sys, ri, rate := sys, ri, rate
 			keys = append(keys, key{vi: vi, ri: ri})
-			jobs = append(jobs, func(c *simCache) (*stats.Summary, error) {
-				runner, err := c.runner(rg, simCfg)
+			jobs = append(jobs, func(c *workload.RunnerCache) (*stats.Summary, error) {
+				runner, err := c.Get(sys, simCfg)
 				if err != nil {
 					return nil, err
 				}
@@ -164,29 +168,36 @@ func RunRoutingRootSweep(cfg RoutingConfig) ([]RoutingRootRow, error) {
 	var jobs []job
 	var cells []cell
 	for _, topo := range topos {
+		sp, err := topology.ParseSpec(topo)
+		if err != nil {
+			return nil, err
+		}
 		for _, strat := range strategies {
-			base, err := buildRigSpec(topo, cfg.Seed, strat)
+			base, err := workload.NewSystem(workload.KeyFor(sp, cfg.Seed, core.PolicyBaseline, strat), nil)
 			if err != nil {
 				return nil, err
 			}
 			depth := 0
-			for v := 0; v < base.net.N(); v++ {
-				if int(base.lab.Level[v]) > depth {
-					depth = int(base.lab.Level[v])
+			for v := 0; v < base.Net.N(); v++ {
+				if int(base.Lab.Level[v]) > depth {
+					depth = int(base.Lab.Level[v])
 				}
 			}
 			for _, pol := range []core.Policy{core.PolicyBaseline, core.PolicyDuato} {
-				rg := base.withPolicy(pol)
+				sys, err := withPolicy(base, pol)
+				if err != nil {
+					return nil, err
+				}
 				cells = append(cells, cell{topo: topo, strat: strat, pol: pol, depth: depth})
-				jobs = append(jobs, func(c *simCache) (*stats.Summary, error) {
-					runner, err := c.runner(rg, cfg.Sim)
+				jobs = append(jobs, func(c *workload.RunnerCache) (*stats.Summary, error) {
+					runner, err := c.Get(sys, cfg.Sim)
 					if err != nil {
 						return nil, err
 					}
 					return workload.Measure(runner, workload.Mixed{
 						RatePerProcPerUs:  rate,
 						MulticastFraction: cfg.MulticastFraction,
-						MulticastDests:    min(cfg.MulticastDests, rg.net.NumProcs-1),
+						MulticastDests:    min(cfg.MulticastDests, sys.Net.NumProcs-1),
 						Messages:          cfg.Messages,
 					}, workload.MeasureOpts{
 						WarmupMessages: cfg.Warmup,

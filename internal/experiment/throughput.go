@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // RunThroughput complements Figure 3 with the classic saturation view:
@@ -14,7 +15,7 @@ func RunThroughput(cfg Fig3Config) ([]Series, error) {
 	if cfg.Nodes <= 0 || cfg.Messages <= 0 {
 		return nil, fmt.Errorf("experiment: throughput needs nodes and messages")
 	}
-	rg, err := buildRig(cfg.Nodes, cfg.Seed, cfg.Root)
+	sys, err := lattice(cfg.Nodes, cfg.Seed, cfg.Root)
 	if err != nil {
 		return nil, err
 	}
@@ -28,8 +29,8 @@ func RunThroughput(cfg Fig3Config) ([]Series, error) {
 		for ri, rate := range cfg.Rates {
 			d, ri, rate := d, ri, rate
 			keys = append(keys, key{d: d, ri: ri})
-			jobs = append(jobs, func(c *simCache) (*stats.Summary, error) {
-				runner, err := c.runner(rg, cfg.Sim)
+			jobs = append(jobs, func(c *workload.RunnerCache) (*stats.Summary, error) {
+				runner, err := c.Get(sys, cfg.Sim)
 				if err != nil {
 					return nil, err
 				}
@@ -52,7 +53,7 @@ func RunThroughput(cfg Fig3Config) ([]Series, error) {
 				span := float64(last-first) / nsPerUs
 				st := stats.NewSummary()
 				if span > 0 {
-					st.Add(float64(len(worms)) / span / float64(rg.net.NumProcs))
+					st.Add(float64(len(worms)) / span / float64(sys.Net.NumProcs))
 				}
 				return st, nil
 			})

@@ -1,13 +1,25 @@
 // Package serve is the concurrent sweep service: it multiplexes many
 // simultaneous sweep requests over a bounded pool of resettable simulators.
 //
-// Architecture. A Service owns PoolSize worker goroutines, each bound to one
-// reusable workload.Runner (the PR-2 resettable simulator, arenas retained
-// across trials). Requests decompose into independent trial tasks that feed
-// a shared queue; workers steal whatever trial is next, regardless of which
-// request produced it, so one slow sweep cannot monopolize the pool and a
-// burst of small requests interleaves with a long one. Per-request contexts
-// cancel queued trials without tearing down workers.
+// Architecture. A Service owns PoolSize worker goroutines. Requests
+// decompose into independent trial tasks that feed a shared queue; workers
+// steal whatever trial is next, regardless of which request produced it, so
+// one slow sweep cannot monopolize the pool and a burst of small requests
+// interleaves with a long one. Per-request contexts cancel queued trials
+// without tearing down workers.
+//
+// Systems and runners. Every request resolves to one system, named by a
+// workload.SystemKey: the topology spec in canonical form (empty for the
+// default network), the seed (zero for seed-independent families and for
+// the default network), the routing policy and the root strategy (an empty
+// root is min-id on a named topology and the default labeling on the
+// default one). The default system is the pinned entry of a
+// workload.SystemCache that keeps up to 8 more, first in first out, for
+// requests that override the topology, policy or root; equal keys share
+// one build. Each worker owns a workload.RunnerCache that keeps only its
+// most recently used runner (a resettable simulator with its arenas
+// retained across trials), so trials that reach a worker back to back on
+// one system reuse one runner and rebuild nothing.
 //
 // Determinism. Trial t of a request with base seed S always runs with
 // workload.TrialSeed(S, t) on a freshly Reset simulator, records into its
@@ -17,8 +29,8 @@
 // the golden test battery pins serial == concurrent.
 //
 // Memory. No per-message sample is ever retained: shards are fixed-size
-// streaming accumulators, so a request costs O(trials) small shards and the
-// simulators themselves are the bounded pool.
+// streaming accumulators, so a request costs O(trials) small shards. The
+// cached systems and one runner per worker are the service's footprint.
 //
 // Fleet mode. A Service whose Config.Fleet lists worker URLs becomes a
 // scatter/gather coordinator: /run trial ranges and campaign grid cells are

@@ -402,10 +402,8 @@ func (f *fleet) runCell(ctx context.Context, g campaign.Grid, cell campaign.Cell
 		lg.Warn("fleet cell falling back to local execution",
 			"id", telemetry.RequestID(ctx), "cell", cell.String(), "error", err.Error())
 	}
-	simCfg := f.s.cfg.System.SimConfig()
-	simCfg.Logf = nil
 	return campaign.RunSingleCell(ctx, g, cell, campaign.Options{
-		Sim:         simCfg,
+		Sim:         f.s.simCfg,
 		MaxTrials:   f.s.cfg.MaxTrials,
 		MaxMessages: f.s.cfg.MaxMessages,
 	})

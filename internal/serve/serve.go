@@ -66,25 +66,37 @@ type Config struct {
 const (
 	defaultMaxTrials   = 64
 	defaultMaxMessages = 20000
-	// maxAltSwitches caps the size of a request-selected topology, and
-	// maxAltSystems bounds how many built alternates stay cached. The cap is
-	// the shared admission bound (topology.MaxAdmittedSwitches, also enforced
-	// on file-loaded adjacency text) and tracks what the compressed routing
-	// tables make affordable: a 65536-switch fat-tree compiles in low
-	// single-digit GiB of table memory (Tables.MemStats reports the exact
-	// footprint via /healthz), where the dense pre-compression layout needed
-	// that much for 4096 switches.
-	maxAltSwitches = topology.MaxAdmittedSwitches
-	maxAltSystems  = 8
+	// maxSwitches caps the size of a request-named topology, and maxSystems
+	// bounds how many systems stay cached besides the default one. The cap
+	// is the shared admission bound (topology.MaxAdmittedSwitches, also
+	// enforced on file-loaded adjacency text) and tracks what the compressed
+	// routing tables make affordable: a 65536-switch fat-tree compiles in
+	// low single-digit GiB of table memory (Tables.MemStats reports the
+	// exact footprint via /healthz), where the dense pre-compression layout
+	// needed that much for 4096 switches.
+	maxSwitches = topology.MaxAdmittedSwitches
+	maxSystems  = 8
+	// workerRunners is how many runners a pool worker keeps: just its most
+	// recently used one. A runner holds about a tenth of its system's heap
+	// after a trial, so one per worker per cached system would grow the
+	// cached systems' footprint by a fifth, while building a runner costs
+	// far less than the trial it serves.
+	workerRunners = 1
 )
+
+// ownRoot is the root strategy in the default system's key. The default
+// network is not built from a spec and its labeling need not come from any
+// strategy (spamnet.FromParts), so no strategy a request names matches it:
+// only a request that names no root runs on the default labeling.
+const ownRoot = updown.RootStrategy(255)
 
 // task is one trial awaiting a pooled simulator.
 type task struct {
 	ctx context.Context
 	wg  *sync.WaitGroup
-	// run executes the trial on the worker's simulator; its error lands in
-	// the request's shard, never shared between tasks.
-	run func(r *workload.Runner) error
+	// run executes the trial on one of the worker's runners; its error
+	// lands in the request's shard, never shared between tasks.
+	run func(runners *workload.RunnerCache) error
 	// err receives the outcome; each task owns exactly one slot.
 	err *error
 }
@@ -95,11 +107,13 @@ type Service struct {
 	cfg   Config
 	tasks chan *task
 
-	// alternate systems built for topology-overriding requests, keyed by
-	// (spec, seed); immutable once built, FIFO-evicted at maxAltSystems.
-	altMu    sync.Mutex
-	alts     map[altKey]*altSystem
-	altOrder []altKey
+	// simCfg is the pooled simulator configuration: the system's own,
+	// untraced. home is the default system's key; systems pins it and
+	// caches up to maxSystems more for requests that override the
+	// topology, routing policy or root.
+	simCfg  sim.Config
+	home    workload.SystemKey
+	systems *workload.SystemCache
 
 	// campaignSem admits one campaign at a time: each campaign already
 	// parallelizes to PoolSize workers of its own, so without this gate N
@@ -151,12 +165,15 @@ func New(cfg Config) (*Service, error) {
 	if cfg.MaxMessages <= 0 {
 		cfg.MaxMessages = defaultMaxMessages
 	}
+	s := &Service{cfg: cfg, tasks: make(chan *task), campaignSem: make(chan struct{}, 1)}
 	// A traced simulator must not be pooled: concurrent workers would call
 	// one Logf callback from many goroutines and interleave unrelated
 	// requests' traces. Tracing stays a Session-level debugging tool.
-	simCfg := cfg.System.SimConfig()
-	simCfg.Logf = nil
-	s := &Service{cfg: cfg, tasks: make(chan *task), campaignSem: make(chan struct{}, 1)}
+	s.simCfg = cfg.System.SimConfig()
+	s.simCfg.Logf = nil
+	s.home = workload.SystemKey{Policy: cfg.System.Policy(), Root: ownRoot}
+	home := &workload.System{Key: s.home, Net: cfg.System.Topology(), Lab: cfg.System.Labeling(), Router: cfg.System.Router()}
+	s.systems = workload.NewSystemCache(maxSystems, home)
 	switch {
 	case cfg.MaxInflight < 0:
 		s.maxInflight = int64(^uint64(0) >> 1) // unlimited
@@ -180,15 +197,14 @@ func New(cfg Config) (*Service, error) {
 		s.fleet = newFleet(s, cfg.Fleet)
 	}
 	for i := 0; i < cfg.PoolSize; i++ {
-		r, err := workload.NewRunner(cfg.System.Router(), simCfg)
-		if err != nil {
+		runners := workload.NewRunnerCache(workerRunners)
+		if _, err := runners.Get(home, s.simCfg); err != nil {
 			close(s.tasks)
 			s.workWG.Wait()
 			return nil, fmt.Errorf("serve: building pooled simulator %d: %w", i, err)
 		}
-		r.MaxSimTimeNs = cfg.System.MaxSimTimeNs()
 		s.workWG.Add(1)
-		go s.worker(r)
+		go s.worker(runners)
 	}
 	if s.fleet != nil {
 		s.fleet.start()
@@ -232,8 +248,8 @@ func (s *Service) RetryAfter() int {
 // PoolSize returns the simulator pool bound.
 func (s *Service) PoolSize() int { return s.cfg.PoolSize }
 
-// worker drains the shared task queue on its private simulator.
-func (s *Service) worker(r *workload.Runner) {
+// worker drains the shared task queue on its private runners.
+func (s *Service) worker(runners *workload.RunnerCache) {
 	defer s.workWG.Done()
 	for t := range s.tasks {
 		if t.ctx.Err() != nil {
@@ -254,7 +270,7 @@ func (s *Service) worker(r *workload.Runner) {
 		if s.metrics.enabled {
 			started = time.Now()
 		}
-		*t.err = t.run(r)
+		*t.err = t.run(runners)
 		if s.metrics.enabled {
 			s.metrics.trialSeconds.Observe(time.Since(started).Seconds())
 		}
@@ -356,101 +372,21 @@ var ErrUnknownScenario = errors.New("serve: unknown scenario")
 // a size beyond the admission cap.
 var ErrBadTopology = errors.New("serve: bad topology")
 
-// altKey identifies a request-built alternate system. Routing policy and
-// root strategy are cache dimensions alongside the topology: "torus:8x8
-// under duato" and "torus:8x8 under baseline" are distinct systems with
-// distinct compiled tables.
-type altKey struct {
-	spec    string
-	seed    uint64
-	routing core.Policy
-	root    string
-}
-
-// altSystem is an immutable alternate network + routing structure built for
-// topology-, routing-policy- or root-overriding requests. Trials on it run
-// in per-trial simulators (created inside the bounded worker pool, so
-// concurrency stays capped); the routing tables and topology are shared.
-type altSystem struct {
-	router *core.Router
-	procs  int
-}
-
-// systemFor returns the alternate system for a (topology spec, routing
-// policy, root strategy) triple, building and caching it on first use. An
-// empty spec selects the server's default topology — used when only the
-// policy or root dimension is overridden. Spec validation happens before
-// construction so a hostile request cannot make the server do unbounded
-// work.
-func (s *Service) systemFor(spec string, seed uint64, pol core.Policy, root string) (*altSystem, error) {
-	var net *topology.Network
-	k := altKey{spec: spec, seed: seed, routing: pol, root: root}
-	if spec == "" {
-		net = s.cfg.System.Topology()
-	} else {
-		sp, err := topology.ParseSpec(spec)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadTopology, err)
-		}
-		if sp.Family == "file" {
-			return nil, fmt.Errorf("%w: file topologies are not servable", ErrBadTopology)
-		}
-		if n := sp.Switches(); n < 1 || n > maxAltSwitches {
-			return nil, fmt.Errorf("%w: %q expands to %d switches (cap %d)", ErrBadTopology, spec, n, maxAltSwitches)
-		}
-		k.spec = sp.String()
-		s.altMu.Lock()
-		if alt, ok := s.alts[k]; ok {
-			s.altMu.Unlock()
-			return alt, nil
-		}
-		s.altMu.Unlock()
-		// Build outside the lock: a slow large-topology build must not block
-		// requests whose system is already cached. Construction is
-		// deterministic, so a rare concurrent duplicate build yields an
-		// identical system and the loser is simply dropped.
-		if net, err = sp.Build(seed); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadTopology, err)
-		}
+// admitTopology parses a request-named topology spec and screens it before
+// any build work: no file: specs (no server-side path reads on request) and
+// at most maxSwitches switches.
+func admitTopology(spec string) (topology.Spec, error) {
+	sp, err := topology.ParseSpec(spec)
+	if err != nil {
+		return sp, fmt.Errorf("%w: %w", ErrBadTopology, err)
 	}
-	s.altMu.Lock()
-	if alt, ok := s.alts[k]; ok {
-		s.altMu.Unlock()
-		return alt, nil
+	if sp.Family == "file" {
+		return sp, fmt.Errorf("%w: file topologies are not servable", ErrBadTopology)
 	}
-	s.altMu.Unlock()
-	var router *core.Router
-	if spec == "" && root == "" {
-		// Policy-only override: reuse the default system's labeling so the
-		// alternate router differs from the pooled one in policy alone.
-		router = core.NewRouterPolicy(s.cfg.System.Labeling(), pol)
-	} else {
-		strat, err := updown.ParseRootStrategy(root)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadTopology, err)
-		}
-		lab, err := updown.New(net, strat)
-		if err != nil {
-			return nil, err
-		}
-		router = core.NewRouterPolicy(lab, pol)
+	if n := sp.Switches(); n < 1 || n > maxSwitches {
+		return sp, fmt.Errorf("%w: %q expands to %d switches (cap %d)", ErrBadTopology, spec, n, maxSwitches)
 	}
-	alt := &altSystem{router: router, procs: net.NumProcs}
-	s.altMu.Lock()
-	defer s.altMu.Unlock()
-	if cached, ok := s.alts[k]; ok {
-		return cached, nil
-	}
-	if s.alts == nil {
-		s.alts = map[altKey]*altSystem{}
-	}
-	if len(s.altOrder) >= maxAltSystems {
-		delete(s.alts, s.altOrder[0])
-		s.altOrder = s.altOrder[1:]
-	}
-	s.alts[k] = alt
-	s.altOrder = append(s.altOrder, k)
-	return alt, nil
+	return sp, nil
 }
 
 // ErrSaturated reports a request rejected by admission control: the bounded
@@ -472,7 +408,9 @@ type resolvedRun struct {
 	trials int
 	params workload.Params
 	warmup int
-	alt    *altSystem
+	// sys and cfg select the runner every trial runs on.
+	sys *workload.System
+	cfg sim.Config
 }
 
 // Run executes one sweep request, blocking until every trial completes or
@@ -538,22 +476,34 @@ func (s *Service) resolveRun(req RunRequest) (*resolvedRun, error) {
 	}
 	// A request may select its own topology family ("topology" param),
 	// routing policy ("routing" + "misroute_budget") or root strategy
-	// ("root"); any override routes through an alternate system, validated,
-	// built and cached up front, with trials in per-trial simulators inside
-	// the same bounded pool. The budget is clamped into the params so every
-	// layer (local trials, fleet shards) sees the same resolved value.
+	// ("root"); any override names another system, validated, built and
+	// cached up front, whose trials run on the same bounded pool. On the
+	// default topology an empty root keeps the default labeling. The budget
+	// is clamped into the params so every layer (local trials, fleet
+	// shards) sees the same resolved value.
 	params := req.Params
 	if err := workload.ValidateRoutingParams(params); err != nil {
 		return nil, fmt.Errorf("%w: %w", workload.ErrInvalidWorkload, err)
 	}
 	pol, budget, _ := workload.RoutingPolicy(params)
 	params.MisrouteBudget = budget
-	var alt *altSystem
+	key, cfg := s.home, s.simCfg
 	if params.Topology != "" || pol != core.PolicyBaseline || params.Root != "" {
-		var err error
-		if alt, err = s.systemFor(params.Topology, req.Seed, pol, params.Root); err != nil {
-			return nil, err
+		key.Policy, cfg.MisrouteBudget = pol, budget
+		root, named, _ := workload.RootStrategy(params)
+		if params.Topology != "" {
+			sp, err := admitTopology(params.Topology)
+			if err != nil {
+				return nil, err
+			}
+			key = workload.KeyFor(sp, req.Seed, pol, root)
+		} else if named {
+			key.Root = root
 		}
+	}
+	sys, err := s.systems.Get(key)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadTopology, err)
 	}
 	// Clamp every wire-exposed knob that scales per-trial work. The message
 	// budget is checked after scenario defaults resolve: an omitted
@@ -561,10 +511,7 @@ func (s *Service) resolveRun(req RunRequest) (*resolvedRun, error) {
 	// the operator's cap either. Budget-less workloads scale differently —
 	// permutations submit rounds·procs messages and a storm one broadcast
 	// per source — so their knobs are clamped directly.
-	procs := s.cfg.System.Topology().NumProcs
-	if alt != nil {
-		procs = alt.procs
-	}
+	procs := sys.Net.NumProcs
 	if maxRounds := max(1, s.cfg.MaxMessages/max(1, procs)); params.Rounds > maxRounds {
 		params.Rounds = maxRounds
 	}
@@ -618,7 +565,7 @@ func (s *Service) resolveRun(req RunRequest) (*resolvedRun, error) {
 	case warmup == 0:
 		warmup = messages / 10
 	}
-	return &resolvedRun{req: req, sc: sc, trials: trials, params: params, warmup: warmup, alt: alt}, nil
+	return &resolvedRun{req: req, sc: sc, trials: trials, params: params, warmup: warmup, sys: sys, cfg: cfg}, nil
 }
 
 // runTrials executes trials [lo, hi) of rv on the local pool, returning
@@ -652,23 +599,10 @@ func (s *Service) runTrials(ctx context.Context, rv *resolvedRun, lo, hi int) ([
 			// harness alone, on the worker's reused scratch. TrialSeed of
 			// a single-trial Measure is its base seed, so shard t is
 			// bit-identical to trial t of a serial trials-long Measure.
-			run: func(r *workload.Runner) error {
-				if rv.alt != nil {
-					// The pooled simulator is bound to the default system;
-					// topology/policy/root-overriding trials run on a fresh
-					// simulator for the alternate router. Worker occupancy
-					// still bounds concurrency, and Measure's TrialSeed
-					// contract keeps the result bit-identical to a serial
-					// run.
-					simCfg := s.cfg.System.SimConfig()
-					simCfg.Logf = nil
-					simCfg.MisrouteBudget = rv.params.MisrouteBudget
-					ar, err := workload.NewRunner(rv.alt.router, simCfg)
-					if err != nil {
-						return err
-					}
-					ar.MaxSimTimeNs = s.cfg.System.MaxSimTimeNs()
-					r = ar
+			run: func(runners *workload.RunnerCache) error {
+				r, err := s.runner(runners, rv)
+				if err != nil {
+					return err
 				}
 				w, err := workload.ApplyFaults(rv.sc.New(rv.params), rv.params)
 				if err != nil {
@@ -705,6 +639,18 @@ func (s *Service) runTrials(ctx context.Context, rv *resolvedRun, lo, hi int) ([
 		return nil, err
 	}
 	return shards, nil
+}
+
+// runner returns the worker's runner for rv's system and configuration. A
+// reset runner is bit-identical to a fresh one, so reusing it across trials
+// and requests changes no result.
+func (s *Service) runner(runners *workload.RunnerCache, rv *resolvedRun) (*workload.Runner, error) {
+	r, err := runners.Get(rv.sys, rv.cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.MaxSimTimeNs = s.cfg.System.MaxSimTimeNs()
+	return r, nil
 }
 
 // mergeTrials merges one shard per trial (index 0 = trial 0) into the
@@ -840,11 +786,9 @@ func (s *Service) RunCampaign(ctx context.Context, req CampaignRequest) (*Campai
 	if n := m.NumCells(); n > maxCampaignCells {
 		return nil, fmt.Errorf("%w: manifest expands to %d cells (cap %d)", ErrBadCampaign, n, maxCampaignCells)
 	}
-	simCfg := s.cfg.System.SimConfig()
-	simCfg.Logf = nil
 	opts := campaign.Options{
 		Workers:     s.cfg.PoolSize,
-		Sim:         simCfg,
+		Sim:         s.simCfg,
 		MaxTrials:   s.cfg.MaxTrials,
 		MaxMessages: s.cfg.MaxMessages,
 		MaxCells:    maxCampaignCells,
@@ -979,23 +923,13 @@ func (s *Service) RunCell(ctx context.Context, req CellRequest) (*campaign.CellR
 	}
 	defer s.release()
 
-	// The same admission screen request-selected topologies get: parse,
-	// reject file: specs, cap the size — before any build work happens.
-	sp, err := topology.ParseSpec(req.Cell.Topology)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadTopology, err)
+	// The same admission screen request-named topologies get, before any
+	// build work happens.
+	if _, err := admitTopology(req.Cell.Topology); err != nil {
+		return nil, err
 	}
-	if sp.Family == "file" {
-		return nil, fmt.Errorf("%w: file topologies are not servable", ErrBadTopology)
-	}
-	if n := sp.Switches(); n < 1 || n > maxAltSwitches {
-		return nil, fmt.Errorf("%w: %q expands to %d switches (cap %d)", ErrBadTopology, req.Cell.Topology, n, maxAltSwitches)
-	}
-
-	simCfg := s.cfg.System.SimConfig()
-	simCfg.Logf = nil
 	opts := campaign.Options{
-		Sim:         simCfg,
+		Sim:         s.simCfg,
 		MaxTrials:   s.cfg.MaxTrials,
 		MaxMessages: s.cfg.MaxMessages,
 	}
@@ -1009,9 +943,9 @@ func (s *Service) RunCell(ctx context.Context, req CellRequest) (*campaign.CellR
 		ctx: ctx,
 		wg:  &wg,
 		err: &runErr,
-		// The pooled simulator is ignored: cells build their own systems.
+		// The worker's runners are ignored: cells build their own systems.
 		// Occupying the slot is the point — it bounds concurrent work.
-		run: func(_ *workload.Runner) error {
+		run: func(*workload.RunnerCache) error {
 			res, err := campaign.RunSingleCell(ctx, req.Grid, req.Cell, opts)
 			if err != nil {
 				return err

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"reflect"
@@ -73,6 +75,13 @@ func TestRunTopologyRejected(t *testing.T) {
 		if !errors.Is(err, ErrBadTopology) {
 			t.Errorf("%s: got %v, want ErrBadTopology", topo, err)
 		}
+		_, err = svc.RunCell(context.Background(), CellRequest{
+			Grid: campaign.Grid{Name: "g", Topologies: []string{topo}, Scenarios: []string{"mixed"}},
+			Cell: campaign.Cell{Grid: "g", Topology: topo, Scenario: "mixed", Seed: 1},
+		})
+		if !errors.Is(err, ErrBadTopology) {
+			t.Errorf("RunCell %s: got %v, want ErrBadTopology", topo, err)
+		}
 	}
 }
 
@@ -89,15 +98,83 @@ func TestRunTopologyCacheBounded(t *testing.T) {
 			t.Fatalf("%s: %v", topo, err)
 		}
 	}
-	svc.altMu.Lock()
-	n := len(svc.alts)
-	svc.altMu.Unlock()
-	if n > maxAltSystems {
-		t.Errorf("alt cache grew to %d (cap %d)", n, maxAltSystems)
+	if n := svc.systems.Len(); n > maxSystems {
+		t.Errorf("system cache grew to %d (cap %d)", n, maxSystems)
 	}
 	// A cached spec still answers identically after evictions.
 	if _, err := svc.Run(context.Background(), topoRequest("torus:3x3", 1)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunSystemKeyCanonical: requests that name one system in different
+// words share one cached build. Seed-independent families ignore the seed,
+// an empty root on a named topology is min-id, and on the default topology
+// the request seed names no network. Six requests, two systems, and every
+// response is the one a fresh service gives.
+func TestRunSystemKeyCanonical(t *testing.T) {
+	torus := func(seed uint64, root string) RunRequest {
+		r := topoRequest("torus:4x4", 1)
+		r.Seed, r.Params.Root = seed, root
+		return r
+	}
+	misroute := func(seed uint64) RunRequest {
+		r := routingRequest("misroute", 2, 1)
+		r.Seed = seed
+		return r
+	}
+	reqs := []RunRequest{torus(1, ""), torus(2, ""), torus(1, "min-id"), misroute(1), misroute(2), misroute(3)}
+	svc := newService(t, testSystem(t, 16), 2)
+	for i, req := range reqs {
+		got, err := svc.Run(context.Background(), req)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		want, err := newService(t, testSystem(t, 16), 2).Run(context.Background(), req)
+		if err != nil {
+			t.Fatalf("request %d on a fresh service: %v", i, err)
+		}
+		got.ElapsedMs, want.ElapsedMs = 0, 0
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("request %d: cached service answered\n%s\nfresh service answered\n%s", i, gotJSON, wantJSON)
+		}
+	}
+	if n := svc.systems.Len(); n != 2 {
+		t.Errorf("six requests built %d systems, want 2", n)
+	}
+}
+
+// TestAlternateSystemTrialAllocFree: a pool worker that runs trials on the
+// same alternate system twice reuses its runner, so the second trial
+// allocates nothing.
+func TestAlternateSystemTrialAllocFree(t *testing.T) {
+	svc := newService(t, testSystem(t, 16), 1)
+	rv, err := svc.resolveRun(topoRequest("torus:4x4", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runners := workload.NewRunnerCache(workerRunners)
+	w := rv.sc.New(rv.params)
+	trial := func() {
+		r, err := svc.runner(runners, rv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Trial(w, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trial()
+	if n := testing.AllocsPerRun(20, trial); n != 0 {
+		t.Fatalf("second trial on the same alternate system allocated %v allocs/op, want 0", n)
 	}
 }
 

@@ -17,9 +17,10 @@ import (
 func TestGoldenPaperExampleTrace(t *testing.T) {
 	var trace []string
 	cfg := DefaultConfig()
-	cfg.Logf = func(f string, args ...any) {
+	logf := func(f string, args ...any) {
 		trace = append(trace, fmt.Sprintf(f, args...))
 	}
+	cfg.Logf = &logf
 	s, _ := fig1Sim(t, cfg)
 	if _, err := s.Submit(0, 6, []topology.NodeID{7, 8, 9, 10}); err != nil {
 		t.Fatal(err)

@@ -983,7 +983,7 @@ func (s *Simulator) popInput(c topology.ChannelID) {
 // logf formats a trace line. Callers must guard with s.cfg.Logf != nil so
 // the variadic argument pack is never materialized on the hot path.
 func (s *Simulator) logf(format string, args ...any) {
-	s.cfg.Logf(format, args...)
+	(*s.cfg.Logf)(format, args...)
 }
 
 // onWatchdog checks for forward progress; on sustained stalls it inspects

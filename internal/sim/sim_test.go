@@ -334,9 +334,10 @@ func TestDeterminism(t *testing.T) {
 func TestTraceLogging(t *testing.T) {
 	cfg := DefaultConfig()
 	var lines []string
-	cfg.Logf = func(format string, args ...any) {
+	logf := func(format string, args ...any) {
 		lines = append(lines, format)
 	}
+	cfg.Logf = &logf
 	s, _ := fig1Sim(t, cfg)
 	if _, err := s.Submit(0, 6, []topology.NodeID{7}); err != nil {
 		t.Fatal(err)

@@ -277,8 +277,10 @@ type Config struct {
 	// shard execution on small models. Irrelevant to RunUntilIdle.
 	ParallelMinBatch int
 	// Logf, if non-nil, receives a human-readable trace of routing
-	// milestones (used by the quickstart example). Keep nil for speed.
-	Logf func(format string, args ...any)
+	// milestones (used by the quickstart example). Keep nil for speed. It
+	// is a pointer so that Config stays comparable: runner caches key on
+	// the whole Config.
+	Logf *func(format string, args ...any)
 }
 
 // DefaultConfig returns the paper's configuration: Section 4 latency

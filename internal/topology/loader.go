@@ -22,7 +22,7 @@ import (
 // are assigned in proc-line order, matching the Builder's semantics.
 
 // MaxAdmittedSwitches is the admission bound every externally supplied
-// topology shares: request-selected specs (serve's alternate-system cap) and
+// topology shares: request-named specs (serve's topology admission cap) and
 // file-loaded adjacency text both refuse networks larger than this before
 // any proportional allocation happens. It tracks what the compressed routing
 // tables make affordable — a 64k-switch fat-tree compiles in low single-

@@ -133,7 +133,12 @@ func WithReferenceRouting() Option { return func(o *options) { o.refRouting = tr
 
 // WithTrace routes a hop-by-hop routing trace of every session to logf.
 func WithTrace(logf func(format string, args ...any)) Option {
-	return func(o *options) { o.simCfg.Logf = logf }
+	return func(o *options) {
+		o.simCfg.Logf = nil
+		if logf != nil {
+			o.simCfg.Logf = &logf
+		}
+	}
 }
 
 // WithShards enables conservative-parallel event execution: Session.Run
