@@ -12,7 +12,6 @@ package spamnet
 
 import (
 	"flag"
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -731,44 +730,4 @@ func BenchmarkDistributionOutputs(b *testing.B) {
 		sink += len(buf)
 	}
 	_ = sink
-}
-
-// BenchmarkParallelRun runs the same deterministic mixed-traffic trial
-// through the conservative-parallel driver at increasing shard counts;
-// shards=1 is the sequential baseline through the identical entry point.
-// Every shard count produces bit-identical results (invariant 9, pinned by
-// the parallel golden tests), so the ns/op column is the pure scheduling
-// cost/benefit: on a single-core host the extra shards are all overhead, and
-// the recorded numbers say so honestly.
-func BenchmarkParallelRun(b *testing.B) {
-	net, err := topology.Torus(16, 16, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lab, err := updown.New(net, updown.RootMinID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	router := core.NewRouter(lab)
-	w := workload.Mixed{RatePerProcPerUs: 0.02, MulticastFraction: 0.1, MulticastDests: 8, Messages: 400}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := sweepBenchSim()
-			cfg.Shards = shards
-			runner, err := workload.NewRunner(router, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := runner.Trial(w, 1998); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := runner.Trial(w, 1998); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -75,7 +75,6 @@ func main() {
 		routing     = flag.String("routing", "baseline", "default-system routing policy: baseline | misroute | duato")
 		misBudget   = flag.Int("misroute-budget", 0, "default-system per-worm deroute budget (-routing misroute only)")
 		pool        = flag.Int("pool", 0, "simulator pool size (0 = GOMAXPROCS)")
-		shards      = flag.Int("shards", 0, "conservative-parallel event shards per trial (bit-identical to sequential; <=1 = sequential)")
 		bufFlits    = flag.Int("inputbuf", 1, "input buffer size in flits")
 		flits       = flag.Int("flits", 128, "message length in flits")
 		trialCap    = flag.Int("max-trials", 64, "per-request trial clamp")
@@ -137,7 +136,6 @@ func main() {
 		spamnet.WithInputBufferFlits(*bufFlits),
 		spamnet.WithLatencyParams(params),
 		spamnet.WithMaxSimTime(*horizon),
-		spamnet.WithShards(*shards),
 	}
 	var sys *spamnet.System
 	var err2 error

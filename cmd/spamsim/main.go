@@ -59,7 +59,6 @@ func main() {
 		bufFlits = flag.Int("inputbuf", 1, "input buffer size in flits")
 		flits    = flag.Int("flits", 128, "message length in flits")
 		workers  = flag.Int("workers", 0, "parallel replications (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "conservative-parallel event shards per trial (bit-identical to sequential; <=1 = sequential)")
 		report   = flag.String("report", "", "also write a consolidated Markdown report to this file")
 
 		campaignArg = flag.String("campaign", "", "run a campaign manifest: built-in name (paper | collectives | routing | smoke | scale) or path to a JSON manifest")
@@ -99,7 +98,6 @@ func main() {
 	simCfg := sim.DefaultConfig()
 	simCfg.InputBufFlits = *bufFlits
 	simCfg.Params.MessageFlits = *flits
-	simCfg.Shards = *shards
 
 	if *listScen {
 		t := &experiment.Table{

@@ -10,13 +10,13 @@
 //
 // Systems and runners. Every request resolves to one system, named by a
 // workload.SystemKey: the topology spec in canonical form (empty for the
-// default network), the seed (zero for seed-independent families and for
-// the default network), the routing policy and the root strategy (an empty
-// root is min-id on a named topology and the default labeling on the
-// default one). The default system is the pinned entry of a
-// workload.SystemCache that keeps up to 8 more, first in first out, for
-// requests that override the topology, policy or root; equal keys share
-// one build. Each worker owns a workload.RunnerCache that keeps only its
+// default network), the seed (zero for the default network), the routing
+// policy and the root strategy (an empty root is min-id on a named topology
+// and the default labeling on the default one). The default system is the
+// pinned entry of a workload.SystemCache that keeps the systems of the last
+// 8 keys, first in first out, for requests that override the topology,
+// policy or root; equal keys, and keys that differ only in the seed of a
+// seed-independent family, share one build. Each worker owns a workload.RunnerCache that keeps only its
 // most recently used runner (a resettable simulator with its arenas
 // retained across trials), so trials that reach a worker back to back on
 // one system reuse one runner and rebuild nothing.

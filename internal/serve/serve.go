@@ -67,9 +67,10 @@ const (
 	defaultMaxTrials   = 64
 	defaultMaxMessages = 20000
 	// maxSwitches caps the size of a request-named topology, and maxSystems
-	// bounds how many systems stay cached besides the default one. The cap
-	// is the shared admission bound (topology.MaxAdmittedSwitches, also
-	// enforced on file-loaded adjacency text) and tracks what the compressed
+	// bounds how many request keys, and so systems, stay cached besides the
+	// default one. The cap is the shared admission bound
+	// (topology.MaxAdmittedSwitches, also enforced on file-loaded adjacency
+	// text) and tracks what the compressed
 	// routing tables make affordable: a 65536-switch fat-tree compiles in
 	// low single-digit GiB of table memory (Tables.MemStats reports the
 	// exact footprint via /healthz), where the dense pre-compression layout
@@ -368,13 +369,14 @@ var ErrClosed = errors.New("serve: service closed")
 var ErrUnknownScenario = errors.New("serve: unknown scenario")
 
 // ErrBadTopology reports a request-selected topology the service rejects:
-// unparseable spec, file: family (no server-side path reads on request), or
-// a size beyond the admission cap.
+// unparseable spec, file: family (no server-side path reads on request), a
+// size beyond the admission cap, or more gnm extra links than fit.
 var ErrBadTopology = errors.New("serve: bad topology")
 
 // admitTopology parses a request-named topology spec and screens it before
-// any build work: no file: specs (no server-side path reads on request) and
-// at most maxSwitches switches.
+// any build work: no file: specs (no server-side path reads on request), at
+// most maxSwitches switches, and for gnm no more extra links than the 4-port
+// budget can place (2 per switch), which bounds the placement attempts.
 func admitTopology(spec string) (topology.Spec, error) {
 	sp, err := topology.ParseSpec(spec)
 	if err != nil {
@@ -385,6 +387,9 @@ func admitTopology(spec string) (topology.Spec, error) {
 	}
 	if n := sp.Switches(); n < 1 || n > maxSwitches {
 		return sp, fmt.Errorf("%w: %q expands to %d switches (cap %d)", ErrBadTopology, spec, n, maxSwitches)
+	}
+	if sp.Family == "gnm" && sp.Extra > 2*sp.A {
+		return sp, fmt.Errorf("%w: %q asks for %d extra links (cap %d)", ErrBadTopology, spec, sp.Extra, 2*sp.A)
 	}
 	return sp, nil
 }
@@ -711,8 +716,8 @@ func (s *Service) mergeTrials(rv *resolvedRun, shards []shard) (*RunResponse, er
 // CampaignRequest asks the service to execute a whole reproduction
 // campaign: either a built-in manifest by name ("paper", "smoke", "scale") or an
 // inline manifest. The campaign runs with the service's admission clamps
-// (MaxTrials, MaxMessages) and its worker count is bounded by the pool
-// size; file: topologies are rejected.
+// (MaxTrials, MaxMessages), every grid topology passes the admission screen
+// of /run and /cell, and its worker count is bounded by the pool size.
 type CampaignRequest struct {
 	// Name selects a built-in manifest; mutually exclusive with Manifest.
 	Name string `json:"name,omitempty"`
@@ -782,6 +787,13 @@ func (s *Service) RunCampaign(ctx context.Context, req CampaignRequest) (*Campai
 	// are the requester's fault, later failures are the server's.
 	if err := m.Validate(false); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadCampaign, err)
+	}
+	for _, g := range m.Grids {
+		for _, ts := range g.Topologies {
+			if _, err := admitTopology(ts); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if n := m.NumCells(); n > maxCampaignCells {
 		return nil, fmt.Errorf("%w: manifest expands to %d cells (cap %d)", ErrBadCampaign, n, maxCampaignCells)

@@ -70,18 +70,37 @@ func TestRunTopologyDeterministic(t *testing.T) {
 
 func TestRunTopologyRejected(t *testing.T) {
 	svc := newService(t, testSystem(t, 16), 1)
-	for _, topo := range []string{"file:/etc/passwd", "ring:9", "torus:4", "hypercube:30"} {
+	for _, topo := range []string{
+		"file:/etc/passwd", "ring:9", "torus:4", "hypercube:30",
+		// Dimensions whose product wraps to 4 switches, a level count that
+		// spun the switch-count prediction, and more gnm extra links than
+		// a 4-port budget can place.
+		"mesh:4611686018427387905x4", "torus:4611686018427387905x4",
+		"fattree:1x4611686018427387905", "gnm:64+1000000000",
+	} {
 		_, err := svc.Run(context.Background(), topoRequest(topo, 1))
 		if !errors.Is(err, ErrBadTopology) {
 			t.Errorf("%s: got %v, want ErrBadTopology", topo, err)
 		}
+		grid := campaign.Grid{Name: "g", Topologies: []string{topo}, Scenarios: []string{"mixed"}}
 		_, err = svc.RunCell(context.Background(), CellRequest{
-			Grid: campaign.Grid{Name: "g", Topologies: []string{topo}, Scenarios: []string{"mixed"}},
+			Grid: grid,
 			Cell: campaign.Cell{Grid: "g", Topology: topo, Scenario: "mixed", Seed: 1},
 		})
 		if !errors.Is(err, ErrBadTopology) {
 			t.Errorf("RunCell %s: got %v, want ErrBadTopology", topo, err)
 		}
+		// The manifest validator rejects unparseable and file: specs first
+		// (ErrBadCampaign); both errors answer 400.
+		_, err = svc.RunCampaign(context.Background(), CampaignRequest{
+			Manifest: &campaign.Manifest{Name: "bad", Grids: []campaign.Grid{grid}},
+		})
+		if !errors.Is(err, ErrBadTopology) && !errors.Is(err, ErrBadCampaign) {
+			t.Errorf("RunCampaign %s: got %v, want ErrBadTopology or ErrBadCampaign", topo, err)
+		}
+	}
+	if _, err := svc.Run(context.Background(), topoRequest("torus:4x4", 1)); err != nil {
+		t.Fatalf("service stopped serving after the rejections: %v", err)
 	}
 }
 

@@ -78,19 +78,6 @@ type Simulator struct {
 	activity    uint64 // non-watchdog events processed
 	tracer      func(TraceEvent)
 	err         error
-
-	// staging redirects schedule() into the staged buffer instead of the
-	// event heap. Shard executors of the parallel driver (see parallel.go)
-	// run on shallow copies of the Simulator with staging set: the events
-	// their handlers produce are recorded per executed event and replayed
-	// onto the real heap in deterministic batch order by the merge walk,
-	// which is what makes parallel windows bit-identical to sequential
-	// execution. Never set on the real simulator.
-	staging bool
-	staged  []stagedEv
-	// par caches the parallel window driver across RunUntilIdleParallel
-	// calls (rebuilt only when the shard count changes).
-	par *parDriver
 }
 
 // New builds a simulator over the given SPAM router.
@@ -143,13 +130,6 @@ func (s *Simulator) Outstanding() int { return s.outstanding }
 func (s *Simulator) Err() error { return s.err }
 
 func (s *Simulator) schedule(t int64, kind evKind, a int32) {
-	if s.staging {
-		// Shard executor: record the event instead of scheduling it. The
-		// merge walk assigns the global sequence number later, in batch
-		// order, so the heap ends up bit-identical to sequential execution.
-		s.staged = append(s.staged, stagedEv{t: t, a: a, kind: kind})
-		return
-	}
 	s.seq++
 	if kind != evWatchdog {
 		s.pendingWork++
@@ -423,15 +403,9 @@ func (s *Simulator) RunUntilIdle(cap int64) error {
 		return s.err
 	}
 	if s.outstanding > 0 {
-		return errOutstanding(s.outstanding, cap)
+		return fmt.Errorf("sim: %d worms outstanding at time cap %d ns", s.outstanding, cap)
 	}
 	return nil
-}
-
-// errOutstanding is the shared time-cap failure of RunUntilIdle and
-// RunUntilIdleParallel, so the two report identically.
-func errOutstanding(n int, cap int64) error {
-	return fmt.Errorf("sim: %d worms outstanding at time cap %d ns", n, cap)
 }
 
 func (s *Simulator) fail(format string, args ...any) {

@@ -257,25 +257,11 @@ type Config struct {
 	StallChecks int
 	// MaxEvents aborts runaway simulations (default 4e9).
 	MaxEvents uint64
-	// Shards selects conservative-parallel event execution for whole-trial
-	// runs: harnesses that drain a simulation to idle (workload.Runner,
-	// spamnet.Session) use RunUntilIdleParallel with this many shard
-	// executors when Shards > 1, and the plain sequential driver otherwise.
-	// Parallel execution is bit-identical to sequential (ARCHITECTURE.md
-	// invariant 9), so this knob trades wall-clock for cores without
-	// changing any result.
-	Shards int
 	// MisrouteBudget is the per-worm misroute budget under a PolicyMisroute
 	// router: how many deroute (non-minimal) channels one header may take.
 	// Ignored (treated as 0) under other policies; negative values clamp
 	// to 0. With budget 0 a misroute router is bit-identical to baseline.
 	MisrouteBudget int
-	// ParallelMinBatch is the minimum events a lookahead window must hold
-	// before RunUntilIdleParallel fans it out to shard executors; smaller
-	// windows run sequentially, where goroutine handoff would cost more
-	// than it buys. 0 selects the default (32). Tests pin it to 1 to force
-	// shard execution on small models. Irrelevant to RunUntilIdle.
-	ParallelMinBatch int
 	// Logf, if non-nil, receives a human-readable trace of routing
 	// milestones (used by the quickstart example). Keep nil for speed. It
 	// is a pointer so that Config stays comparable: runner caches key on
@@ -315,8 +301,5 @@ func (c *Config) normalize() {
 	}
 	if c.MisrouteBudget < 0 {
 		c.MisrouteBudget = 0
-	}
-	if c.ParallelMinBatch <= 0 {
-		c.ParallelMinBatch = 32
 	}
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -116,28 +117,40 @@ func (sp Spec) String() string {
 	return sp.Family + ":" + body
 }
 
-// Switches predicts the switch count the spec builds (-1 for file specs,
-// whose size is only known after loading). Serving layers use it to bound
-// admission before paying for construction.
+// Switches predicts the switch count the spec builds: -1 for file specs,
+// whose size is only known after loading, and for dimensions whose product
+// overflows an int. Serving layers use it to bound admission before paying
+// for construction.
 func (sp Spec) Switches() int {
 	switch sp.Family {
 	case "lattice", "gnm":
 		return sp.A
 	case "mesh", "torus":
-		return sp.A * sp.B
+		return mulPositive(sp.A, sp.B)
 	case "hypercube":
 		if sp.A < 1 || sp.A > 30 {
 			return -1
 		}
 		return 1 << sp.A
 	case "fattree":
+		// levels·k^(levels-1). k = 1 leaves levels; any other k overflows
+		// or fails to -1 within 63 rounds, so no level count spins here.
 		n := sp.B
-		for i := 0; i < sp.B-1; i++ {
-			n *= sp.A
+		for i := 1; i < sp.B && n > 0 && sp.A != 1; i++ {
+			n = mulPositive(n, sp.A)
 		}
 		return n
 	}
 	return -1
+}
+
+// mulPositive returns a·b for positive a and b, or -1 when a factor is below
+// 1 or the product overflows an int.
+func mulPositive(a, b int) int {
+	if a < 1 || b < 1 || a > math.MaxInt/b {
+		return -1
+	}
+	return a * b
 }
 
 // Build constructs the network. Random families (lattice, gnm) consume the

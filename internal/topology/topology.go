@@ -484,8 +484,8 @@ func Figure1() (*Network, error) {
 // Regular topologies let us explore the paper's future-work direction of
 // spanning-tree selection on regular networks.
 func Mesh(w, h, procsPerSwitch int) (*Network, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("topology: mesh %dx%d", w, h)
+	if mulPositive(w, h) < 0 {
+		return nil, fmt.Errorf("topology: mesh %dx%d: dims must be positive and their product fit an int", w, h)
 	}
 	b := NewBuilder(w*h, 0)
 	id := func(x, y int) int { return y*w + x }
@@ -515,6 +515,9 @@ func Mesh(w, h, procsPerSwitch int) (*Network, error) {
 func Torus(w, h, procsPerSwitch int) (*Network, error) {
 	if w < 3 || h < 3 {
 		return nil, fmt.Errorf("topology: torus needs dims >= 3, got %dx%d", w, h)
+	}
+	if mulPositive(w, h) < 0 {
+		return nil, fmt.Errorf("topology: torus %dx%d overflows the switch count", w, h)
 	}
 	b := NewBuilder(w*h, 0)
 	id := func(x, y int) int { return y*w + x }

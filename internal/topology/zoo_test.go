@@ -134,6 +134,24 @@ func TestSpecBuildMatchesPrediction(t *testing.T) {
 	}
 }
 
+// TestSpecBuildRejectsOverflow: dimensions whose product overflows an int
+// predict no switch count and fail to build, rather than wrapping to a
+// tiny count and then indexing out of range or allocating without bound.
+func TestSpecBuildRejectsOverflow(t *testing.T) {
+	for _, s := range []string{"mesh:4611686018427387905x4", "torus:4611686018427387905x4"} {
+		sp, err := topology.ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := sp.Switches(); n != -1 {
+			t.Errorf("%s: Switches() = %d, want -1", s, n)
+		}
+		if _, err := sp.Build(1); err == nil {
+			t.Errorf("%s: Build succeeded", s)
+		}
+	}
+}
+
 func TestAdjacencyRoundTrip(t *testing.T) {
 	nets := map[string]func() (*topology.Network, error){
 		"lattice": func() (*topology.Network, error) {

@@ -32,9 +32,8 @@ func policyRouter(t testing.TB, spec string, seed uint64, pol core.Policy) *core
 // TestMisrouteZeroBaselineDifferential is ARCHITECTURE invariant 12 at the
 // runner level: a PolicyMisroute router with budget 0 reproduces the baseline
 // trial bit-identically — every worm's submit and done time plus every engine
-// counter — for every registry scenario, sequentially and at 4 event shards,
-// on two topology-zoo families. The adaptive machinery must be provably
-// inert until a budget arms it.
+// counter — for every registry scenario, on two topology-zoo families. The
+// adaptive machinery must be provably inert until a budget arms it.
 func TestMisrouteZeroBaselineDifferential(t *testing.T) {
 	for _, spec := range []string{"torus:4x4", "fattree:2x3"} {
 		t.Run(spec, func(t *testing.T) {
@@ -54,67 +53,21 @@ func TestMisrouteZeroBaselineDifferential(t *testing.T) {
 				if want.counters.MisrouteHops != 0 || want.counters.AdaptiveHops != 0 {
 					t.Fatalf("%s: baseline router counted policy hops: %+v", sc.Name, want.counters)
 				}
-				for _, shards := range []int{1, 4} {
-					cfg := smallCfg()
-					cfg.Shards = shards
-					cfg.ParallelMinBatch = 1
-					cfg.MisrouteBudget = 0
-					rep, err := NewRunner(policyRouter(t, spec, 3, core.PolicyMisroute), cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := rep.Trial(w, 42); err != nil {
-						t.Fatalf("%s: misroute-0 trial (shards=%d): %v", sc.Name, shards, err)
-					}
-					if got := signatureOf(rep); !sameSignature(got, want) {
-						t.Fatalf("%s: misroute-0 (shards=%d) diverged from baseline: %d/%d worms, counters %+v vs %+v",
-							sc.Name, shards, len(got.submits), len(want.submits), got.counters, want.counters)
-					}
+				cfg := smallCfg()
+				cfg.MisrouteBudget = 0
+				rep, err := NewRunner(policyRouter(t, spec, 3, core.PolicyMisroute), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rep.Trial(w, 42); err != nil {
+					t.Fatalf("%s: misroute-0 trial: %v", sc.Name, err)
+				}
+				if got := signatureOf(rep); !sameSignature(got, want) {
+					t.Fatalf("%s: misroute-0 diverged from baseline: %d/%d worms, counters %+v vs %+v",
+						sc.Name, len(got.submits), len(want.submits), got.counters, want.counters)
 				}
 			}
 		})
-	}
-}
-
-// TestAdaptivePolicyShardDeterminism extends the sharded-drain bit-identity
-// guarantee to the armed adaptive families: misroute-2 and Duato trials are
-// signature-identical at 1 and 4 shards, including the new policy counters
-// (which the parallel drain must merge, not drop).
-func TestAdaptivePolicyShardDeterminism(t *testing.T) {
-	for _, tc := range []struct {
-		pol    core.Policy
-		budget int
-	}{
-		{core.PolicyMisroute, 2},
-		{core.PolicyDuato, 0},
-	} {
-		sc, ok := Lookup("hotspot")
-		if !ok {
-			t.Fatal("no hotspot scenario")
-		}
-		w := sc.New(Params{Messages: 200, MulticastDests: 8, RatePerProcPerUs: 0.05})
-		var want trialSignature
-		for i, shards := range []int{1, 4} {
-			cfg := smallCfg()
-			cfg.Shards = shards
-			cfg.ParallelMinBatch = 1
-			cfg.MisrouteBudget = tc.budget
-			r, err := NewRunner(policyRouter(t, "gnm:24+12", 3, tc.pol), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Trial(w, 42); err != nil {
-				t.Fatalf("%v (shards=%d): %v", tc.pol, shards, err)
-			}
-			got := signatureOf(r)
-			if i == 0 {
-				want = got
-				continue
-			}
-			if !sameSignature(got, want) {
-				t.Fatalf("%v: sharded trial diverged: counters %+v vs %+v", tc.pol, got.counters, want.counters)
-			}
-		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -9,11 +11,11 @@ import (
 	"repro/internal/updown"
 )
 
-// SystemKey names one system: a topology spec, the seed its random family
-// consumes, a routing policy and a root strategy. Equal keys build identical
-// systems, so a key is a cache key. Build keys with KeyFor; the empty Spec
-// names no family and is reachable only through a base system (see
-// NewSystem).
+// SystemKey names one system: a topology spec, a seed, a routing policy and
+// a root strategy. Equal keys build identical systems, and so do keys that
+// differ only in a seed their family ignores (see canonical), so a key is a
+// cache key. Build keys with KeyFor; the empty Spec names no family and is
+// reachable only through a base system (see NewSystem).
 type SystemKey struct {
 	Spec   string
 	Seed   uint64
@@ -21,15 +23,20 @@ type SystemKey struct {
 	Root   updown.RootStrategy
 }
 
-// KeyFor returns the canonical key of sp under seed, pol and root: the spec
-// in its String form, and the seed zeroed for the families Spec.Build
-// documents as seed-independent.
+// KeyFor returns the key of sp under seed, pol and root, with the spec in
+// its String form.
 func KeyFor(sp topology.Spec, seed uint64, pol core.Policy, root updown.RootStrategy) SystemKey {
-	switch sp.Family {
-	case "mesh", "torus", "hypercube", "fattree", "file":
-		seed = 0
-	}
 	return SystemKey{Spec: sp.String(), Seed: seed, Policy: pol, Root: root}
+}
+
+// canonical returns the key of the system k builds: k with the seed zeroed
+// for the families Spec.Build documents as seed-independent.
+func (k SystemKey) canonical() SystemKey {
+	switch family, _, _ := strings.Cut(k.Spec, ":"); family {
+	case "mesh", "torus", "hypercube", "fattree", "file":
+		k.Seed = 0
+	}
+	return k
 }
 
 // System is an immutable network with its up*/down* labeling and compiled
@@ -77,21 +84,25 @@ func NewSystem(k SystemKey, base *System) (*System, error) {
 
 // SystemCache holds built systems by key. Safe for concurrent use.
 type SystemCache struct {
-	// limit bounds the cached systems, evicted first in, first out
-	// (0 = unbounded); the pinned system is never evicted and is the base
+	// limit bounds the keys the cache remembers, forgotten first in, first
+	// out (0 = unbounded). Keys that differ only in a seed their family
+	// ignores share one system, which stays cached while a remembered key
+	// names it, so after any limit distinct keys the cache holds exactly
+	// their systems. The pinned system is never evicted and is the base
 	// every miss builds from.
 	limit  int
 	pinned *System
 
 	mu      sync.Mutex
-	systems map[SystemKey]*System
-	order   []SystemKey
+	keys    map[SystemKey]*System // remembered keys
+	systems map[SystemKey]*System // their systems, by canonical key
+	order   []SystemKey           // remembered keys, oldest first
 }
 
-// NewSystemCache returns a cache of at most limit systems (0 = unbounded)
-// besides pinned, which may be nil.
+// NewSystemCache returns a cache remembering at most limit keys
+// (0 = unbounded) besides pinned, which may be nil.
 func NewSystemCache(limit int, pinned *System) *SystemCache {
-	return &SystemCache{limit: limit, pinned: pinned, systems: map[SystemKey]*System{}}
+	return &SystemCache{limit: limit, pinned: pinned, keys: map[SystemKey]*System{}, systems: map[SystemKey]*System{}}
 }
 
 // Get returns the system for k, building it on a miss.
@@ -100,30 +111,54 @@ func (c *SystemCache) Get(k SystemKey) (*System, error) {
 		return c.pinned, nil
 	}
 	c.mu.Lock()
-	s, ok := c.systems[k]
+	s := c.lookup(k)
 	c.mu.Unlock()
-	if ok {
+	if s != nil {
 		return s, nil
 	}
 	// Build outside the lock so lookups of cached systems never wait behind
 	// a slow build; construction is deterministic, so a concurrent duplicate
 	// is identical and the later one is dropped.
-	s, err := NewSystem(k, c.pinned)
+	s, err := NewSystem(k.canonical(), c.pinned)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cached, ok := c.systems[k]; ok {
+	if cached := c.lookup(k); cached != nil {
 		return cached, nil
 	}
-	if c.limit > 0 && len(c.order) >= c.limit {
-		delete(c.systems, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.systems[k] = s
-	c.order = append(c.order, k)
+	c.remember(k, s)
 	return s, nil
+}
+
+// lookup returns the system k names, or nil; a key new to the cache whose
+// system is cached under another seed is remembered. Callers hold mu.
+func (c *SystemCache) lookup(k SystemKey) *System {
+	if s, ok := c.keys[k]; ok {
+		return s
+	}
+	s := c.systems[k.canonical()]
+	if s != nil {
+		c.remember(k, s)
+	}
+	return s
+}
+
+// remember records that k names s, forgetting the oldest key at the limit
+// and dropping its system once no remembered key names it. Callers hold mu.
+func (c *SystemCache) remember(k SystemKey, s *System) {
+	if c.limit > 0 && len(c.order) >= c.limit {
+		old := c.order[0].canonical()
+		delete(c.keys, c.order[0])
+		c.order = c.order[1:]
+		if !slices.ContainsFunc(c.order, func(o SystemKey) bool { return o.canonical() == old }) {
+			delete(c.systems, old)
+		}
+	}
+	c.keys[k] = s
+	c.systems[s.Key] = s
+	c.order = append(c.order, k)
 }
 
 // Len reports how many systems the cache holds besides the pinned one.

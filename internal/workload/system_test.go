@@ -118,3 +118,44 @@ func TestSystemCacheConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestSystemCacheHoldsLastKeys: a bounded cache holds exactly the systems of
+// its last limit distinct keys, whatever it held before, and keys that
+// differ only in a seed their family ignores share one build. A key whose
+// system an older key had cached counts as new, so that system is not
+// dropped when the older key is forgotten.
+func TestSystemCacheHoldsLastKeys(t *testing.T) {
+	key := func(spec string, seed uint64) SystemKey {
+		sp, err := topology.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return KeyFor(sp, seed, core.PolicyBaseline, updown.RootMinID)
+	}
+	c := NewSystemCache(3, nil)
+	get := func(k SystemKey) *System {
+		s, err := c.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	torus := get(key("torus:3x3", 1))
+	get(key("gnm:12+4", 1))
+	get(key("gnm:12+5", 1))
+	last := []SystemKey{key("torus:3x3", 9), key("gnm:12+4", 9), key("mesh:3x4", 9)}
+	if s := get(last[0]); s != torus {
+		t.Error("torus:3x3 under another seed built a second system")
+	}
+	for _, k := range last[1:] {
+		get(k)
+	}
+	if n := c.Len(); n != len(last) {
+		t.Errorf("cache holds %d systems after %d new keys, want %d", n, len(last), len(last))
+	}
+	for _, k := range last {
+		if _, ok := c.systems[k.canonical()]; !ok {
+			t.Errorf("the system of %v was dropped", k)
+		}
+	}
+}

@@ -149,11 +149,11 @@ func replayWorkloadFor(orig Workload, tr *Trace) Workload {
 }
 
 // TestRecordReplayExactEveryScenario is the tentpole acceptance property:
-// capturing any registry scenario's submission stream and replaying it —
-// on a fresh runner, sequentially and at 4 event shards — reproduces the
-// original trial bit-identically (every worm's submit/done time and every
-// engine counter), and re-capturing the replay reproduces the trace file
-// byte for byte. Runs on two topology-zoo families.
+// capturing any registry scenario's submission stream and replaying it on a
+// fresh runner reproduces the original trial bit-identically (every worm's
+// submit/done time and every engine counter), and re-capturing the replay
+// reproduces the trace file byte for byte. Runs on two topology-zoo
+// families.
 func TestRecordReplayExactEveryScenario(t *testing.T) {
 	for _, spec := range []string{"torus:4x4", "fattree:2x3"} {
 		t.Run(spec, func(t *testing.T) {
@@ -184,25 +184,20 @@ func TestRecordReplayExactEveryScenario(t *testing.T) {
 				}
 				rw := replayWorkloadFor(w, tr)
 
-				for _, shards := range []int{1, 4} {
-					cfg := smallCfg()
-					cfg.Shards = shards
-					cfg.ParallelMinBatch = 1
-					rep, err := NewRunner(specRouter(t, spec, 3), cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep.CaptureTrace(true)
-					if err := rep.Trial(rw, 42); err != nil {
-						t.Fatalf("%s: replay trial (shards=%d): %v", sc.Name, shards, err)
-					}
-					if got := signatureOf(rep); !sameSignature(got, want) {
-						t.Fatalf("%s: replay (shards=%d) diverged: %d/%d worms, counters %+v vs %+v",
-							sc.Name, shards, len(got.submits), len(want.submits), got.counters, want.counters)
-					}
-					if got := rep.Trace().Format(); got != file {
-						t.Fatalf("%s: re-captured replay trace (shards=%d) is not byte-identical", sc.Name, shards)
-					}
+				rep, err := NewRunner(specRouter(t, spec, 3), smallCfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep.CaptureTrace(true)
+				if err := rep.Trial(rw, 42); err != nil {
+					t.Fatalf("%s: replay trial: %v", sc.Name, err)
+				}
+				if got := signatureOf(rep); !sameSignature(got, want) {
+					t.Fatalf("%s: replay diverged: %d/%d worms, counters %+v vs %+v",
+						sc.Name, len(got.submits), len(want.submits), got.counters, want.counters)
+				}
+				if got := rep.Trace().Format(); got != file {
+					t.Fatalf("%s: re-captured replay trace is not byte-identical", sc.Name)
 				}
 			}
 		})

@@ -197,10 +197,6 @@ type Runner struct {
 	// MaxSimTimeNs caps each trial's simulated time (deadlock insurance);
 	// exceeding it is reported as an error by Trial.
 	MaxSimTimeNs int64
-	// Shards selects conservative-parallel event execution for each trial's
-	// drain when > 1 (seeded from sim.Config.Shards by NewRunner). Results
-	// are bit-identical to sequential runs either way.
-	Shards int
 	// Measurement scratch, reused across Measure calls: constant memory no
 	// matter how many messages a measurement absorbs.
 	summary *stats.Summary
@@ -216,7 +212,7 @@ func NewRunner(router *core.Router, cfg sim.Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{sim: s, MaxSimTimeNs: 1e16, Shards: cfg.Shards}
+	r := &Runner{sim: s, MaxSimTimeNs: 1e16}
 	r.gen = Gen{Sim: s, Rand: rng.New(0), router: router}
 	return r, nil
 }
@@ -250,11 +246,7 @@ func (r *Runner) Trial(w Workload, seed uint64) error {
 	if err := w.Generate(&r.gen); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidWorkload, err)
 	}
-	if r.Shards > 1 {
-		if err := r.sim.RunUntilIdleParallel(r.MaxSimTimeNs, r.Shards); err != nil {
-			return err
-		}
-	} else if err := r.sim.RunUntilIdle(r.MaxSimTimeNs); err != nil {
+	if err := r.sim.RunUntilIdle(r.MaxSimTimeNs); err != nil {
 		return err
 	}
 	return r.gen.hookErr

@@ -4,7 +4,7 @@
 # Runs the reduced-effort benchmark suite (Figure 2, Figure 3, the two
 # engine microbenchmarks, the PR 2 reusable-session sweep pair, the PR 4
 # fault-injection reconfiguration pair, the PR 6 fleet pair, the PR 7
-# scale trio, the PR 9 telemetry on/off pairs and the PR 10 routing-policy
+# scale pair, the PR 9 telemetry on/off pairs and the PR 10 routing-policy
 # decision/latency sweeps) and writes a JSON
 # snapshot with ns/op, B/op, allocs/op and every custom reported metric,
 # next to the fixed pre-optimization baselines so the speedup trajectory
@@ -68,18 +68,16 @@ FLEET_RAW=$(go test -run '^$' \
 	-benchmem -benchtime "${FLEET_BENCHTIME:-5x}" ./internal/serve/ 2>&1 | grep -E '^Benchmark' || true)
 
 # PR 7: past the 4096-switch cap — compressed-table compile cost/footprint on
-# large fat-trees, the fused-bitset distribution kernel, and the conservative-
-# parallel driver at 1/2/4/8 shards (bit-identical output; on a single core
-# the extra shards are pure overhead and the numbers record that honestly).
-# The compile cells always run one iteration: one op is minutes at 16k
-# switches. BENCHLARGE=1 adds the 62500-switch headline cell.
+# large fat-trees and the fused-bitset distribution kernel. The compile
+# cells always run one iteration: one op is minutes at 16k switches.
+# BENCHLARGE=1 adds the 62500-switch headline cell.
 LARGE_FLAGS=""
 [ "${BENCHLARGE:-0}" != "0" ] && LARGE_FLAGS="-benchlarge"
 SCALE_RAW=$(go test -run '^$' \
 	-bench 'BenchmarkLargeFatTreeCompile' \
 	-benchmem -benchtime 1x -timeout 0 $LARGE_FLAGS . 2>&1 | grep -E '^Benchmark' || true)
 PAR_RAW=$(go test -run '^$' \
-	-bench 'BenchmarkDistributionOutputs|BenchmarkParallelRun' \
+	-bench 'BenchmarkDistributionOutputs' \
 	-benchmem -benchtime "${PAR_BENCHTIME:-10x}" . 2>&1 | grep -E '^Benchmark' || true)
 
 # PR 9: observability — the same warm trial through a disabled serveMetrics
@@ -197,19 +195,14 @@ $RSWEEP_RAW"
 		"$(awk -v l="$LOCAL_NS" -v f="$FLEET4_NS" 'BEGIN{printf("%.3f", f/l)}')"
 	printf '    "fleet_retry_overhead_pct": %s,\n' \
 		"$(awk -v c="$CLEAN_NS" -v f="$FAULTY_NS" 'BEGIN{printf("%.1f", 100*(f/c-1))}')"
-	# PR 7: table footprint at 16k switches, the distribution kernel's alloc
-	# count (must be 0), and the parallel driver's shards=8/shards=1 ratio
-	# (<1 only with real cores; 1-core hosts record the scheduling overhead).
+	# PR 7: table footprint at 16k switches and the distribution kernel's
+	# alloc count (must be 0).
 	FT16_MIB=$(echo "$SCALE_RAW" | awk '/fattree:16x4/{for(i=3;i<NF;i+=2) if($(i+1)=="MiB/tables") print $i}')
 	FT16_COMP=$(echo "$SCALE_RAW" | awk '/fattree:16x4/{for(i=3;i<NF;i+=2) if($(i+1)=="x/compression") print $i}')
 	DIST_ALLOCS=$(echo "$PAR_RAW" | awk '/^BenchmarkDistributionOutputs/{for(i=3;i<NF;i+=2) if($(i+1)=="allocs/op") print $i}')
-	P1_NS=$(echo "$PAR_RAW" | awk -v p="$PROCS" '{n=$1; sub("-" p "$","",n)} n ~ /ParallelRun\/shards=1$/{print $3; exit}')
-	P8_NS=$(echo "$PAR_RAW" | awk -v p="$PROCS" '{n=$1; sub("-" p "$","",n)} n ~ /ParallelRun\/shards=8$/{print $3; exit}')
 	printf '    "fattree16k_table_mib": %s,\n' "${FT16_MIB:-0}"
 	printf '    "fattree16k_compression_x": %s,\n' "${FT16_COMP:-0}"
 	printf '    "distribution_allocs_op": %s,\n' "${DIST_ALLOCS:-0}"
-	printf '    "parallel_shards8_vs_1_ratio": %s,\n' \
-		"$(awk -v a="$P1_NS" -v b="$P8_NS" 'BEGIN{printf("%.3f", b/a)}')"
 	# PR 9: telemetry overhead — instrumented-vs-plain percentage on the warm
 	# trial hot path and on a full fleet /run, plus the alloc delta (the
 	# zero-allocation contract; the AllocsPerRun test guards it exactly, this

@@ -141,15 +141,6 @@ func WithTrace(logf func(format string, args ...any)) Option {
 	}
 }
 
-// WithShards enables conservative-parallel event execution: Session.Run
-// (and the workload/serve/campaign harnesses built on this System's
-// SimConfig) shard the switches over n executors and drain lookahead
-// windows concurrently. The result is bit-identical to the sequential
-// engine — ARCHITECTURE.md invariant 9, pinned by property tests — so this
-// only trades wall-clock for cores on large networks. n <= 1 keeps the
-// sequential driver.
-func WithShards(n int) Option { return func(o *options) { o.simCfg.Shards = n } }
-
 // WithMaxSimTime caps the simulated time Session.Run may reach before
 // reporting an error (default: one hour of simulated time). Long-horizon
 // workloads raise it; latency-bound CI tests lower it to fail fast.
@@ -390,11 +381,6 @@ func (s *System) Fingerprint() uint64 {
 	io.WriteString(h, topology.FormatAdjacency(s.net))
 	cfg := s.simCfg
 	cfg.Logf = nil // function values have no stable representation (and no effect on results)
-	// The parallel-execution knobs are excluded: parallel runs are
-	// bit-identical to sequential ones (invariant 9), so a coordinator and a
-	// worker may shard differently and still produce interchangeable results.
-	cfg.Shards = 0
-	cfg.ParallelMinBatch = 0
 	fmt.Fprintf(h, "|root=%d|ref=%t|pol=%d|cfg=%+v|horizon=%d", s.lab.Root, s.refRouting, uint8(s.policy), cfg, s.MaxSimTimeNs())
 	return h.Sum64()
 }
@@ -461,7 +447,6 @@ func ParseFaultScript(dsl string) (FaultScript, error) { return faults.Parse(dsl
 type Session struct {
 	sim        *sim.Simulator
 	maxSimTime int64
-	shards     int
 	injector   *faults.Injector
 }
 
@@ -471,7 +456,7 @@ func (s *System) NewSession() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{sim: sm, maxSimTime: s.MaxSimTimeNs(), shards: s.simCfg.Shards}, nil
+	return &Session{sim: sm, maxSimTime: s.MaxSimTimeNs()}, nil
 }
 
 // Multicast submits a message from processor src to the destination
@@ -492,13 +477,7 @@ func (s *Session) Now() int64 { return s.sim.Now() }
 // simulated time (one hour unless WithMaxSimTime overrides it), or on an
 // internal fault-engine failure.
 func (s *Session) Run() error {
-	var err error
-	if s.shards > 1 {
-		err = s.sim.RunUntilIdleParallel(s.maxSimTime, s.shards)
-	} else {
-		err = s.sim.RunUntilIdle(s.maxSimTime)
-	}
-	if err != nil {
+	if err := s.sim.RunUntilIdle(s.maxSimTime); err != nil {
 		return err
 	}
 	if s.injector != nil {
