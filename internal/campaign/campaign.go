@@ -308,10 +308,11 @@ func Builtin(name string) (*Manifest, bool) {
 		// (the pre-PR7 cap was 4096). One trial per cell — the point is the
 		// per-cell TableMB/TableCompression columns in the report plus proof
 		// that a 64k-switch network labels, compiles and routes end to end.
-		// Expect hours of wall clock on one core, and ~30 GiB of RAM at the
-		// 62500-switch cell: the labeling's all-pairs switch-distance matrix
-		// is ~15 GiB and the compiled tables ~3.3 GiB (the dense table
-		// layout would need ~362 GiB).
+		// Expect hours of wall clock on one core, and ~25 GiB of RAM at the
+		// 62500-switch cell: the table compiler's transient switch-distance
+		// scratch is ~15 GiB, the labeling's relations ~5 GiB and the
+		// compiled tables ~3.3 GiB (the dense table layout would need
+		// ~362 GiB).
 		return &Manifest{
 			Name:  "scale",
 			Title: "Large-network scaling campaign (past the 4096-switch cap)",

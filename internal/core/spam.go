@@ -169,11 +169,22 @@ func (r *Router) CandidateOutputs(at topology.NodeID, arrival ArrivalClass, lcaS
 		panic(fmt.Sprintf("core: CandidateOutputs at non-switch %d", at))
 	}
 	row := r.tab.candidates(arrival, at, lcaSwitch)
+	dist := r.distancesTo(lcaSwitch)
 	out := make([]Candidate, len(row))
 	for i, c := range row {
-		out[i] = Candidate{Channel: c, DistToLCA: r.Lab.SwitchDist[r.Net.Chan(c).Dst][lcaSwitch]}
+		out[i] = Candidate{Channel: c, DistToLCA: dist[r.Net.Chan(c).Dst]}
 	}
 	return out
+}
+
+// distancesTo returns every switch's live switch-graph hop distance to lca,
+// from one BFS rooted there (distance is symmetric). It allocates, so only
+// the allocating query paths use it.
+func (r *Router) distancesTo(lca topology.NodeID) []int32 {
+	s := r.Net.NumSwitches
+	dist := make([]int32, s)
+	r.Lab.SwitchDistances(lca, dist, make([]int32, s))
+	return dist
 }
 
 // CandidateChannels is the zero-allocation form of CandidateOutputs: the
@@ -204,6 +215,7 @@ func (r *Router) ReferenceCandidateOutputs(at topology.NodeID, arrival ArrivalCl
 	if !r.Net.IsSwitch(at) {
 		panic(fmt.Sprintf("core: CandidateOutputs at non-switch %d", at))
 	}
+	dist := r.distancesTo(lcaSwitch)
 	var out []Candidate
 	for _, c := range r.Net.Out(at) {
 		ch := r.Net.Chan(c)
@@ -238,7 +250,7 @@ func (r *Router) ReferenceCandidateOutputs(at topology.NodeID, arrival ArrivalCl
 				continue
 			}
 		}
-		out = append(out, Candidate{Channel: c, DistToLCA: r.Lab.SwitchDist[ch.Dst][lcaSwitch]})
+		out = append(out, Candidate{Channel: c, DistToLCA: dist[ch.Dst]})
 	}
 	sortCandidates(out)
 	return out
@@ -363,6 +375,7 @@ func (r *Router) referenceExtras(at topology.NodeID, arrival ArrivalClass, lcaSw
 	if arrival != ArriveDownTree {
 		return nil
 	}
+	dist := r.distancesTo(lcaSwitch)
 	var out []Candidate
 	for _, c := range r.Net.Out(at) {
 		ch := r.Net.Chan(c)
@@ -376,7 +389,7 @@ func (r *Router) referenceExtras(at topology.NodeID, arrival ArrivalClass, lcaSw
 		if !r.Lab.IsExtendedAncestor(end, lcaSwitch) {
 			continue // cannot complete the descent: not viable
 		}
-		out = append(out, Candidate{Channel: c, DistToLCA: r.Lab.SwitchDist[end][lcaSwitch]})
+		out = append(out, Candidate{Channel: c, DistToLCA: dist[end]})
 	}
 	sortCandidates(out)
 	return out

@@ -130,7 +130,9 @@ func TestCandidateOrderingByDistance(t *testing.T) {
 	// Best candidate endpoint must be strictly closer than `at` unless at
 	// distance 1 already.
 	best := r.Net.Chan(cands[0].Channel).Dst
-	if r.Lab.SwitchDist[best][3] >= r.Lab.SwitchDist[0][3] {
+	dist := make([]int32, r.Net.NumSwitches)
+	r.Lab.SwitchDistances(3, dist, make([]int32, r.Net.NumSwitches))
+	if dist[best] >= dist[0] {
 		t.Fatalf("greedy candidate does not approach the LCA: %+v", cands[0])
 	}
 }

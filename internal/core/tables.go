@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/topology"
 	"repro/internal/updown"
 )
@@ -39,24 +41,28 @@ import (
 // Compilation streams, rather than tests, the legality relations: for each
 // switch the live channels are split by class once, and then each block of
 // 64 LCAs reads one 64-bit word of the (extended-)descendant transpose per
-// channel endpoint plus the endpoint's row of the distance matrix. Each
+// channel endpoint plus the endpoint's row of the compiler's distance
+// scratch (S×S hop counts, one BFS per switch, filled per compile). Each
 // LCA's packed legality/distance vector is hashed into a per-switch
 // signature memo, so LCA-equivalent columns pay one row construction for the
 // whole equivalence class — the fast path that makes regular families
 // compile in near-linear time.
 //
+// A built table keeps only its index: compileTables drops the compiler —
+// distance scratch, dedup maps, memo — and trims the pools to their lengths.
+//
 // Reconfiguration. Recompile rebuilds the whole structure for a *new*
-// labeling of the same network into the retained pools and dedup scratch —
-// zero allocations once every pool has grown to its high-water mark. This is
-// the hot half of live fault reconfiguration: relabel the masked topology,
-// recompile in place, and the router serves the new tables from the next
-// event on.
+// labeling of the same network into the retained pools, with a compiler it
+// creates on first use and keeps — zero allocations once every pool has
+// grown to its high-water mark. This is the hot half of live fault
+// reconfiguration: relabel the masked topology, recompile in place, and the
+// router serves the new tables from the next event on.
 type Tables struct {
 	numSwitches int
 	// policy records which extras planes are compiled. PolicyBaseline
 	// tables hold exactly the numClasses legality planes; policy tables
 	// append a deroute plane triple and an adaptive plane triple (see
-	// recompilePolicy), sharing rows, pages and the arena with the
+	// buildTriple), sharing rows, pages and the arena with the
 	// baseline planes through the same dedup pools.
 	policy Policy
 	// colID maps (plane*numSwitches + at) to the start offset of the
@@ -75,26 +81,36 @@ type Tables struct {
 	rowRefs []tableRow
 	// arena backs every row; rows with identical contents share a range.
 	arena []topology.ChannelID
-	// switchOuts caches the inter-switch output channels per switch —
-	// static for the lifetime of the network (failed links are masked by
-	// the labeling, not removed from the hardware).
-	switchOuts [][]topology.ChannelID
-	// rowSeen / pageSeen / colSeen dedup the three index levels across
-	// recompiles: FNV-1a hash of the content to its first pool reference.
-	// A (vanishingly unlikely) hash collision is detected by content
-	// comparison and merely stores the content twice — correctness never
-	// depends on hash uniqueness. Keying by uint64 keeps Recompile
-	// allocation-free.
-	rowSeen  map[uint64]uint32
-	pageSeen map[uint64]uint32
-	colSeen  map[uint64]uint32
 	// naiveArena counts the channel IDs a non-deduplicated arena would
 	// hold, accumulated during compilation so MemoryFootprint needs no
 	// O(S²) walk.
 	naiveArena int
 
-	// ---- compile scratch, retained across Recompiles ----
+	// comp is the compiler Recompile keeps for the next recompile (nil
+	// until the first Recompile: a freshly built table drops its
+	// compiler).
+	comp *compiler
+}
 
+// compiler is the working state of one table compile, kept apart from the
+// Tables it fills so a built table holds only its index. Every field is
+// retained across the compiles a kept compiler runs, which is what makes a
+// warm Recompile allocation-free.
+type compiler struct {
+	t *Tables
+	// dist is the S×S hop-distance matrix of the labeling being compiled,
+	// row-major: dist[u*S+v] is the live switch-graph distance from u to v.
+	// queue is the BFS frontier that fills it.
+	dist  []int32
+	queue []int32
+	// rowSeen / pageSeen / colSeen dedup the three index levels: FNV-1a
+	// hash of the content to its first pool reference. A (vanishingly
+	// unlikely) hash collision is detected by content comparison and
+	// merely stores the content twice — correctness never depends on hash
+	// uniqueness. Keying by uint64 keeps Recompile allocation-free.
+	rowSeen  map[uint64]uint32
+	pageSeen map[uint64]uint32
+	colSeen  map[uint64]uint32
 	// row is the per-cell candidate scratch.
 	row []Candidate
 	// live is the per-switch compile scratch: the current labeling's live
@@ -112,23 +128,12 @@ type Tables struct {
 	packArena []uint64
 	// packBuf stages one 64-LCA block of packed vectors, LCA-major.
 	packBuf []uint64
-	// colBuf accumulates the per-class rowID columns of the current
-	// switch, padded to a whole number of pages (pad entries stay 0).
-	colBuf [numClasses][]uint32
+	// colBuf accumulates the rowID columns of the current switch — the
+	// three classes, then for policy tables the extras — padded to a whole
+	// number of pages (pad entries stay 0).
+	colBuf [][]uint32
 	// colScratch stages one column's page-offset vector for interning.
 	colScratch []uint32
-
-	// ---- policy-pass scratch (nil for PolicyBaseline) ----
-
-	// polSeen / polTriples / polPack mirror sigSeen / triples / packArena
-	// for the policy pass: per-switch memoization of LCA-equivalent extras
-	// vectors, collision-verified against the stored packed form.
-	polSeen    map[uint64]int32
-	polTriples []polTriple
-	polPack    []uint64
-	// polCol accumulates the per-plane rowID columns of the current switch
-	// for the six policy planes (deroute 0..2, adaptive 0..2).
-	polCol [2 * numClasses][]uint32
 }
 
 // liveChan caches a live (non-failed) inter-switch channel with its
@@ -145,21 +150,12 @@ type tableRow struct {
 }
 
 // rowTriple is the memoized compile result for one LCA-equivalence class at
-// a switch: the three class rowIDs, their lengths (for naive-size
-// accounting), and the packed vector's offset in packArena.
+// a switch: the three class rowIDs, then for policy tables the extras rowID
+// (index numClasses), their lengths (for naive-size accounting), and the
+// packed vector's offset in packArena.
 type rowTriple struct {
-	id      [numClasses]uint32
-	n       [numClasses]uint32
-	packOff uint32
-}
-
-// polTriple is the policy-pass analogue of rowTriple: the six policy-plane
-// rowIDs (deroute classes 0..2, then adaptive classes 0..2) of one
-// LCA-equivalence class, with lengths and the packed vector's offset in
-// polPack.
-type polTriple struct {
-	id      [2 * numClasses]uint32
-	n       [2 * numClasses]uint32
+	id      [numClasses + 1]uint32
+	n       [numClasses + 1]uint32
 	packOff uint32
 }
 
@@ -174,6 +170,10 @@ const (
 	pageBits = 6
 	pageSize = 1 << pageBits
 )
+
+// emptyPage is a page of empty-row IDs: the pages of every policy table's
+// extras columns for up and down-cross arrivals.
+var emptyPage [pageSize]uint32
 
 // FNV-1a parameters, shared by all three dedup levels.
 const (
@@ -214,89 +214,117 @@ func (t *Tables) Policy() Policy { return t.policy }
 
 // compileTables builds the full candidate table for a labeling by evaluating
 // the routing legality relations once per LCA-equivalence class per switch.
-// Non-baseline policies append the deroute and adaptive extras planes in a
-// second pass over the finished baseline planes (the extras' viability test
-// reads completed baseline rows).
+// Non-baseline policies also fill the deroute and adaptive extras planes
+// from the same pass. The compiler is dropped when the compile ends and the
+// pools are trimmed to their lengths, so the table holds only its index.
 func compileTables(lab *updown.Labeling, pol Policy) *Tables {
-	net := lab.Net
-	s := net.NumSwitches
-	ppc := (s + pageSize - 1) / pageSize
+	s := lab.Net.NumSwitches
 	t := &Tables{
 		numSwitches: s,
 		policy:      pol,
 		rowRefs:     make([]tableRow, 1, 64), // rowRefs[0] = empty row
-		switchOuts:  make([][]topology.ChannelID, s),
-		rowSeen:     make(map[uint64]uint32),
-		pageSeen:    make(map[uint64]uint32),
-		colSeen:     make(map[uint64]uint32),
-		sigSeen:     make(map[uint64]int32),
-		row:         make([]Candidate, 0, 16),
-		colScratch:  make([]uint32, ppc),
 	}
 	t.colID = make([]uint32, t.planes()*s)
-	for k := range t.colBuf {
-		t.colBuf[k] = make([]uint32, ppc*pageSize)
-	}
-	if pol != PolicyBaseline {
-		t.polSeen = make(map[uint64]int32)
-		for k := range t.polCol {
-			t.polCol[k] = make([]uint32, ppc*pageSize)
-		}
-	}
-	// Per-switch inter-switch output channels (consumption channels are
-	// distribution-only and never candidates), collected once.
-	for at := 0; at < s; at++ {
-		for _, c := range net.Out(topology.NodeID(at)) {
-			if net.IsSwitch(net.Chan(c).Dst) {
-				t.switchOuts[at] = append(t.switchOuts[at], c)
-			}
-		}
-	}
-	t.Recompile(lab)
+	newCompiler(t).compile(lab)
+	t.arena = slices.Clone(t.arena)
+	t.pages = slices.Clone(t.pages)
+	t.colPages = slices.Clone(t.colPages)
+	t.rowRefs = slices.Clone(t.rowRefs)
 	return t
 }
 
-// Recompile rebuilds every row for a (new) labeling of the same network,
-// reusing the compressed index pools, the arena and the dedup scratch. Every
-// row is produced in the paper's selection order — ascending distance from
-// the channel endpoint to the LCA, channel ID as the tiebreak — so lookups
-// need no per-event sort. After every pool has reached its high-water mark
-// the call performs no heap allocation.
-//
-// The compile loop is shaped for the live-reconfiguration hot path (a fault
-// event pays one Recompile): the switch's live channels are split by class
-// once per switch; legality is read word-at-a-time from the labeling's
-// descendant transposes (64 LCAs per load) with the distance matrix walked
-// sequentially; and each LCA's packed legality/distance vector is hashed
-// into a per-switch memo so LCA-equivalent cells pay one row construction
-// per equivalence class instead of one per LCA.
-func (t *Tables) Recompile(lab *updown.Labeling) {
+// newCompiler allocates the compile scratch for t's network and policy.
+func newCompiler(t *Tables) *compiler {
 	s := t.numSwitches
 	ppc := t.pagesPerCol()
+	c := &compiler{
+		t:          t,
+		dist:       make([]int32, s*s),
+		queue:      make([]int32, s),
+		rowSeen:    make(map[uint64]uint32),
+		pageSeen:   make(map[uint64]uint32),
+		colSeen:    make(map[uint64]uint32),
+		sigSeen:    make(map[uint64]int32),
+		row:        make([]Candidate, 0, 16),
+		colScratch: make([]uint32, ppc),
+	}
+	cols := numClasses
+	if t.policy != PolicyBaseline {
+		cols++
+	}
+	c.colBuf = make([][]uint32, cols)
+	for k := range c.colBuf {
+		c.colBuf[k] = make([]uint32, ppc*pageSize)
+	}
+	return c
+}
+
+// Recompile rebuilds every row for a (new) labeling of the same network,
+// reusing the compressed index pools and the arena. The first call creates
+// a compiler and keeps it, so after every pool has reached its high-water
+// mark the call performs no heap allocation. Every row is produced in the
+// paper's selection order — ascending distance from the channel endpoint to
+// the LCA, channel ID as the tiebreak — so lookups need no per-event sort.
+func (t *Tables) Recompile(lab *updown.Labeling) {
+	if t.comp == nil {
+		t.comp = newCompiler(t)
+	}
+	t.comp.compile(lab)
+}
+
+// distRow returns the distances from switch u to every switch.
+func (c *compiler) distRow(u topology.NodeID) []int32 {
+	s := c.t.numSwitches
+	return c.dist[int(u)*s : (int(u)+1)*s]
+}
+
+// compile fills t's pools for lab. The loop is shaped for the live-
+// reconfiguration hot path (a fault event pays one Recompile): the distance
+// scratch is filled by one BFS per switch; the switch's live channels are
+// split by class once per switch; legality is read word-at-a-time from the
+// labeling's descendant transposes (64 LCAs per load) with the distance rows
+// walked sequentially; and each LCA's packed legality/distance vector is
+// hashed into a per-switch memo so LCA-equivalent cells pay one row
+// construction per equivalence class instead of one per LCA.
+func (c *compiler) compile(lab *updown.Labeling) {
+	t := c.t
+	s := t.numSwitches
+	for src := 0; src < s; src++ {
+		lab.SwitchDistances(topology.NodeID(src), c.distRow(topology.NodeID(src)), c.queue)
+	}
 	t.arena = t.arena[:0]
 	t.pages = t.pages[:0]
 	t.colPages = t.colPages[:0]
 	t.rowRefs = t.rowRefs[:1]
 	t.naiveArena = 0
-	clear(t.rowSeen)
-	clear(t.pageSeen)
-	clear(t.colSeen)
+	clear(c.rowSeen)
+	clear(c.pageSeen)
+	clear(c.colSeen)
+	var emptyCol uint32
+	if t.policy != PolicyBaseline {
+		pg := c.internPage(emptyPage[:])
+		for p := range c.colScratch {
+			c.colScratch[p] = pg
+		}
+		emptyCol = c.internCol(c.colScratch)
+	}
 	var sigHash [pageSize]uint64
 	for at := 0; at < s; at++ {
-		// Split the switch's live inter-switch channels by class. The
-		// class-0 row of a cell is up ∪ legal(down-cross) ∪ legal(down-
+		// Split the switch's live inter-switch channels by class
+		// (consumption channels are distribution-only, never candidates).
+		// The class-0 row of a cell is up ∪ legal(down-cross) ∪ legal(down-
 		// tree), class 1 drops the ups, class 2 keeps only down-tree; the
 		// final sort by (dist, channel) makes append order irrelevant.
-		for k := range t.live {
-			t.live[k] = t.live[k][:0]
+		for k := range c.live {
+			c.live[k] = c.live[k][:0]
 		}
-		for _, c := range t.switchOuts[at] {
-			if lab.IsDown(c) {
+		for _, ch := range lab.Net.Out(topology.NodeID(at)) {
+			end := lab.Net.Chan(ch).Dst
+			if !lab.Net.IsSwitch(end) || lab.IsDown(ch) {
 				continue
 			}
-			end := lab.Net.Chan(c).Dst
 			var k int
-			switch lab.ClassOf[c] {
+			switch lab.ClassOf[ch] {
 			case updown.Up:
 				k = 0
 			case updown.DownCross:
@@ -304,17 +332,17 @@ func (t *Tables) Recompile(lab *updown.Labeling) {
 			default:
 				k = 2
 			}
-			t.live[k] = append(t.live[k], liveChan{c: c, end: end})
+			c.live[k] = append(c.live[k], liveChan{c: ch, end: end})
 		}
-		nLive := len(t.live[0]) + len(t.live[1]) + len(t.live[2])
-		if need := pageSize * nLive; cap(t.packBuf) < need {
-			t.packBuf = make([]uint64, need)
+		nLive := len(c.live[0]) + len(c.live[1]) + len(c.live[2])
+		if need := pageSize * nLive; cap(c.packBuf) < need {
+			c.packBuf = make([]uint64, need)
 		} else {
-			t.packBuf = t.packBuf[:need]
+			c.packBuf = c.packBuf[:need]
 		}
-		clear(t.sigSeen)
-		t.triples = t.triples[:0]
-		t.packArena = t.packArena[:0]
+		clear(c.sigSeen)
+		c.triples = c.triples[:0]
+		c.packArena = c.packArena[:0]
 		for base := 0; base < s; base += pageSize {
 			lim := s - base
 			if lim > pageSize {
@@ -331,203 +359,81 @@ func (t *Tables) Recompile(lab *updown.Labeling) {
 			// legality is one word of the extended-descendant transpose,
 			// down-tree one word of the descendant transpose.
 			ei := 0
-			for _, lc := range t.live[0] {
-				dr := lab.SwitchDist[lc.end][base : base+lim]
+			for _, lc := range c.live[0] {
+				dr := c.distRow(lc.end)[base : base+lim]
 				for j := 0; j < lim; j++ {
 					p := (uint64(uint32(dr[j]))+1)<<1 | 1
-					t.packBuf[j*nLive+ei] = p
+					c.packBuf[j*nLive+ei] = p
 					sigHash[j] = (sigHash[j] ^ p) * fnvPrime
 				}
 				ei++
 			}
-			for _, lc := range t.live[1] {
+			for _, lc := range c.live[1] {
 				w := lab.ExtendedDescendants(lc.end).Word(wb)
-				dr := lab.SwitchDist[lc.end][base : base+lim]
+				dr := c.distRow(lc.end)[base : base+lim]
 				for j := 0; j < lim; j++ {
 					var p uint64
 					if w>>uint(j)&1 != 0 {
 						p = (uint64(uint32(dr[j]))+1)<<1 | 1
 					}
-					t.packBuf[j*nLive+ei] = p
+					c.packBuf[j*nLive+ei] = p
 					sigHash[j] = (sigHash[j] ^ p) * fnvPrime
 				}
 				ei++
 			}
-			for _, lc := range t.live[2] {
+			for _, lc := range c.live[2] {
 				w := lab.Descendants(lc.end).Word(wb)
-				dr := lab.SwitchDist[lc.end][base : base+lim]
+				dr := c.distRow(lc.end)[base : base+lim]
 				for j := 0; j < lim; j++ {
 					var p uint64
 					if w>>uint(j)&1 != 0 {
 						p = (uint64(uint32(dr[j]))+1)<<1 | 1
 					}
-					t.packBuf[j*nLive+ei] = p
+					c.packBuf[j*nLive+ei] = p
 					sigHash[j] = (sigHash[j] ^ p) * fnvPrime
 				}
 				ei++
 			}
 			for j := 0; j < lim; j++ {
-				tri := t.resolveTriple(sigHash[j], t.packBuf[j*nLive:(j+1)*nLive])
+				tri := c.resolveTriple(sigHash[j], c.packBuf[j*nLive:(j+1)*nLive])
 				lca := base + j
+				for k, col := range c.colBuf {
+					col[lca] = tri.id[k]
+				}
 				for k := 0; k < numClasses; k++ {
-					t.colBuf[k][lca] = tri.id[k]
 					t.naiveArena += int(tri.n[k])
+				}
+				if t.policy != PolicyBaseline {
+					// The deroute and adaptive planes each hold it.
+					t.naiveArena += 2 * int(tri.n[numClasses])
 				}
 			}
 		}
-		// Intern the three finished columns: pages first, then the
-		// page-offset vector. Two switches with identical columns for a
-		// class end up sharing one colPages range.
 		for k := 0; k < numClasses; k++ {
-			for p := 0; p < ppc; p++ {
-				t.colScratch[p] = t.internPage(t.colBuf[k][p*pageSize : (p+1)*pageSize])
-			}
-			t.colID[k*s+at] = t.internCol(t.colScratch)
+			t.colID[k*s+at] = c.internColumn(c.colBuf[k])
 		}
-	}
-	if t.policy != PolicyBaseline {
-		t.recompilePolicy(lab)
-	}
-}
-
-// recompilePolicy fills the six policy planes (deroute classes 0..2 at plane
-// offset numClasses, adaptive classes 0..2 at 2*numClasses) for a finished
-// baseline compile. An extras cell holds the channels that fail the
-// up*/down* legality test for (arrival, LCA) but whose use provably
-// preserves the deadlock certificate — which within the paper's rules is
-// exactly one class (see Router.referenceExtras for the argument): down-
-// cross channels offered to *down-tree* arrivals, endpoint an extended
-// ancestor of the LCA. Classes 0 and 1 are therefore empty planes (their
-// columns intern to the all-empty-row page), and the class-2 planes read
-// one word of the extended-descendant transpose per down-cross endpoint —
-// the same streaming shape as the baseline pass.
-//
-// The adaptive planes hold the same rows as the deroute planes (the row
-// interner dedups them, so the extra planes cost only column pointers). A
-// distance-productivity filter was considered and rejected: under a BFS
-// up*/down* labeling a productive extra is *provably unreachable* — any
-// switch a worm can legally occupy with a down-tree arrival is a tree
-// ancestor of its LCA, whose tree descent is already a shortest path, and
-// the BFS discovery order forces every strictly-shorter sidestep's subtree
-// to capture the LCA's parent pointer first (see ARCHITECTURE.md). Duato
-// hops terminate without the filter because every extra is a down-cross
-// channel, and down channels strictly ascend the labeling's (level, id)
-// order.
-func (t *Tables) recompilePolicy(lab *updown.Labeling) {
-	s := t.numSwitches
-	ppc := t.pagesPerCol()
-	var sigHash [pageSize]uint64
-	for at := 0; at < s; at++ {
-		// Only live down-cross channels can be extras; reuse slot 1 of
-		// the class-split scratch.
-		for k := range t.live {
-			t.live[k] = t.live[k][:0]
-		}
-		for _, c := range t.switchOuts[at] {
-			if lab.IsDown(c) || lab.ClassOf[c] != updown.DownCross {
-				continue
+		if t.policy != PolicyBaseline {
+			// Deroute planes, then adaptive planes: only down-tree
+			// arrivals (class 2) have extras, and the adaptive rows
+			// equal the deroute rows (see buildTriple).
+			extras := c.internColumn(c.colBuf[numClasses])
+			for _, plane := range [...]int{numClasses, 2 * numClasses} {
+				t.colID[plane*s+at] = emptyCol
+				t.colID[(plane+1)*s+at] = emptyCol
+				t.colID[(plane+2)*s+at] = extras
 			}
-			t.live[1] = append(t.live[1], liveChan{c: c, end: lab.Net.Chan(c).Dst})
-		}
-		nLive := len(t.live[1])
-		if need := pageSize * nLive; cap(t.packBuf) < need {
-			t.packBuf = make([]uint64, need)
-		} else {
-			t.packBuf = t.packBuf[:need]
-		}
-		clear(t.polSeen)
-		t.polTriples = t.polTriples[:0]
-		t.polPack = t.polPack[:0]
-		for base := 0; base < s; base += pageSize {
-			lim := s - base
-			if lim > pageSize {
-				lim = pageSize
-			}
-			wb := base >> pageBits
-			for j := 0; j < lim; j++ {
-				sigHash[j] = fnvBasis
-			}
-			// Pack per (LCA, channel): bit 0 = deroute extra (a cross
-			// usable by a down-tree arrival), bit 1 = adaptive extra
-			// (the same viability test — see recompilePolicy's doc for
-			// why the adaptive plane is not distance-filtered), upper
-			// bits the biased endpoint→LCA distance for row
-			// construction.
-			for ei, lc := range t.live[1] {
-				w := lab.ExtendedDescendants(lc.end).Word(wb)
-				dr := lab.SwitchDist[lc.end][base : base+lim]
-				for j := 0; j < lim; j++ {
-					var p uint64
-					if w>>uint(j)&1 != 0 {
-						p = (uint64(uint32(dr[j]))+1)<<2 | 3
-					}
-					t.packBuf[j*nLive+ei] = p
-					sigHash[j] = (sigHash[j] ^ p) * fnvPrime
-				}
-			}
-			for j := 0; j < lim; j++ {
-				tri := t.resolvePolTriple(sigHash[j], t.packBuf[j*nLive:(j+1)*nLive])
-				lca := base + j
-				for k := 0; k < 2*numClasses; k++ {
-					t.polCol[k][lca] = tri.id[k]
-					t.naiveArena += int(tri.n[k])
-				}
-			}
-		}
-		for k := 0; k < 2*numClasses; k++ {
-			for p := 0; p < ppc; p++ {
-				t.colScratch[p] = t.internPage(t.polCol[k][p*pageSize : (p+1)*pageSize])
-			}
-			t.colID[(numClasses+k)*s+at] = t.internCol(t.colScratch)
 		}
 	}
 }
 
-// resolvePolTriple is the policy-pass twin of resolveTriple: memoized row
-// construction per LCA-equivalence class, collision-verified against the
-// stored packed vector.
-func (t *Tables) resolvePolTriple(h uint64, pk []uint64) polTriple {
-	if idx, ok := t.polSeen[h]; ok {
-		tri := t.polTriples[idx]
-		stored := t.polPack[tri.packOff : int(tri.packOff)+len(pk)]
-		match := true
-		for i, v := range pk {
-			if stored[i] != v {
-				match = false
-				break
-			}
-		}
-		if match {
-			return tri
-		}
+// internColumn interns one finished column: pages first, then the
+// page-offset vector. Two switches with identical columns for a plane end
+// up sharing one colPages range.
+func (c *compiler) internColumn(col []uint32) uint32 {
+	for p := range c.colScratch {
+		c.colScratch[p] = c.internPage(col[p*pageSize : (p+1)*pageSize])
 	}
-	tri := t.buildPolTriple(pk)
-	tri.packOff = uint32(len(t.polPack))
-	t.polPack = append(t.polPack, pk...)
-	t.polSeen[h] = int32(len(t.polTriples))
-	t.polTriples = append(t.polTriples, tri)
-	return tri
-}
-
-// buildPolTriple constructs and interns the six policy rows of one
-// LCA-equivalence class from its packed extras vector. Only down-tree
-// arrivals (class 2) have extras; the class-0/1 planes stay the empty row.
-func (t *Tables) buildPolTriple(pk []uint64) polTriple {
-	var tri polTriple
-	for pass := 0; pass < 2; pass++ {
-		bit := uint64(1) << uint(pass) // bit 0: deroute, bit 1: adaptive
-		row := t.row[:0]
-		for i, lc := range t.live[1] {
-			if p := pk[i]; p&bit != 0 {
-				row = append(row, Candidate{Channel: lc.c, DistToLCA: int32(uint32(p>>2) - 1)})
-			}
-		}
-		t.row = row
-		k := pass * numClasses
-		tri.id[k+2] = t.internRow(row)
-		tri.n[k+2] = uint32(len(row))
-	}
-	return tri
+	return c.internCol(c.colScratch)
 }
 
 // deroute returns the precompiled deroute-extras row for (arrival, at, lca).
@@ -549,10 +455,10 @@ func (t *Tables) adaptive(arrival ArrivalClass, at, lcaSwitch topology.NodeID) [
 // legality/distance vector is pk (hash h), building and recording it on a
 // memo miss. Hash hits are verified against the stored packed vector, so a
 // collision only costs a rebuild, never a wrong row.
-func (t *Tables) resolveTriple(h uint64, pk []uint64) rowTriple {
-	if idx, ok := t.sigSeen[h]; ok {
-		tri := t.triples[idx]
-		stored := t.packArena[tri.packOff : int(tri.packOff)+len(pk)]
+func (c *compiler) resolveTriple(h uint64, pk []uint64) rowTriple {
+	if idx, ok := c.sigSeen[h]; ok {
+		tri := c.triples[idx]
+		stored := c.packArena[tri.packOff : int(tri.packOff)+len(pk)]
 		match := true
 		for i, v := range pk {
 			if stored[i] != v {
@@ -564,48 +470,69 @@ func (t *Tables) resolveTriple(h uint64, pk []uint64) rowTriple {
 			return tri
 		}
 	}
-	tri := t.buildTriple(pk)
-	tri.packOff = uint32(len(t.packArena))
-	t.packArena = append(t.packArena, pk...)
-	t.sigSeen[h] = int32(len(t.triples))
-	t.triples = append(t.triples, tri)
+	tri := c.buildTriple(pk)
+	tri.packOff = uint32(len(c.packArena))
+	c.packArena = append(c.packArena, pk...)
+	c.sigSeen[h] = int32(len(c.triples))
+	c.triples = append(c.triples, tri)
 	return tri
 }
 
 // buildTriple constructs and interns the three class rows of one LCA-
 // equivalence class from its packed vector. The packed values replay the
 // legality tests and distance reads, so no labeling state is touched here.
-func (t *Tables) buildTriple(pk []uint64) rowTriple {
-	row := t.row[:0]
-	off1 := len(t.live[0])
-	off2 := off1 + len(t.live[1])
-	for i, lc := range t.live[1] {
+func (c *compiler) buildTriple(pk []uint64) rowTriple {
+	row := c.row[:0]
+	off1 := len(c.live[0])
+	off2 := off1 + len(c.live[1])
+	for i, lc := range c.live[1] {
 		if p := pk[off1+i]; p != 0 {
 			row = append(row, Candidate{Channel: lc.c, DistToLCA: int32(uint32(p>>1) - 1)})
 		}
 	}
 	downCross := len(row)
-	for i, lc := range t.live[2] {
+	var tri rowTriple
+	if c.t.policy != PolicyBaseline {
+		// The extras row: the channels that fail the up*/down* legality
+		// test for (arrival, LCA) but whose use provably preserves the
+		// deadlock certificate — within the paper's rules exactly one
+		// class (see Router.referenceExtras for the argument): the legal
+		// down-cross channels above, offered to *down-tree* arrivals.
+		//
+		// The adaptive planes reuse the row. A distance-productivity
+		// filter was considered and rejected: under a BFS up*/down*
+		// labeling a productive extra is *provably unreachable* — any
+		// switch a worm can legally occupy with a down-tree arrival is a
+		// tree ancestor of its LCA, whose tree descent is already a
+		// shortest path, and the BFS discovery order forces every
+		// strictly-shorter sidestep's subtree to capture the LCA's parent
+		// pointer first (see ARCHITECTURE.md). Duato hops terminate
+		// without the filter because every extra is a down-cross channel,
+		// and down channels strictly ascend the labeling's (level, id)
+		// order.
+		tri.id[numClasses] = c.internRow(row)
+		tri.n[numClasses] = uint32(downCross)
+	}
+	for i, lc := range c.live[2] {
 		if p := pk[off2+i]; p != 0 {
 			row = append(row, Candidate{Channel: lc.c, DistToLCA: int32(uint32(p>>1) - 1)})
 		}
 	}
 	downAny := len(row)
-	var tri rowTriple
 	// Class 2 (down-tree arrival): down-tree candidates only.
-	t.row = row
-	tri.id[2] = t.internRow(row[downCross:downAny])
+	c.row = row
+	tri.id[2] = c.internRow(row[downCross:downAny])
 	tri.n[2] = uint32(downAny - downCross)
 	// Class 1 (down-cross arrival): down-cross ∪ down-tree.
-	tri.id[1] = t.internRow(row[:downAny])
+	tri.id[1] = c.internRow(row[:downAny])
 	tri.n[1] = uint32(downAny)
 	// Class 0 (up/injection arrival): everything plus the ups.
-	for i, lc := range t.live[0] {
+	for i, lc := range c.live[0] {
 		p := pk[i]
 		row = append(row, Candidate{Channel: lc.c, DistToLCA: int32(uint32(p>>1) - 1)})
 	}
-	t.row = row
-	tri.id[0] = t.internRow(row)
+	c.row = row
+	tri.id[0] = c.internRow(row)
 	tri.n[0] = uint32(len(row))
 	return tri
 }
@@ -613,7 +540,8 @@ func (t *Tables) buildTriple(pk []uint64) rowTriple {
 // internRow sorts a candidate row into selection order and returns its
 // (deduplicated) rowID. The row slice is scratch owned by the caller;
 // interning copies the channels out.
-func (t *Tables) internRow(row []Candidate) uint32 {
+func (c *compiler) internRow(row []Candidate) uint32 {
+	t := c.t
 	if len(row) == 0 {
 		return 0
 	}
@@ -623,7 +551,7 @@ func (t *Tables) internRow(row []Candidate) uint32 {
 		h ^= uint64(uint32(cand.Channel))
 		h *= fnvPrime
 	}
-	if id, ok := t.rowSeen[h]; ok && t.rowEqual(t.rowRefs[id], row) {
+	if id, ok := c.rowSeen[h]; ok && t.rowEqual(t.rowRefs[id], row) {
 		return id
 	}
 	// New row, or hash collision (store separately).
@@ -632,39 +560,41 @@ func (t *Tables) internRow(row []Candidate) uint32 {
 	for _, cand := range row {
 		t.arena = append(t.arena, cand.Channel)
 	}
-	t.rowSeen[h] = id
+	c.rowSeen[h] = id
 	return id
 }
 
 // internPage returns the pages-pool offset of a 64-entry rowID page,
 // deduplicated by content.
-func (t *Tables) internPage(pg []uint32) uint32 {
+func (c *compiler) internPage(pg []uint32) uint32 {
+	t := c.t
 	h := fnvBasis
 	for _, v := range pg {
 		h = (h ^ uint64(v)) * fnvPrime
 	}
-	if off, ok := t.pageSeen[h]; ok && u32Equal(t.pages[off:int(off)+pageSize], pg) {
+	if off, ok := c.pageSeen[h]; ok && u32Equal(t.pages[off:int(off)+pageSize], pg) {
 		return off
 	}
 	off := uint32(len(t.pages))
 	t.pages = append(t.pages, pg...)
-	t.pageSeen[h] = off
+	c.pageSeen[h] = off
 	return off
 }
 
 // internCol returns the colPages-pool offset of a column's page-offset
 // vector, deduplicated by content.
-func (t *Tables) internCol(col []uint32) uint32 {
+func (c *compiler) internCol(col []uint32) uint32 {
+	t := c.t
 	h := fnvBasis
 	for _, v := range col {
 		h = (h ^ uint64(v)) * fnvPrime
 	}
-	if off, ok := t.colSeen[h]; ok && u32Equal(t.colPages[off:int(off)+len(col)], col) {
+	if off, ok := c.colSeen[h]; ok && u32Equal(t.colPages[off:int(off)+len(col)], col) {
 		return off
 	}
 	off := uint32(len(t.colPages))
 	t.colPages = append(t.colPages, col...)
-	t.colSeen[h] = off
+	c.colSeen[h] = off
 	return off
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/bitset"
@@ -224,4 +225,37 @@ func TestTableDedupSharesRows(t *testing.T) {
 	if arena >= naive/2 {
 		t.Fatalf("dedup arena %d ≥ half of naive %d: sharing not effective", arena, naive)
 	}
+}
+
+// TestBuiltTablesHoldOnlyTheIndex guards what a built router keeps: after
+// NewRouterPolicy returns, the compiler (its S×S distance scratch, dedup
+// maps and memo) is garbage and the pools are trimmed to their lengths, so
+// the live heap the router adds is within 10% of MemStats().TableBytes.
+// Keeping the compile scratch puts hypercube:10 at ~1.7×.
+func TestBuiltTablesHoldOnlyTheIndex(t *testing.T) {
+	sp, err := topology.ParseSpec("hypercube:10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := sp.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, err := updown.New(net, updown.RootMinID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := NewRouterPolicy(lab, PolicyMisroute)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	tb := r.TableMemStats().TableBytes
+	if float64(kept) > 1.1*float64(tb) {
+		t.Fatalf("router keeps %.2f MiB for %.2f MiB of tables (%.2fx), want ≤ 1.1x",
+			float64(kept)/(1<<20), float64(tb)/(1<<20), float64(kept)/float64(tb))
+	}
+	runtime.KeepAlive(r)
 }

@@ -24,7 +24,7 @@ func BuildCDG(r *core.Router) [][]topology.ChannelID {
 		arrival := core.ArrivalOf(lab.ClassOf[a])
 		seen := map[topology.ChannelID]bool{}
 		// A continuation is legal if it is offered for some destination
-		// switch: union CandidateOutputs over all destinations.
+		// switch: union the candidate channels over all destinations.
 		for lcaInt := 0; lcaInt < net.NumSwitches; lcaInt++ {
 			lca := topology.NodeID(lcaInt)
 			if lca == mid {
@@ -32,10 +32,10 @@ func BuildCDG(r *core.Router) [][]topology.ChannelID {
 				// consumption channel, which never cycles.
 				continue
 			}
-			for _, cand := range r.CandidateOutputs(mid, arrival, lca) {
-				if !seen[cand.Channel] {
-					seen[cand.Channel] = true
-					adj[a] = append(adj[a], cand.Channel)
+			for _, c := range r.CandidateChannels(mid, arrival, lca) {
+				if !seen[c] {
+					seen[c] = true
+					adj[a] = append(adj[a], c)
 				}
 			}
 		}

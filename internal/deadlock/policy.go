@@ -44,8 +44,8 @@ func BuildPolicyCDG(r *core.Router) [][]topology.ChannelID {
 			if lca == mid {
 				continue
 			}
-			for _, cand := range r.CandidateOutputs(mid, arrival, lca) {
-				add(cand.Channel)
+			for _, c := range r.CandidateChannels(mid, arrival, lca) {
+				add(c)
 			}
 			switch r.Policy() {
 			case core.PolicyMisroute:

@@ -64,10 +64,14 @@ func labelingsEqual(t *testing.T, ctx string, a, b *updown.Labeling) {
 			t.Fatalf("%s: channel %d: class %v != %v", ctx, c, a.ClassOf[c], b.ClassOf[c])
 		}
 	}
-	for u := range a.SwitchDist {
-		for v := range a.SwitchDist[u] {
-			if a.SwitchDist[u][v] != b.SwitchDist[u][v] {
-				t.Fatalf("%s: dist[%d][%d]: %d != %d", ctx, u, v, a.SwitchDist[u][v], b.SwitchDist[u][v])
+	s := a.Net.NumSwitches
+	da, db, queue := make([]int32, s), make([]int32, s), make([]int32, s)
+	for u := 0; u < s; u++ {
+		a.SwitchDistances(topology.NodeID(u), da, queue)
+		b.SwitchDistances(topology.NodeID(u), db, queue)
+		for v := range da {
+			if da[v] != db[v] {
+				t.Fatalf("%s: dist[%d][%d]: %d != %d", ctx, u, v, da[v], db[v])
 			}
 		}
 	}

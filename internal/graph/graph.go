@@ -192,17 +192,33 @@ func (g *Graph) AllPairsDist() [][]int32 {
 // Eccentricity returns the eccentricity of u (max distance to any reachable
 // vertex). It panics if the graph is disconnected.
 func (g *Graph) Eccentricity(u int) int {
-	res := g.BFS(u)
-	ecc := 0
-	for _, dv := range res.Dist {
-		if dv == -1 {
-			panic("graph: eccentricity of disconnected graph")
-		}
-		if int(dv) > ecc {
-			ecc = int(dv)
+	return g.eccentricity(u, make([]int32, g.n), make([]int32, g.n))
+}
+
+// eccentricity is Eccentricity over caller-owned BFS buffers of length n,
+// so the all-vertex scans of Center and Diameter allocate them once.
+func (g *Graph) eccentricity(u int, dist, queue []int32) int {
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[u] = 0
+	queue[0] = int32(u)
+	tail := 1
+	for head := 0; head < tail; head++ {
+		x := queue[head]
+		for _, v := range g.adj[x] {
+			if dist[v] == -1 {
+				dist[v] = dist[x] + 1
+				queue[tail] = v
+				tail++
+			}
 		}
 	}
-	return ecc
+	if tail < g.n {
+		panic("graph: eccentricity of disconnected graph")
+	}
+	// BFS dequeues in nondecreasing distance: the last vertex is farthest.
+	return int(dist[queue[tail-1]])
 }
 
 // Center returns the vertex with minimum eccentricity (smallest ID among
@@ -211,9 +227,10 @@ func (g *Graph) Center() int {
 	if g.n == 0 {
 		panic("graph: center of empty graph")
 	}
-	best, bestEcc := 0, g.Eccentricity(0)
+	dist, queue := make([]int32, g.n), make([]int32, g.n)
+	best, bestEcc := 0, g.eccentricity(0, dist, queue)
 	for u := 1; u < g.n; u++ {
-		if e := g.Eccentricity(u); e < bestEcc {
+		if e := g.eccentricity(u, dist, queue); e < bestEcc {
 			best, bestEcc = u, e
 		}
 	}
@@ -222,9 +239,10 @@ func (g *Graph) Center() int {
 
 // Diameter returns the maximum eccentricity. Panics if disconnected.
 func (g *Graph) Diameter() int {
+	dist, queue := make([]int32, g.n), make([]int32, g.n)
 	d := 0
 	for u := 0; u < g.n; u++ {
-		if e := g.Eccentricity(u); e > d {
+		if e := g.eccentricity(u, dist, queue); e > d {
 			d = e
 		}
 	}

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"maps"
+	"slices"
+)
+
 // WaitEdges builds the worm-level wait-for graph at the current instant:
 // there is an edge W -> W' when some head segment of worm W is waiting for
 // an output channel that is reserved by worm W' or queued behind a request
@@ -33,10 +38,14 @@ func (s *Simulator) WaitEdges() map[int64][]int64 {
 	return edges
 }
 
-// WaitCycle returns one cycle of worm IDs in the wait-for graph, or nil if
-// the graph is acyclic.
+// WaitCycle returns one cycle of worm IDs in the wait-for graph, in wait-for
+// order (each worm waits for the next, the last for the first), or nil if
+// the graph is acyclic. The answer is a function of the graph alone: the
+// search starts from worms in ascending ID, and the cycle is rotated to
+// begin at its smallest worm ID, so reruns report the same cycle.
 func (s *Simulator) WaitCycle() []int64 {
 	edges := s.WaitEdges()
+	roots := slices.Sorted(maps.Keys(edges))
 	const (
 		white = 0
 		gray  = 1
@@ -58,21 +67,21 @@ func (s *Simulator) WaitCycle() []int64 {
 				}
 			case gray:
 				// Found a cycle v -> ... -> u -> v.
-				cycle = append(cycle, v)
 				for x := u; x != v; x = parent[x] {
 					cycle = append(cycle, x)
 				}
+				cycle = append(cycle, v)
+				slices.Reverse(cycle)
 				return true
 			}
 		}
 		color[u] = black
 		return false
 	}
-	for u := range edges {
-		if color[u] == white {
-			if dfs(u) {
-				return cycle
-			}
+	for _, u := range roots {
+		if color[u] == white && dfs(u) {
+			low := slices.Index(cycle, slices.Min(cycle))
+			return slices.Concat(cycle[low:], cycle[:low])
 		}
 	}
 	return nil

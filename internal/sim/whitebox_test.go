@@ -5,6 +5,7 @@ package sim
 // stage broken states by hand.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,6 +78,39 @@ func TestWaitCycleDetectsStagedCycle(t *testing.T) {
 	}
 	if !ids[101] || !ids[102] {
 		t.Fatalf("cycle %v does not contain both worms", cycle)
+	}
+	// The report must not depend on map iteration order.
+	for i := 0; i < 100; i++ {
+		if got := s.WaitCycle(); !slices.Equal(got, []int64{101, 102}) {
+			t.Fatalf("call %d: cycle %v, want [101 102]", i, got)
+		}
+	}
+}
+
+// TestWaitCycleDeterministicAcrossCycles stages two disjoint wait cycles:
+// 304 ⇄ 305, and 201 → 203 → 202 → 201. Every call must name the cycle of
+// the smallest worm ID, in wait-for order, starting at that worm.
+func TestWaitCycleDeterministicAcrossCycles(t *testing.T) {
+	s, _ := fig1Sim(t, DefaultConfig())
+	seg := map[int64]*segment{}
+	for _, id := range []int64{201, 202, 203, 304, 305} {
+		seg[id] = &segment{worm: &Worm{ID: id}}
+	}
+	// waits stages "from waits for to" on its own channel: to holds it,
+	// from queues on it.
+	waits := func(c int, from, to int64) {
+		s.chans[c].reserved = seg[to]
+		s.chans[c].ocrq = []*segment{seg[from]}
+	}
+	waits(0, 305, 304)
+	waits(1, 304, 305)
+	waits(2, 202, 201)
+	waits(3, 203, 202)
+	waits(4, 201, 203)
+	for i := 0; i < 100; i++ {
+		if got := s.WaitCycle(); !slices.Equal(got, []int64{201, 203, 202}) {
+			t.Fatalf("call %d: cycle %v, want [201 203 202]", i, got)
+		}
 	}
 }
 

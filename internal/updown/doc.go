@@ -15,4 +15,10 @@
 //
 // Processors are leaves of the spanning tree: processor→switch channels are
 // up tree channels and switch→processor channels are down tree channels.
+//
+// The ancestor relations are stored for switches only; processors have no
+// relation rows. A processor's (extended) ancestors are itself plus those of
+// its switch, so IsAncestor and IsExtendedAncestor still answer for any two
+// nodes, while the set accessors take switches. Switch-graph distances are
+// not stored: SwitchDistances computes one BFS row into caller buffers.
 package updown

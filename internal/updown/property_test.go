@@ -160,13 +160,14 @@ func TestUpPathsReachRoot(t *testing.T) {
 	}
 }
 
-// Property: extended ancestors are a superset of ancestors, and the root is
-// an extended ancestor of every node.
+// Property: extended ancestors are a superset of ancestors (the set
+// accessors range over switches), and the root is an extended ancestor of
+// every node.
 func TestExtendedSupersetProperty(t *testing.T) {
 	for _, l := range randomLabelings(t, 10) {
 		for v := 0; v < l.Net.N(); v++ {
-			if !l.ExtendedAncestors(topology.NodeID(v)).Contains(l.Ancestors(topology.NodeID(v))) {
-				t.Fatalf("node %d: extAnc does not contain anc", v)
+			if v < l.Net.NumSwitches && !l.ExtendedAncestors(topology.NodeID(v)).Contains(l.Ancestors(topology.NodeID(v))) {
+				t.Fatalf("switch %d: extAnc does not contain anc", v)
 			}
 			if !l.IsExtendedAncestor(l.Root, topology.NodeID(v)) {
 				t.Fatalf("root not extended ancestor of %d", v)

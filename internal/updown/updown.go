@@ -81,6 +81,10 @@ func ParseRootStrategy(name string) (RootStrategy, error) {
 // view of a network with links down. Relabel recomputes the whole structure
 // in place for a new mask, reusing every internal allocation, which is the
 // hot-reconfiguration path the fault-injection engine drives.
+//
+// The relations are stored for switches only. A processor is a leaf: its
+// (extended) ancestors are itself plus those of its switch, and it is
+// nobody else's, so it adds no information its switch does not hold.
 type Labeling struct {
 	Net  *topology.Network
 	Root topology.NodeID
@@ -102,56 +106,39 @@ type Labeling struct {
 	// and never contribute to cross-reachability.
 	Down *bitset.Set
 
-	// anc[v] is the set of tree ancestors of node v, v itself included
-	// (so anc is the reflexive ancestor relation over all nodes).
+	// anc[sw] is the set of switches that are tree ancestors of switch sw,
+	// sw itself included (S rows × S columns).
 	anc []*bitset.Set
-	// desc[v] is the transpose of anc: the set of tree descendants of v,
-	// v itself included. desc[v] ∩ D ≠ ∅ answers "does the subtree rooted
-	// at v contain a destination?" with a handful of word-level ANDs —
-	// the precomputed form of the distribution-phase subtree test.
+	// desc[sw] is the transpose of anc extended to processors: every node
+	// in the tree subtree rooted at switch sw, sw itself included (S rows
+	// × N columns). desc[sw] ∩ D ≠ ∅ answers "does the subtree rooted at sw
+	// contain a destination?" with a handful of word-level ANDs — the
+	// precomputed form of the distribution-phase subtree test.
 	desc []*bitset.Set
-	// extAnc[v] is the set of extended ancestors of v: nodes u with a path
-	// of zero or more down-cross channels followed by zero or more
-	// down-tree channels from u to v. Reflexive.
+	// extAnc[sw] is the set of switches u with a path of zero or more
+	// down-cross channels followed by zero or more down-tree channels from
+	// u to sw (S × S).
 	extAnc []*bitset.Set
-	// extDesc[v] is the transpose of extAnc: the set of nodes v is an
-	// extended ancestor of. Table compilation streams its words to test
-	// extended-ancestor legality for one channel endpoint across a whole
-	// block of LCAs at once (the desc-to-anc trick, applied to extAnc).
+	// extDesc[sw] is the transpose of extAnc: the switches sw is an
+	// extended ancestor of (S × S). Table compilation streams its words to
+	// test extended-ancestor legality for one channel endpoint across a
+	// whole block of LCAs at once (the desc-to-anc trick, applied to
+	// extAnc).
 	extDesc []*bitset.Set
-	// crossReach[w] is the set of nodes that can reach w using only
-	// down-cross channels (reflexive). Defined over switches only but
-	// stored for all nodes for uniform indexing.
+	// crossReach[sw] is the set of switches that reach sw using only
+	// down-cross channels, sw included (S × S).
 	crossReach []*bitset.Set
 
-	// SwitchDist is the hop-distance matrix over the live switch graph,
-	// used by the selection function (distance from channel endpoint to
-	// LCA along non-failed links).
-	SwitchDist [][]int32
-
-	// scratch holds the reusable working storage of Relabel.
-	scratch *relabelScratch
-}
-
-// maskedEdge is one inter-switch adjacency entry with the channel that
-// realizes it, so masked BFS can test the failure mask per hop.
-type maskedEdge struct {
-	sw int32
-	ch topology.ChannelID
-}
-
-// relabelScratch is the retained working storage of Relabel: a sorted
-// inter-switch adjacency (static per network) and BFS/counting-sort queues.
-type relabelScratch struct {
-	// nbrs[sw] lists the inter-switch neighbors of sw in ascending switch
-	// ID — the same exploration order graph.BFS uses, so an empty mask
-	// reproduces the base labeling bit-for-bit.
-	nbrs [][]maskedEdge
-	// queue is the BFS frontier.
+	// liveOff/liveNbrs is the live (non-failed) switch graph in CSR form:
+	// the neighbors of switch sw are liveNbrs[liveOff[sw]:liveOff[sw+1]],
+	// in ascending switch ID — the exploration order of graph.BFS, so an
+	// empty mask reproduces the base labeling bit-for-bit. Relabel rebuilds
+	// it; the tree BFS and SwitchDistances walk it.
+	liveOff  []int32
+	liveNbrs []int32
+	// queue is Relabel's BFS frontier. After Relabel it lists every switch
+	// in BFS order, so each switch comes after its tree parent.
 	queue []int32
-	// levelCount/order implement the counting sort of buildAncestors.
-	levelCount []int32
-	order      []int32
 }
 
 // New computes the labeling for a network with the given root strategy.
@@ -185,14 +172,15 @@ func NewWithDown(net *topology.Network, root topology.NodeID, down *bitset.Set) 
 }
 
 // Relabel recomputes the entire labeling in place for a new failed-channel
-// mask, reusing every internal allocation (bitsets, child lists, distance
-// rows, BFS scratch). After the first call on a given Labeling it performs
-// no heap allocation, which makes it the hot path of live reconfiguration.
-// It fails — leaving the labeling in an unspecified but reusable state — if
-// the mask disconnects the switch graph.
+// mask, reusing every internal allocation (bitsets, child lists, the live
+// adjacency, the BFS queue). After the first call on a given Labeling it
+// performs no heap allocation, which makes it the hot path of live
+// reconfiguration. It fails — leaving the labeling in an unspecified but
+// reusable state — if the mask disconnects the switch graph.
 func (l *Labeling) Relabel(down *bitset.Set) error {
 	net := l.Net
 	total := net.N()
+	s := net.NumSwitches
 	if down != nil && down.Len() != len(net.Channels) {
 		return fmt.Errorf("updown: down mask sized %d for %d channels", down.Len(), len(net.Channels))
 	}
@@ -212,39 +200,32 @@ func (l *Labeling) Relabel(down *bitset.Set) error {
 	}
 	root := l.Root
 
-	// Masked BFS over the switch graph, neighbors in ascending switch ID
-	// (matching graph.BFS exploration order).
-	for v := 0; v < total; v++ {
-		l.Level[v] = -1
-		l.Parent[v] = -1
-		l.ParentChan[v] = topology.None
-	}
-	sc := l.scratch
-	queue := sc.queue[:0]
-	l.Level[root] = 0
-	queue = append(queue, int32(root))
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, e := range sc.nbrs[u] {
-			if l.Down.Test(int(e.ch)) {
-				continue
-			}
-			if l.Level[e.sw] == -1 {
-				l.Level[e.sw] = l.Level[u] + 1
-				l.Parent[e.sw] = topology.NodeID(u)
-				queue = append(queue, e.sw)
+	// The live switch graph, failed channels left out, so neither BFS
+	// tests the mask per edge.
+	l.liveNbrs = l.liveNbrs[:0]
+	for sw := 0; sw < s; sw++ {
+		l.liveOff[sw] = int32(len(l.liveNbrs))
+		for _, c := range net.Out(topology.NodeID(sw)) {
+			if dst := net.Chan(c).Dst; net.IsSwitch(dst) && !l.Down.Test(int(c)) {
+				l.liveNbrs = append(l.liveNbrs, int32(dst))
 			}
 		}
+		slices.Sort(l.liveNbrs[l.liveOff[sw]:])
 	}
-	sc.queue = queue
-	for sw := 0; sw < net.NumSwitches; sw++ {
+	l.liveOff[s] = int32(len(l.liveNbrs))
+
+	// Spanning tree: BFS over the live switch graph from the root.
+	for v := 0; v < total; v++ {
+		l.ParentChan[v] = topology.None
+	}
+	l.bfs(int32(root), l.Level[:s], l.queue, l.Parent[:s])
+	for sw := 0; sw < s; sw++ {
 		if l.Level[sw] < 0 {
 			return fmt.Errorf("updown: switch %d unreachable from root %d", sw, root)
 		}
 	}
-	l.Parent[root] = -1
 	// Processors: leaves one level below their switch.
-	for p := net.NumSwitches; p < total; p++ {
+	for p := s; p < total; p++ {
 		pid := topology.NodeID(p)
 		sw := net.SwitchOf(pid)
 		l.Level[p] = l.Level[sw] + 1
@@ -315,83 +296,84 @@ func (l *Labeling) Relabel(down *bitset.Set) error {
 	l.buildCrossReach()
 	l.buildExtendedAncestors()
 	l.buildExtendedDescendants()
-	l.buildSwitchDist()
 	return nil
 }
 
 // ensureStorage allocates (once) every array Relabel writes into.
 func (l *Labeling) ensureStorage() {
-	net := l.Net
-	total := net.N()
-	if l.scratch != nil {
+	if l.Level != nil {
 		return
 	}
+	net := l.Net
+	total := net.N()
+	s := net.NumSwitches
 	l.Level = make([]int32, total)
 	l.Parent = make([]topology.NodeID, total)
 	l.ParentChan = make([]topology.ChannelID, total)
 	l.ChildChans = make([][]topology.ChannelID, total)
 	l.ClassOf = make([]Class, len(net.Channels))
 	l.Down = bitset.New(len(net.Channels))
-	l.anc = make([]*bitset.Set, total)
-	l.desc = make([]*bitset.Set, total)
-	l.extAnc = make([]*bitset.Set, total)
-	l.extDesc = make([]*bitset.Set, total)
-	l.crossReach = make([]*bitset.Set, total)
-	for v := 0; v < total; v++ {
-		l.anc[v] = bitset.New(total)
-		l.desc[v] = bitset.New(total)
-		l.extAnc[v] = bitset.New(total)
-		l.extDesc[v] = bitset.New(total)
-		l.crossReach[v] = bitset.New(total)
+	l.anc = make([]*bitset.Set, s)
+	l.desc = make([]*bitset.Set, s)
+	l.extAnc = make([]*bitset.Set, s)
+	l.extDesc = make([]*bitset.Set, s)
+	l.crossReach = make([]*bitset.Set, s)
+	for sw := 0; sw < s; sw++ {
+		l.anc[sw] = bitset.New(s)
+		l.desc[sw] = bitset.New(total)
+		l.extAnc[sw] = bitset.New(s)
+		l.extDesc[sw] = bitset.New(s)
+		l.crossReach[sw] = bitset.New(s)
 	}
-	l.SwitchDist = make([][]int32, net.NumSwitches)
-	for sw := range l.SwitchDist {
-		l.SwitchDist[sw] = make([]int32, net.NumSwitches)
-	}
-	sc := &relabelScratch{
-		nbrs:       make([][]maskedEdge, net.NumSwitches),
-		queue:      make([]int32, 0, net.NumSwitches),
-		levelCount: make([]int32, total+2),
-		order:      make([]int32, total),
-	}
-	for sw := 0; sw < net.NumSwitches; sw++ {
+	links := 0
+	for sw := 0; sw < s; sw++ {
 		for _, c := range net.Out(topology.NodeID(sw)) {
-			ch := net.Chan(c)
-			if net.IsSwitch(ch.Dst) {
-				sc.nbrs[sw] = append(sc.nbrs[sw], maskedEdge{sw: int32(ch.Dst), ch: c})
+			if net.IsSwitch(net.Chan(c).Dst) {
+				links++
 			}
 		}
-		slices.SortFunc(sc.nbrs[sw], func(a, b maskedEdge) int { return int(a.sw) - int(b.sw) })
 	}
-	l.scratch = sc
+	l.liveOff = make([]int32, s+1)
+	l.liveNbrs = make([]int32, 0, links)
+	l.queue = make([]int32, s)
 }
 
-// buildSwitchDist fills the hop-distance matrix of the live (non-failed)
-// switch graph by masked BFS from every switch, into the retained rows.
-func (l *Labeling) buildSwitchDist() {
-	net := l.Net
-	sc := l.scratch
-	for src := 0; src < net.NumSwitches; src++ {
-		dist := l.SwitchDist[src]
-		for i := range dist {
-			dist[i] = -1
-		}
-		queue := sc.queue[:0]
-		dist[src] = 0
-		queue = append(queue, int32(src))
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, e := range sc.nbrs[u] {
-				if l.Down.Test(int(e.ch)) {
-					continue
+// SwitchDistances writes into dist the hop distance from switch src to every
+// switch of the live (non-failed) switch graph, by one BFS whose frontier is
+// queue. Both slices belong to the caller and need length NumSwitches, so
+// the call allocates nothing and goroutines sharing a labeling may run it
+// concurrently. The failed-channel mask pairs both directions of a link, so
+// distance is symmetric: dist is also every switch's distance to src.
+func (l *Labeling) SwitchDistances(src topology.NodeID, dist, queue []int32) {
+	l.bfs(int32(src), dist, queue, nil)
+}
+
+// bfs runs a breadth-first search of the live switch graph from src,
+// writing hop counts into dist (-1 = unreached) and, when parent is
+// non-nil, each switch's discoverer into parent (-1 for src and the
+// unreached). queue receives the switches in visiting order.
+func (l *Labeling) bfs(src int32, dist, queue []int32, parent []topology.NodeID) {
+	for i := range dist {
+		dist[i] = -1
+	}
+	for i := range parent {
+		parent[i] = -1
+	}
+	dist[src] = 0
+	queue[0] = src
+	tail := 1
+	for head := 0; head < tail; head++ {
+		u := queue[head]
+		for _, v := range l.liveNbrs[l.liveOff[u]:l.liveOff[u+1]] {
+			if dist[v] == -1 {
+				dist[v] = dist[u] + 1
+				if parent != nil {
+					parent[v] = topology.NodeID(u)
 				}
-				if dist[e.sw] == -1 {
-					dist[e.sw] = dist[u] + 1
-					queue = append(queue, e.sw)
-				}
+				queue[tail] = v
+				tail++
 			}
 		}
-		sc.queue = queue
 	}
 }
 
@@ -414,80 +396,46 @@ func pickRoot(net *topology.Network, strategy RootStrategy) (topology.NodeID, er
 	return 0, fmt.Errorf("updown: unknown root strategy %v", strategy)
 }
 
+// buildAncestors fills anc[sw] = {sw} ∪ anc[Parent[sw]], walking the
+// switches in BFS order so every parent's row is complete before its
+// children read it.
 func (l *Labeling) buildAncestors() {
-	total := l.Net.N()
-	// Process in increasing level order (parents are always shallower) via
-	// a counting sort into the retained scratch: stable, so nodes within a
-	// level stay in ascending ID order.
-	sc := l.scratch
-	count := sc.levelCount
-	for i := range count {
-		count[i] = 0
-	}
-	for _, lv := range l.Level {
-		count[lv+1]++
-	}
-	for i := 1; i < len(count); i++ {
-		count[i] += count[i-1]
-	}
-	for v := 0; v < total; v++ {
-		lv := l.Level[v]
-		sc.order[count[lv]] = int32(v)
-		count[lv]++
-	}
-	for _, v32 := range sc.order {
-		v := int(v32)
+	for _, v := range l.queue {
 		s := l.anc[v]
 		s.Reset()
-		s.Set(v)
+		s.Set(int(v))
 		if p := l.Parent[v]; p >= 0 {
 			s.Or(l.anc[p])
 		}
 	}
 }
 
-// buildDescendants materializes the transpose of the ancestor relation:
-// desc[u] = {v : u ∈ anc[v]}. Cost is O(Σ|anc[v]|) = O(N · depth) set bits.
+// buildDescendants materializes the transpose of the ancestor relation over
+// all nodes: desc[u] = {v : u is an ancestor of v}, where a processor's
+// ancestors are those of its switch. Cost is O(N · depth) set bits.
 func (l *Labeling) buildDescendants() {
-	total := l.Net.N()
-	for v := 0; v < total; v++ {
-		l.desc[v].Reset()
+	net := l.Net
+	for _, d := range l.desc {
+		d.Reset()
 	}
-	for v := 0; v < total; v++ {
+	for v := 0; v < net.N(); v++ {
 		// NextSet iteration instead of ForEach: no closure, so Relabel
 		// stays allocation-free.
-		for u := l.anc[v].NextSet(0); u >= 0; u = l.anc[v].NextSet(u + 1) {
+		a := l.anc[net.SwitchOf(topology.NodeID(v))]
+		for u := a.NextSet(0); u >= 0; u = a.NextSet(u + 1) {
 			l.desc[u].Set(v)
 		}
 	}
 }
 
-// buildCrossReach computes, for every switch w, the set of switches that can
-// reach w using only down-cross channels. The down-cross relation is acyclic
-// (it strictly decreases (−level, −ID) lexicographically going backwards), so
-// a reverse topological sweep suffices: process switches from shallowest to
-// deepest so that when we process w, every predecessor u with a down-cross
-// channel u→w has... (we need successors, so we sweep deepest-first over the
-// *reverse* relation). Concretely: crossReach[w] = {w} ∪ ⋃ crossReach over
-// incoming... we instead compute forward: reach[u] accumulates from its
-// down-cross successors, then crossReach[w] is derived by transposition-free
-// accumulation: we compute reachTo[w] directly by processing nodes in
-// decreasing topological order of the down-cross DAG and propagating
-// "reaches w" backwards — implemented as: for each down-cross channel u→v,
-// crossReach[x] for all x... To keep it simple and O(V·E/64), we iterate to
-// a fixed point, which converges in at most diameter steps.
+// buildCrossReach computes crossReach[w], the switches that reach w over
+// zero or more live down-cross channels, as the least fixed point of
+// crossReach[w] ⊇ {w} ∪ crossReach[u] for every live down-cross channel u→w.
 func (l *Labeling) buildCrossReach() {
-	total := l.Net.N()
-	for v := 0; v < total; v++ {
-		s := l.crossReach[v]
+	for w, s := range l.crossReach {
 		s.Reset()
-		s.Set(v)
+		s.Set(w)
 	}
-	// crossReach[w] ⊇ crossReach[u] whenever there is a down-cross channel
-	// u→w is wrong direction: u reaches w, so anything reaching u also
-	// reaches w: crossReach[w] |= crossReach[u] for each down-cross u→w.
-	// Failed channels carry no traffic and are skipped. Iterate to fixed
-	// point (the DAG is shallow; this is fast).
 	for changed := true; changed; {
 		changed = false
 		for i := range l.Net.Channels {
@@ -508,9 +456,7 @@ func (l *Labeling) buildCrossReach() {
 // u is an extended ancestor of v iff u reaches some tree ancestor w of v via
 // down-cross channels only, then w reaches v via down-tree channels.
 func (l *Labeling) buildExtendedAncestors() {
-	total := l.Net.N()
-	for v := 0; v < total; v++ {
-		s := l.extAnc[v]
+	for v, s := range l.extAnc {
 		s.Reset()
 		for w := l.anc[v].NextSet(0); w >= 0; w = l.anc[v].NextSet(w + 1) {
 			s.Or(l.crossReach[w])
@@ -522,12 +468,11 @@ func (l *Labeling) buildExtendedAncestors() {
 // ancestor relation, exactly as buildDescendants does for anc. Cost is
 // O(Σ|extAnc[v]|) set bits.
 func (l *Labeling) buildExtendedDescendants() {
-	total := l.Net.N()
-	for v := 0; v < total; v++ {
-		l.extDesc[v].Reset()
+	for _, d := range l.extDesc {
+		d.Reset()
 	}
-	for v := 0; v < total; v++ {
-		for u := l.extAnc[v].NextSet(0); u >= 0; u = l.extAnc[v].NextSet(u + 1) {
+	for v, a := range l.extAnc {
+		for u := a.NextSet(0); u >= 0; u = a.NextSet(u + 1) {
 			l.extDesc[u].Set(v)
 		}
 	}
@@ -543,37 +488,51 @@ func (l *Labeling) IsDown(c topology.ChannelID) bool {
 func (l *Labeling) DownChannels() *bitset.Set { return l.Down }
 
 // IsAncestor reports whether u is a (reflexive) tree ancestor of v: there is
-// a path of zero or more down-tree channels from u to v.
+// a path of zero or more down-tree channels from u to v. Either node may be
+// a processor.
 func (l *Labeling) IsAncestor(u, v topology.NodeID) bool {
-	return l.anc[v].Test(int(u))
+	return l.relates(l.anc, u, v)
 }
 
 // IsExtendedAncestor reports whether u is a (reflexive) extended ancestor of
 // v: a path of zero or more down-cross channels followed by zero or more
-// down-tree channels leads from u to v.
+// down-tree channels leads from u to v. Either node may be a processor.
 func (l *Labeling) IsExtendedAncestor(u, v topology.NodeID) bool {
-	return l.extAnc[v].Test(int(u))
+	return l.relates(l.extAnc, u, v)
 }
 
-// Ancestors returns the (reflexive) ancestor set of v. Shared; do not mutate.
+// relates answers a reflexive switch relation at node level: a processor is
+// related only to itself as u, and as v inherits its switch's row.
+func (l *Labeling) relates(rel []*bitset.Set, u, v topology.NodeID) bool {
+	if u == v {
+		return true
+	}
+	return l.Net.IsSwitch(u) && rel[l.Net.SwitchOf(v)].Test(int(u))
+}
+
+// Ancestors returns the (reflexive) ancestor set of switch v, a set over
+// switches. v must be a switch. Shared; do not mutate.
 func (l *Labeling) Ancestors(v topology.NodeID) *bitset.Set { return l.anc[v] }
 
-// Descendants returns the (reflexive) descendant set of v — every node in the
-// tree subtree rooted at v. Shared; do not mutate.
+// Descendants returns the (reflexive) descendant set of switch v — every
+// node, processors included, in the tree subtree rooted at v. v must be a
+// switch. Shared; do not mutate.
 func (l *Labeling) Descendants(v topology.NodeID) *bitset.Set { return l.desc[v] }
 
-// SubtreeIntersects reports whether the tree subtree rooted at v contains any
-// member of set. It is the word-level form of "v is an ancestor of some
-// destination" and allocates nothing.
+// SubtreeIntersects reports whether the tree subtree rooted at switch v
+// contains any member of set (a set over all nodes). It is the word-level
+// form of "v is an ancestor of some destination" and allocates nothing.
 func (l *Labeling) SubtreeIntersects(v topology.NodeID, set *bitset.Set) bool {
 	return l.desc[v].Intersects(set)
 }
 
-// ExtendedAncestors returns the (reflexive) extended-ancestor set of v.
+// ExtendedAncestors returns the (reflexive) extended-ancestor set of switch
+// v, a set over switches. v must be a switch. Shared; do not mutate.
 func (l *Labeling) ExtendedAncestors(v topology.NodeID) *bitset.Set { return l.extAnc[v] }
 
-// ExtendedDescendants returns the transpose view: the set of nodes v is an
-// extended ancestor of. Shared; do not mutate.
+// ExtendedDescendants returns the transpose view: the set of switches that
+// switch v is an extended ancestor of. v must be a switch. Shared; do not
+// mutate.
 func (l *Labeling) ExtendedDescendants(v topology.NodeID) *bitset.Set { return l.extDesc[v] }
 
 // LCA returns the least (deepest) common tree ancestor of a and b.
@@ -627,7 +586,8 @@ func (l *Labeling) Depth(v topology.NodeID) int32 { return l.Level[v] }
 //  4. down-tree channels form the spanning tree (n-1 switch tree channels
 //     plus one per processor);
 //  5. ancestor implies extended ancestor;
-//  6. the descendant sets are the exact transpose of the ancestor sets.
+//  6. the descendant sets are the exact transpose of the ancestor sets, and
+//     the extended-descendant sets of the extended-ancestor sets.
 func (l *Labeling) Verify() error {
 	net := l.Net
 	// (2) and (3): topological order by (level, id) with direction checks.
@@ -663,18 +623,20 @@ func (l *Labeling) Verify() error {
 		return fmt.Errorf("updown: %d tree-parent channels, want %d", treeCount, want)
 	}
 	// (5) anc ⊆ extAnc.
-	for v := 0; v < net.N(); v++ {
+	for v := range l.anc {
 		if !l.extAnc[v].Contains(l.anc[v]) {
-			return fmt.Errorf("updown: node %d: ancestors not contained in extended ancestors", v)
+			return fmt.Errorf("updown: switch %d: ancestors not contained in extended ancestors", v)
 		}
 	}
-	// (6) desc is the exact transpose of anc, and extDesc of extAnc.
+	// (6) desc is the exact transpose of anc (a processor column reading
+	// its switch's ancestors), and extDesc of extAnc.
 	for v := 0; v < net.N(); v++ {
-		for u := 0; u < net.N(); u++ {
-			if l.anc[v].Test(u) != l.desc[u].Test(v) {
+		sw := int(net.SwitchOf(topology.NodeID(v)))
+		for u := range l.desc {
+			if l.anc[sw].Test(u) != l.desc[u].Test(v) {
 				return fmt.Errorf("updown: descendant sets are not the transpose of ancestor sets at (u=%d, v=%d)", u, v)
 			}
-			if l.extAnc[v].Test(u) != l.extDesc[u].Test(v) {
+			if v < net.NumSwitches && l.extAnc[v].Test(u) != l.extDesc[u].Test(v) {
 				return fmt.Errorf("updown: extended-descendant sets are not the transpose of extended-ancestor sets at (u=%d, v=%d)", u, v)
 			}
 		}

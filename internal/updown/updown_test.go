@@ -1,6 +1,7 @@
 package updown
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/topology"
@@ -239,4 +240,33 @@ func TestClassString(t *testing.T) {
 	if Up.String() != "up" || DownTree.String() != "down-tree" || DownCross.String() != "down-cross" {
 		t.Fatal("class strings wrong")
 	}
+}
+
+// TestNewFootprint guards what one labeling build allocates. The relations
+// range over switches (one S×N descendant relation, four S×S) and no
+// distance matrix is kept, so torus:16x16/64 — 256 switches, 16,384
+// processors — builds in about 1.5 MiB. Relations over all N nodes would
+// allocate ~187 MiB here.
+func TestNewFootprint(t *testing.T) {
+	sp, err := topology.ParseSpec("torus:16x16/64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := sp.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	l, err := New(net, RootMinID)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 8 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("New(torus:16x16/64) allocated %.1f MiB, want < %d MiB", float64(got)/(1<<20), limit>>20)
+	}
+	runtime.KeepAlive(l)
 }
