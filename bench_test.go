@@ -668,12 +668,12 @@ func BenchmarkFaultStormTrial(b *testing.B) {
 // topology spec names — the network serve admits for that spec. The
 // reported MiB/tables and x/compression metrics are what /healthz and the
 // campaign reports surface for the same network. fattree:16x4 (16384
-// switches, 65536 processors) allocates 2.28 GB per op and peaks at 2.2 GiB
-// RSS (one op, 38–46 s over two runs, on a 2-vCPU Xeon VM): 288 MiB of
-// labeling relations, the compiler's transient 4·S² distance scratch
-// (1 GiB), ~122 MiB of tables, and the table pools' growth. The
-// 62500-switch cell is gated behind -benchlarge (its distance scratch alone
-// is ~15 GiB).
+// switches, 65536 processors) allocates 1.70 GB per op and peaks at 1.6 GiB
+// RSS (one op, 34 s, on a 2-vCPU Xeon VM): 288 MiB of labeling relations,
+// the compiler's transient 4·S² distance scratch (1 GiB), 39.0 MiB of tables
+// (476x under the dense layout), and the table pools' growth. CI's scale
+// smoke fails when its MiB/tables exceeds 48. The 62500-switch cell is
+// gated behind -benchlarge (its distance scratch alone is ~15 GiB).
 func BenchmarkLargeFatTreeCompile(b *testing.B) {
 	cases := []string{
 		"fattree:8x4",  // 2048 switches: the pre-PR7 comfort zone

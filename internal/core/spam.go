@@ -101,8 +101,11 @@ func NewRouter(lab *updown.Labeling) *Router {
 
 // NewRouterPolicy builds a SPAM router with compiled routing tables for the
 // given routing policy. Non-baseline policies additionally compile the
-// deroute and adaptive extras planes (DerouteChannels, AdaptiveChannels);
-// the baseline candidate planes are identical across policies.
+// extras rows (DerouteChannels, AdaptiveChannels); the baseline candidate
+// rows are identical across policies. The tables index each switch's LCA
+// classes with uint16s: a network of at most 65536 switches
+// (topology.MaxAdmittedSwitches) always fits, and a larger one whose switch
+// needs more than 65536 classes panics the compile rather than truncate.
 func NewRouterPolicy(lab *updown.Labeling, pol Policy) *Router {
 	return &Router{Net: lab.Net, Lab: lab, tab: compileTables(lab, pol), pol: pol}
 }
@@ -278,14 +281,14 @@ func (r *Router) DerouteChannels(at topology.NodeID, arrival ArrivalClass, lcaSw
 		if !r.Net.IsSwitch(at) {
 			panic(fmt.Sprintf("core: DerouteChannels at non-switch %d", at))
 		}
-		return r.tab.deroute(arrival, at, lcaSwitch)
+		return r.tab.extras(arrival, at, lcaSwitch)
 	}
 	return channelsOf(r.ReferenceDerouteOutputs(at, arrival, lcaSwitch))
 }
 
 // AdaptiveChannels returns the adaptive-extras row for (at, arrival, lca):
-// the full viable extras row, identical to DerouteChannels but compiled into
-// its own planes so the two families stay independently certifiable. A
+// the full viable extras row, identical to DerouteChannels (the compiled
+// tables hold one extras row per LCA class, which both queries read). A
 // Duato-policy worm may take any of these without budget whenever one is
 // instantly free; none is ever waited on. The row is ordered by
 // (DistToLCA, id), so shortcut sidesteps are preferred when several are
@@ -306,7 +309,7 @@ func (r *Router) AdaptiveChannels(at topology.NodeID, arrival ArrivalClass, lcaS
 		if !r.Net.IsSwitch(at) {
 			panic(fmt.Sprintf("core: AdaptiveChannels at non-switch %d", at))
 		}
-		return r.tab.adaptive(arrival, at, lcaSwitch)
+		return r.tab.extras(arrival, at, lcaSwitch)
 	}
 	return channelsOf(r.ReferenceAdaptiveOutputs(at, arrival, lcaSwitch))
 }
@@ -361,7 +364,7 @@ func (r *Router) ReferenceAdaptiveOutputs(at topology.NodeID, arrival ArrivalCla
 // routing terminates without a budget or a distance-productivity filter.
 //
 // A productivity filter (endpoint strictly closer to the LCA) was in fact
-// tried for the adaptive planes and proved *vacuous at every reachable
+// tried for the adaptive row and proved *vacuous at every reachable
 // cell*: a worm holding a down-tree arrival sits at a tree ancestor of its
 // LCA, whose tree descent is already a shortest path under BFS levels, and
 // the BFS discovery order guarantees any strictly-shorter cross sidestep

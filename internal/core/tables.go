@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/topology"
@@ -19,24 +20,30 @@ import (
 // Memory model. Earlier revisions indexed rows through a dense
 // numClasses × switches × switches array of 8-byte (offset, length)
 // references — O(3·S²), which at 64k switches is ~100 GB of index before a
-// single candidate is stored. The index is now compressed by structural
-// sharing at three levels, mirroring how decision diagrams collapse
-// redundant tabular functions:
+// single candidate is stored. The index is now compressed by naming, per
+// switch, the few LCA classes its rows fall into, and by structural sharing
+// of everything else, the way decision diagrams merge nodes that behave
+// alike and label their edges once:
 //
-//	colID[class*S + at] ── column ──▶ colPages[col .. col+S/64)
-//	                        page  ──▶ pages[pg .. pg+64)   (64 rowIDs)
-//	                        rowID ──▶ rowRefs[id] = (off, n) into arena
+//	sw[at] ──▶ (col, base)
+//	col  + lca/64 ──▶ colPages: page offset
+//	page + lca%64 ──▶ pages: class index (uint16, local to the switch)
+//	base + class·width + k ──▶ classes: (off, n) into arena
 //
-// Every level is deduplicated by FNV hash with content verification: rows
-// with identical candidate lists share one rowID (and one arena range),
-// 64-LCA pages with identical rowID vectors share one page, and switches
-// whose whole LCA→row column is identical for a class share one column.
-// Regular families collapse dramatically — in a fat-tree most (class, at)
-// pairs are LCA-equivalent to a handful of representatives — while a worst-
-// case irregular network degrades gracefully to one column per (class, at),
-// still far below the dense index because pages and rows keep sharing.
-// A lookup is four dependent loads (column base, page base, rowID, arena
-// ref); the offsets are stored directly so no multiply is needed.
+// An LCA class of switch at is a set of LCAs that get the same rows for
+// every arrival class. A switch numbers its classes in order of first
+// occurrence along the LCA axis, so its one column of class indices depends
+// only on how the LCAs partition, and switches that partition alike — most
+// of a regular family — share the column. The class table holds width row
+// references per class: the numClasses legality rows, then for policy tables
+// the extras row. Rows with identical candidate lists share one arena range;
+// 64-LCA pages with identical class vectors share one page; identical
+// columns share one colPages range. Every level is deduplicated by FNV hash
+// with content verification, so correctness never depends on hash
+// uniqueness. A switch has at most S classes, so a uint16 class index covers
+// S ≤ 65536 (topology.MaxAdmittedSwitches); the compiler panics rather than
+// truncate past that. A lookup is four dependent loads (switch ref, page
+// base, class index, class row) and the arena slice.
 //
 // Compilation streams, rather than tests, the legality relations: for each
 // switch the live channels are split by class once, and then each block of
@@ -59,31 +66,32 @@ import (
 // router serves the new tables from the next event on.
 type Tables struct {
 	numSwitches int
-	// policy records which extras planes are compiled. PolicyBaseline
-	// tables hold exactly the numClasses legality planes; policy tables
-	// append a deroute plane triple and an adaptive plane triple (see
-	// buildTriple), sharing rows, pages and the arena with the
-	// baseline planes through the same dedup pools.
+	// policy records whether the extras row is compiled. PolicyBaseline
+	// tables hold the numClasses legality rows per class; policy tables
+	// add the extras row (see buildClass), sharing the arena with the
+	// legality rows through the same row dedup.
 	policy Policy
-	// colID maps (plane*numSwitches + at) to the start offset of the
-	// column's page vector inside colPages. Planes 0..2 are the baseline
-	// legality classes; policy tables add planes 3..5 (deroute extras per
-	// arrival class) and 6..8 (adaptive extras per arrival class).
-	colID []uint32
+	// width is the number of row references per class: numClasses, plus
+	// the extras row for policy tables.
+	width int
+	// sw maps a switch to its column (an offset into colPages) and its
+	// class table (an offset into classes).
+	sw []switchRef
 	// colPages is the flat pool of page vectors: ppc consecutive entries
 	// per distinct column, each the start offset of a page inside pages.
 	colPages []uint32
-	// pages is the flat pool of 64-entry pages of rowIDs (tail pages are
-	// padded with rowID 0, the empty row; the pad entries are never read).
-	pages []uint32
-	// rowRefs maps rowID to the row's arena range. rowID 0 is the empty
-	// row and survives every Recompile.
-	rowRefs []tableRow
+	// pages is the flat pool of 64-entry pages of class indices (tail pages
+	// are padded with class 0; the pad entries are never read).
+	pages []uint16
+	// classes holds every switch's class table back to back: width arena
+	// references per class, legality rows in class order, then extras.
+	classes []tableRow
 	// arena backs every row; rows with identical contents share a range.
 	arena []topology.ChannelID
+	// rows counts the distinct rows, the empty row included.
+	rows int
 	// naiveArena counts the channel IDs a non-deduplicated arena would
-	// hold, accumulated during compilation so MemoryFootprint needs no
-	// O(S²) walk.
+	// hold, accumulated during compilation so MemStats needs no O(S²) walk.
 	naiveArena int
 
 	// comp is the compiler Recompile keeps for the next recompile (nil
@@ -91,6 +99,16 @@ type Tables struct {
 	// compiler).
 	comp *compiler
 }
+
+// switchRef locates one switch's column and class table.
+type switchRef struct {
+	col  uint32
+	base uint32
+}
+
+// maxClasses is the most LCA classes one switch may have: the uint16 class
+// index's range, which a network of at most 65536 switches never exceeds.
+const maxClasses = 1 << 16
 
 // compiler is the working state of one table compile, kept apart from the
 // Tables it fills so a built table holds only its index. Every field is
@@ -103,14 +121,17 @@ type compiler struct {
 	// queue is the BFS frontier that fills it.
 	dist  []int32
 	queue []int32
-	// rowSeen / pageSeen / colSeen dedup the three index levels: FNV-1a
+	// rowSeen / pageSeen / colSeen dedup rows, pages and columns: FNV-1a
 	// hash of the content to its first pool reference. A (vanishingly
 	// unlikely) hash collision is detected by content comparison and
 	// merely stores the content twice — correctness never depends on hash
 	// uniqueness. Keying by uint64 keeps Recompile allocation-free.
-	rowSeen  map[uint64]uint32
+	rowSeen  map[uint64]tableRow
 	pageSeen map[uint64]uint32
 	colSeen  map[uint64]uint32
+	// classSeen numbers the current switch's classes: row-reference tuple
+	// to class index. Cleared per switch.
+	classSeen map[[numClasses + 1]tableRow]uint16
 	// row is the per-cell candidate scratch.
 	row []Candidate
 	// live is the per-switch compile scratch: the current labeling's live
@@ -118,20 +139,19 @@ type compiler struct {
 	// scheme below), with endpoints cached.
 	live [numClasses][]liveChan
 	// sigSeen memoizes LCA equivalence per switch: hash of an LCA's packed
-	// legality/distance vector to an index into triples. Cleared per
-	// switch (the live channel set changes).
+	// legality/distance vector to an index into memo. Cleared per switch
+	// (the live channel set changes).
 	sigSeen map[uint64]int32
-	// triples holds the memoized per-LCA results; packArena holds their
+	// memo holds the memoized per-LCA results; packArena holds their
 	// packed vectors for collision-safe verification. Both reset per
 	// switch.
-	triples   []rowTriple
+	memo      []memoEntry
 	packArena []uint64
 	// packBuf stages one 64-LCA block of packed vectors, LCA-major.
 	packBuf []uint64
-	// colBuf accumulates the rowID columns of the current switch — the
-	// three classes, then for policy tables the extras — padded to a whole
+	// col accumulates the current switch's class column, padded to a whole
 	// number of pages (pad entries stay 0).
-	colBuf [][]uint32
+	col []uint16
 	// colScratch stages one column's page-offset vector for interning.
 	colScratch []uint32
 }
@@ -143,19 +163,20 @@ type liveChan struct {
 	end topology.NodeID
 }
 
-// tableRow is one (offset, length) reference into the shared arena.
+// tableRow is one (offset, length) reference into the shared arena. The zero
+// value is the empty row.
 type tableRow struct {
 	off uint32
 	n   uint32
 }
 
-// rowTriple is the memoized compile result for one LCA-equivalence class at
-// a switch: the three class rowIDs, then for policy tables the extras rowID
-// (index numClasses), their lengths (for naive-size accounting), and the
-// packed vector's offset in packArena.
-type rowTriple struct {
-	id      [numClasses + 1]uint32
-	n       [numClasses + 1]uint32
+// memoEntry is the memoized compile result for one LCA-equivalence class at
+// a switch: its class index, the channel IDs a dense arena would hold for
+// one of its LCAs (for naive-size accounting), and the packed vector's
+// offset in packArena.
+type memoEntry struct {
+	class   uint16
+	naive   uint32
 	packOff uint32
 }
 
@@ -164,18 +185,14 @@ type rowTriple struct {
 // an up arrival), so the two share the class-0 rows.
 const numClasses = 3
 
-// pageBits sizes the rowID pages at 64 LCAs — one word of the legality
+// pageBits sizes the class-index pages at 64 LCAs — one word of the legality
 // bitsets, so the compile block loop and the page granularity coincide.
 const (
 	pageBits = 6
 	pageSize = 1 << pageBits
 )
 
-// emptyPage is a page of empty-row IDs: the pages of every policy table's
-// extras columns for up and down-cross arrivals.
-var emptyPage [pageSize]uint32
-
-// FNV-1a parameters, shared by all three dedup levels.
+// FNV-1a parameters, shared by the row, page and column dedup.
 const (
 	fnvBasis = uint64(1469598103934665603)
 	fnvPrime = uint64(1099511628211)
@@ -199,9 +216,9 @@ func (t *Tables) pagesPerCol() int {
 	return (t.numSwitches + pageSize - 1) / pageSize
 }
 
-// planes returns the number of compiled index planes: the numClasses
-// baseline legality planes, plus the deroute and adaptive plane triples for
-// policy tables.
+// planes returns the number of (arrival class, at, lca) planes a dense index
+// of these tables would hold: the numClasses baseline legality planes, plus
+// a deroute and an adaptive plane per class for policy tables.
 func (t *Tables) planes() int {
 	if t.policy == PolicyBaseline {
 		return numClasses
@@ -209,27 +226,30 @@ func (t *Tables) planes() int {
 	return 3 * numClasses
 }
 
-// Policy reports which routing-policy planes the tables carry.
+// Policy reports the routing policy the tables were compiled for.
 func (t *Tables) Policy() Policy { return t.policy }
 
 // compileTables builds the full candidate table for a labeling by evaluating
 // the routing legality relations once per LCA-equivalence class per switch.
-// Non-baseline policies also fill the deroute and adaptive extras planes
-// from the same pass. The compiler is dropped when the compile ends and the
-// pools are trimmed to their lengths, so the table holds only its index.
+// Non-baseline policies also fill the extras rows from the same pass. The
+// compiler is dropped when the compile ends and the pools are trimmed to
+// their lengths, so the table holds only its index.
 func compileTables(lab *updown.Labeling, pol Policy) *Tables {
 	s := lab.Net.NumSwitches
 	t := &Tables{
 		numSwitches: s,
 		policy:      pol,
-		rowRefs:     make([]tableRow, 1, 64), // rowRefs[0] = empty row
+		width:       numClasses,
+		sw:          make([]switchRef, s),
 	}
-	t.colID = make([]uint32, t.planes()*s)
+	if pol != PolicyBaseline {
+		t.width++
+	}
 	newCompiler(t).compile(lab)
 	t.arena = slices.Clone(t.arena)
 	t.pages = slices.Clone(t.pages)
 	t.colPages = slices.Clone(t.colPages)
-	t.rowRefs = slices.Clone(t.rowRefs)
+	t.classes = slices.Clone(t.classes)
 	return t
 }
 
@@ -237,26 +257,19 @@ func compileTables(lab *updown.Labeling, pol Policy) *Tables {
 func newCompiler(t *Tables) *compiler {
 	s := t.numSwitches
 	ppc := t.pagesPerCol()
-	c := &compiler{
+	return &compiler{
 		t:          t,
 		dist:       make([]int32, s*s),
 		queue:      make([]int32, s),
-		rowSeen:    make(map[uint64]uint32),
+		rowSeen:    make(map[uint64]tableRow),
 		pageSeen:   make(map[uint64]uint32),
 		colSeen:    make(map[uint64]uint32),
+		classSeen:  make(map[[numClasses + 1]tableRow]uint16),
 		sigSeen:    make(map[uint64]int32),
 		row:        make([]Candidate, 0, 16),
+		col:        make([]uint16, ppc*pageSize),
 		colScratch: make([]uint32, ppc),
 	}
-	cols := numClasses
-	if t.policy != PolicyBaseline {
-		cols++
-	}
-	c.colBuf = make([][]uint32, cols)
-	for k := range c.colBuf {
-		c.colBuf[k] = make([]uint32, ppc*pageSize)
-	}
-	return c
 }
 
 // Recompile rebuilds every row for a (new) labeling of the same network,
@@ -295,19 +308,12 @@ func (c *compiler) compile(lab *updown.Labeling) {
 	t.arena = t.arena[:0]
 	t.pages = t.pages[:0]
 	t.colPages = t.colPages[:0]
-	t.rowRefs = t.rowRefs[:1]
+	t.classes = t.classes[:0]
+	t.rows = 1 // the empty row
 	t.naiveArena = 0
 	clear(c.rowSeen)
 	clear(c.pageSeen)
 	clear(c.colSeen)
-	var emptyCol uint32
-	if t.policy != PolicyBaseline {
-		pg := c.internPage(emptyPage[:])
-		for p := range c.colScratch {
-			c.colScratch[p] = pg
-		}
-		emptyCol = c.internCol(c.colScratch)
-	}
 	var sigHash [pageSize]uint64
 	for at := 0; at < s; at++ {
 		// Split the switch's live inter-switch channels by class
@@ -341,8 +347,10 @@ func (c *compiler) compile(lab *updown.Labeling) {
 			c.packBuf = c.packBuf[:need]
 		}
 		clear(c.sigSeen)
-		c.triples = c.triples[:0]
+		clear(c.classSeen)
+		c.memo = c.memo[:0]
 		c.packArena = c.packArena[:0]
+		t.sw[at].base = uint32(len(t.classes))
 		for base := 0; base < s; base += pageSize {
 			lim := s - base
 			if lim > pageSize {
@@ -395,93 +403,61 @@ func (c *compiler) compile(lab *updown.Labeling) {
 				ei++
 			}
 			for j := 0; j < lim; j++ {
-				tri := c.resolveTriple(sigHash[j], c.packBuf[j*nLive:(j+1)*nLive])
-				lca := base + j
-				for k, col := range c.colBuf {
-					col[lca] = tri.id[k]
-				}
-				for k := 0; k < numClasses; k++ {
-					t.naiveArena += int(tri.n[k])
-				}
-				if t.policy != PolicyBaseline {
-					// The deroute and adaptive planes each hold it.
-					t.naiveArena += 2 * int(tri.n[numClasses])
-				}
+				m := c.resolveClass(sigHash[j], c.packBuf[j*nLive:(j+1)*nLive])
+				c.col[base+j] = m.class
+				t.naiveArena += int(m.naive)
 			}
 		}
-		for k := 0; k < numClasses; k++ {
-			t.colID[k*s+at] = c.internColumn(c.colBuf[k])
-		}
-		if t.policy != PolicyBaseline {
-			// Deroute planes, then adaptive planes: only down-tree
-			// arrivals (class 2) have extras, and the adaptive rows
-			// equal the deroute rows (see buildTriple).
-			extras := c.internColumn(c.colBuf[numClasses])
-			for _, plane := range [...]int{numClasses, 2 * numClasses} {
-				t.colID[plane*s+at] = emptyCol
-				t.colID[(plane+1)*s+at] = emptyCol
-				t.colID[(plane+2)*s+at] = extras
-			}
-		}
+		t.sw[at].col = c.internColumn(c.col)
 	}
 }
 
-// internColumn interns one finished column: pages first, then the
-// page-offset vector. Two switches with identical columns for a plane end
-// up sharing one colPages range.
-func (c *compiler) internColumn(col []uint32) uint32 {
+// internColumn interns one finished class column: pages first, then the
+// page-offset vector. Two switches whose LCAs partition into classes alike
+// end up sharing one colPages range.
+func (c *compiler) internColumn(col []uint16) uint32 {
 	for p := range c.colScratch {
 		c.colScratch[p] = c.internPage(col[p*pageSize : (p+1)*pageSize])
 	}
 	return c.internCol(c.colScratch)
 }
 
-// deroute returns the precompiled deroute-extras row for (arrival, at, lca).
-// The slice aliases the shared arena: callers must treat it as immutable.
-func (t *Tables) deroute(arrival ArrivalClass, at, lcaSwitch topology.NodeID) []topology.ChannelID {
-	ref := t.rowAt(numClasses+classIndex(arrival), int(at), int(lcaSwitch))
+// extras returns the precompiled extras row for (arrival, at, lca) — the
+// row DerouteChannels and AdaptiveChannels share. Only down-tree arrivals
+// have extras; every other arrival gets the empty row. The slice aliases
+// the shared arena: callers must treat it as immutable.
+func (t *Tables) extras(arrival ArrivalClass, at, lcaSwitch topology.NodeID) []topology.ChannelID {
+	if arrival != ArriveDownTree {
+		return nil
+	}
+	ref := t.rowAt(numClasses, int(at), int(lcaSwitch))
 	return t.arena[ref.off : ref.off+ref.n : ref.off+ref.n]
 }
 
-// adaptive returns the precompiled adaptive-extras row for (arrival, at,
-// lca). The slice aliases the shared arena: callers must treat it as
-// immutable.
-func (t *Tables) adaptive(arrival ArrivalClass, at, lcaSwitch topology.NodeID) []topology.ChannelID {
-	ref := t.rowAt(2*numClasses+classIndex(arrival), int(at), int(lcaSwitch))
-	return t.arena[ref.off : ref.off+ref.n : ref.off+ref.n]
-}
-
-// resolveTriple returns the memoized row triple for an LCA whose packed
-// legality/distance vector is pk (hash h), building and recording it on a
+// resolveClass returns the memo entry for an LCA whose packed
+// legality/distance vector is pk (hash h), building its rows and class on a
 // memo miss. Hash hits are verified against the stored packed vector, so a
 // collision only costs a rebuild, never a wrong row.
-func (c *compiler) resolveTriple(h uint64, pk []uint64) rowTriple {
+func (c *compiler) resolveClass(h uint64, pk []uint64) memoEntry {
 	if idx, ok := c.sigSeen[h]; ok {
-		tri := c.triples[idx]
-		stored := c.packArena[tri.packOff : int(tri.packOff)+len(pk)]
-		match := true
-		for i, v := range pk {
-			if stored[i] != v {
-				match = false
-				break
-			}
-		}
-		if match {
-			return tri
+		m := c.memo[idx]
+		if slices.Equal(c.packArena[m.packOff:int(m.packOff)+len(pk)], pk) {
+			return m
 		}
 	}
-	tri := c.buildTriple(pk)
-	tri.packOff = uint32(len(c.packArena))
+	m := c.buildClass(pk)
+	m.packOff = uint32(len(c.packArena))
 	c.packArena = append(c.packArena, pk...)
-	c.sigSeen[h] = int32(len(c.triples))
-	c.triples = append(c.triples, tri)
-	return tri
+	c.sigSeen[h] = int32(len(c.memo))
+	c.memo = append(c.memo, m)
+	return m
 }
 
-// buildTriple constructs and interns the three class rows of one LCA-
-// equivalence class from its packed vector. The packed values replay the
-// legality tests and distance reads, so no labeling state is touched here.
-func (c *compiler) buildTriple(pk []uint64) rowTriple {
+// buildClass constructs and interns the class rows of one LCA-equivalence
+// class from its packed vector, then numbers the class at the current
+// switch. The packed values replay the legality tests and distance reads, so
+// no labeling state is touched here.
+func (c *compiler) buildClass(pk []uint64) memoEntry {
 	row := c.row[:0]
 	off1 := len(c.live[0])
 	off2 := off1 + len(c.live[1])
@@ -491,7 +467,7 @@ func (c *compiler) buildTriple(pk []uint64) rowTriple {
 		}
 	}
 	downCross := len(row)
-	var tri rowTriple
+	var refs [numClasses + 1]tableRow
 	if c.t.policy != PolicyBaseline {
 		// The extras row: the channels that fail the up*/down* legality
 		// test for (arrival, LCA) but whose use provably preserves the
@@ -499,19 +475,18 @@ func (c *compiler) buildTriple(pk []uint64) rowTriple {
 		// class (see Router.referenceExtras for the argument): the legal
 		// down-cross channels above, offered to *down-tree* arrivals.
 		//
-		// The adaptive planes reuse the row. A distance-productivity
-		// filter was considered and rejected: under a BFS up*/down*
-		// labeling a productive extra is *provably unreachable* — any
-		// switch a worm can legally occupy with a down-tree arrival is a
-		// tree ancestor of its LCA, whose tree descent is already a
+		// The deroute and adaptive queries share the row. A distance-
+		// productivity filter was considered and rejected: under a BFS
+		// up*/down* labeling a productive extra is *provably unreachable*
+		// — any switch a worm can legally occupy with a down-tree arrival
+		// is a tree ancestor of its LCA, whose tree descent is already a
 		// shortest path, and the BFS discovery order forces every
 		// strictly-shorter sidestep's subtree to capture the LCA's parent
 		// pointer first (see ARCHITECTURE.md). Duato hops terminate
 		// without the filter because every extra is a down-cross channel,
 		// and down channels strictly ascend the labeling's (level, id)
 		// order.
-		tri.id[numClasses] = c.internRow(row)
-		tri.n[numClasses] = uint32(downCross)
+		refs[numClasses] = c.internRow(row)
 	}
 	for i, lc := range c.live[2] {
 		if p := pk[off2+i]; p != 0 {
@@ -521,29 +496,48 @@ func (c *compiler) buildTriple(pk []uint64) rowTriple {
 	downAny := len(row)
 	// Class 2 (down-tree arrival): down-tree candidates only.
 	c.row = row
-	tri.id[2] = c.internRow(row[downCross:downAny])
-	tri.n[2] = uint32(downAny - downCross)
+	refs[2] = c.internRow(row[downCross:downAny])
 	// Class 1 (down-cross arrival): down-cross ∪ down-tree.
-	tri.id[1] = c.internRow(row[:downAny])
-	tri.n[1] = uint32(downAny)
+	refs[1] = c.internRow(row[:downAny])
 	// Class 0 (up/injection arrival): everything plus the ups.
 	for i, lc := range c.live[0] {
 		p := pk[i]
 		row = append(row, Candidate{Channel: lc.c, DistToLCA: int32(uint32(p>>1) - 1)})
 	}
 	c.row = row
-	tri.id[0] = c.internRow(row)
-	tri.n[0] = uint32(len(row))
-	return tri
+	refs[0] = c.internRow(row)
+	// A dense index holds the legality rows once each and the extras row
+	// twice: in the deroute plane and in the adaptive plane.
+	naive := refs[0].n + refs[1].n + refs[2].n + 2*refs[numClasses].n
+	return memoEntry{class: c.internClass(refs), naive: naive}
+}
+
+// internClass returns the current switch's class index for a row-reference
+// tuple, appending a class to the switch's class table on its first
+// occurrence. It panics rather than truncate when a switch needs more
+// classes than a uint16 index can name, which a network within
+// topology.MaxAdmittedSwitches never does.
+func (c *compiler) internClass(refs [numClasses + 1]tableRow) uint16 {
+	if idx, ok := c.classSeen[refs]; ok {
+		return idx
+	}
+	t := c.t
+	n := len(c.classSeen)
+	if n >= maxClasses {
+		panic(fmt.Sprintf("core: a switch needs more than %d LCA classes, the uint16 class-index bound; networks of at most %d switches never do", maxClasses, maxClasses))
+	}
+	t.classes = append(t.classes, refs[:t.width]...)
+	c.classSeen[refs] = uint16(n)
+	return uint16(n)
 }
 
 // internRow sorts a candidate row into selection order and returns its
-// (deduplicated) rowID. The row slice is scratch owned by the caller;
-// interning copies the channels out.
-func (c *compiler) internRow(row []Candidate) uint32 {
+// (deduplicated) arena reference. The row slice is scratch owned by the
+// caller; interning copies the channels out.
+func (c *compiler) internRow(row []Candidate) tableRow {
 	t := c.t
 	if len(row) == 0 {
-		return 0
+		return tableRow{}
 	}
 	sortCandidates(row)
 	h := fnvBasis
@@ -551,28 +545,28 @@ func (c *compiler) internRow(row []Candidate) uint32 {
 		h ^= uint64(uint32(cand.Channel))
 		h *= fnvPrime
 	}
-	if id, ok := c.rowSeen[h]; ok && t.rowEqual(t.rowRefs[id], row) {
-		return id
+	if ref, ok := c.rowSeen[h]; ok && t.rowEqual(ref, row) {
+		return ref
 	}
 	// New row, or hash collision (store separately).
-	id := uint32(len(t.rowRefs))
-	t.rowRefs = append(t.rowRefs, tableRow{off: uint32(len(t.arena)), n: uint32(len(row))})
+	ref := tableRow{off: uint32(len(t.arena)), n: uint32(len(row))}
 	for _, cand := range row {
 		t.arena = append(t.arena, cand.Channel)
 	}
-	c.rowSeen[h] = id
-	return id
+	c.rowSeen[h] = ref
+	t.rows++
+	return ref
 }
 
-// internPage returns the pages-pool offset of a 64-entry rowID page,
+// internPage returns the pages-pool offset of a 64-entry class-index page,
 // deduplicated by content.
-func (c *compiler) internPage(pg []uint32) uint32 {
+func (c *compiler) internPage(pg []uint16) uint32 {
 	t := c.t
 	h := fnvBasis
 	for _, v := range pg {
 		h = (h ^ uint64(v)) * fnvPrime
 	}
-	if off, ok := c.pageSeen[h]; ok && u32Equal(t.pages[off:int(off)+pageSize], pg) {
+	if off, ok := c.pageSeen[h]; ok && slices.Equal(t.pages[off:int(off)+pageSize], pg) {
 		return off
 	}
 	off := uint32(len(t.pages))
@@ -589,25 +583,13 @@ func (c *compiler) internCol(col []uint32) uint32 {
 	for _, v := range col {
 		h = (h ^ uint64(v)) * fnvPrime
 	}
-	if off, ok := c.colSeen[h]; ok && u32Equal(t.colPages[off:int(off)+len(col)], col) {
+	if off, ok := c.colSeen[h]; ok && slices.Equal(t.colPages[off:int(off)+len(col)], col) {
 		return off
 	}
 	off := uint32(len(t.colPages))
 	t.colPages = append(t.colPages, col...)
 	c.colSeen[h] = off
 	return off
-}
-
-func u32Equal(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if b[i] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // rowEqual reports whether the arena range ref holds exactly the channels of
@@ -643,12 +625,14 @@ func less(a, b Candidate) bool {
 	return a.Channel < b.Channel
 }
 
-// rowAt resolves the compressed index for one (class, at, lca) cell: column
-// base, page base, rowID, arena reference — four dependent loads.
-func (t *Tables) rowAt(cls, at, lca int) tableRow {
-	col := t.colID[cls*t.numSwitches+at]
-	pb := t.colPages[int(col)+lca>>pageBits]
-	return t.rowRefs[t.pages[int(pb)+lca&(pageSize-1)]]
+// rowAt resolves the compressed index for row k (a legality class, or
+// numClasses for extras) of one (at, lca) cell: switch ref, page base, class
+// index, class row — four dependent loads.
+func (t *Tables) rowAt(k, at, lca int) tableRow {
+	sw := t.sw[at]
+	pb := t.colPages[int(sw.col)+lca>>pageBits]
+	cls := t.pages[int(pb)+lca&(pageSize-1)]
+	return t.classes[int(sw.base)+int(cls)*t.width+k]
 }
 
 // candidates returns the precompiled row for (arrival, at, lca). The slice
@@ -658,18 +642,12 @@ func (t *Tables) candidates(arrival ArrivalClass, at, lcaSwitch topology.NodeID)
 	return t.arena[ref.off : ref.off+ref.n : ref.off+ref.n]
 }
 
-// MemoryFootprint reports the compiled table sizes: the number of logical
-// index cells, the arena length in channel IDs, and the number of channel
-// IDs a non-deduplicated arena would hold. Exposed for diagnostics and
-// tests; MemStats gives the full byte-level accounting.
-func (t *Tables) MemoryFootprint() (indexCells, arenaLen, naiveArenaLen int) {
-	return t.planes() * t.numSwitches * t.numSwitches, len(t.arena), t.naiveArena
-}
-
 // MemStats is the byte-level accounting of one compiled table set, exposed
-// through the facade, /healthz and campaign reports. NaiveIndexBytes is what
-// the pre-compression dense (offset, length) index would occupy;
-// CompressionX is the ratio of the naive structure (dense index + per-cell
+// through the facade, /healthz and campaign reports. Cells, NaiveChannels
+// and NaiveIndexBytes describe the dense layout — one 8-byte (offset,
+// length) reference and one copy of the row per (plane, at, lca) cell, with
+// a deroute and an adaptive plane per arrival class on policy tables;
+// CompressionX is the ratio of that naive structure (dense index + per-cell
 // arena) to the compressed one.
 type MemStats struct {
 	Switches        int     `json:"switches"`
@@ -692,13 +670,13 @@ func (t *Tables) MemStats() MemStats {
 	m := MemStats{
 		Switches:        s,
 		Cells:           t.planes() * s * s,
-		DistinctRows:    len(t.rowRefs),
+		DistinctRows:    t.rows,
 		DistinctPages:   len(t.pages) / pageSize,
 		DistinctColumns: len(t.colPages) / t.pagesPerCol(),
 		ArenaChannels:   len(t.arena),
 		NaiveChannels:   t.naiveArena,
 	}
-	m.IndexBytes = 4*int64(len(t.colID)+len(t.colPages)+len(t.pages)) + 8*int64(len(t.rowRefs))
+	m.IndexBytes = 8*int64(len(t.sw)) + 4*int64(len(t.colPages)) + 2*int64(len(t.pages)) + 8*int64(len(t.classes))
 	m.ArenaBytes = 4 * int64(len(t.arena))
 	m.TableBytes = m.IndexBytes + m.ArenaBytes
 	m.NaiveIndexBytes = 8 * int64(m.Cells)
@@ -709,28 +687,23 @@ func (t *Tables) MemStats() MemStats {
 	return m
 }
 
-// EqualContent reports whether two tables answer every (plane, at, lca)
-// query with the identical candidate list — the bit-identical hot-swap
+// EqualContent reports whether two tables answer every (arrival class, at,
+// lca) query with the identical candidate list — the bit-identical hot-swap
 // criterion the fault property tests pin (pool layout may differ; contents
-// may not). Policy tables compare their extras planes too, so two tables
-// with different policies are never content-equal.
+// may not). Policy tables compare their extras rows too, so two tables with
+// different policies are never content-equal.
 func (t *Tables) EqualContent(o *Tables) bool {
 	if t.numSwitches != o.numSwitches || t.policy != o.policy {
 		return false
 	}
 	s := t.numSwitches
-	for cls := 0; cls < t.planes(); cls++ {
-		for at := 0; at < s; at++ {
-			for lca := 0; lca < s; lca++ {
-				ra := t.rowAt(cls, at, lca)
-				rb := o.rowAt(cls, at, lca)
-				if ra.n != rb.n {
+	for at := 0; at < s; at++ {
+		for lca := 0; lca < s; lca++ {
+			for k := 0; k < t.width; k++ {
+				ra := t.rowAt(k, at, lca)
+				rb := o.rowAt(k, at, lca)
+				if !slices.Equal(t.arena[ra.off:ra.off+ra.n], o.arena[rb.off:rb.off+rb.n]) {
 					return false
-				}
-				for k := uint32(0); k < ra.n; k++ {
-					if t.arena[ra.off+k] != o.arena[rb.off+k] {
-						return false
-					}
 				}
 			}
 		}

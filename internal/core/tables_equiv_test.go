@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
@@ -217,13 +218,12 @@ func TestTableDedupSharesRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(lab)
-	cells, arena, naive := r.Tables().MemoryFootprint()
-	if cells != 3*64*64 {
-		t.Fatalf("index cells = %d, want %d", cells, 3*64*64)
+	ms := NewRouter(lab).TableMemStats()
+	if ms.Cells != 3*64*64 {
+		t.Fatalf("index cells = %d, want %d", ms.Cells, 3*64*64)
 	}
-	if arena >= naive/2 {
-		t.Fatalf("dedup arena %d ≥ half of naive %d: sharing not effective", arena, naive)
+	if ms.ArenaChannels >= ms.NaiveChannels/2 {
+		t.Fatalf("dedup arena %d ≥ half of naive %d: sharing not effective", ms.ArenaChannels, ms.NaiveChannels)
 	}
 }
 
@@ -258,4 +258,60 @@ func TestBuiltTablesHoldOnlyTheIndex(t *testing.T) {
 			float64(kept)/(1<<20), float64(tb)/(1<<20), float64(kept)/float64(tb))
 	}
 	runtime.KeepAlive(r)
+}
+
+// TestTableFootprint bounds the compiled tables of three zoo systems (seed
+// 1, min-id root). Each bound sits above what the per-switch LCA-class index
+// takes (1.13, 0.26 and 1.68 MiB) and below what a uint32 row ID per (plane,
+// switch, LCA) cell took (6.2, 2.1 and 5.9 MiB), so a return to per-cell
+// global row IDs fails here.
+func TestTableFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		spec   string
+		pol    Policy
+		maxMiB float64
+	}{
+		{"lattice:1024", PolicyBaseline, 2},
+		{"mesh:32x32", PolicyDuato, 0.5},
+		{"fattree:8x4", PolicyDuato, 2.5},
+	} {
+		sp, err := topology.ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := sp.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lab, err := updown.New(net, updown.RootMinID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := float64(NewRouterPolicy(lab, tc.pol).TableMemStats().TableBytes) / (1 << 20)
+		t.Logf("%s %v: %.3f MiB of tables", tc.spec, tc.pol, got)
+		if got > tc.maxMiB {
+			t.Errorf("%s %v: %.3f MiB of tables, want ≤ %g MiB", tc.spec, tc.pol, got, tc.maxMiB)
+		}
+	}
+}
+
+// TestClassIndexBound pins the uint16 class-index bound: a switch may number
+// 65536 LCA classes, and the compiler panics, naming the bound, rather than
+// truncate the 65537th.
+func TestClassIndexBound(t *testing.T) {
+	c := &compiler{
+		t:         &Tables{width: numClasses},
+		classSeen: make(map[[numClasses + 1]tableRow]uint16),
+	}
+	for i := 0; i < maxClasses; i++ {
+		if got := c.internClass([numClasses + 1]tableRow{{off: uint32(i), n: 1}}); got != uint16(i) {
+			t.Fatalf("class %d numbered %d", i, got)
+		}
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "65536") {
+			t.Fatalf("class %d: recovered %q, want a panic naming the 65536 bound", maxClasses+1, msg)
+		}
+	}()
+	c.internClass([numClasses + 1]tableRow{{off: maxClasses, n: 1}})
 }

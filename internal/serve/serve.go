@@ -375,8 +375,9 @@ var ErrBadTopology = errors.New("serve: bad topology")
 
 // admitTopology parses a request-named topology spec and screens it before
 // any build work: no file: specs (no server-side path reads on request), at
-// most maxSwitches switches, and for gnm no more extra links than the 4-port
-// budget can place (2 per switch), which bounds the placement attempts.
+// most maxSwitches switches and topology.MaxAdmittedNodes nodes (switches
+// plus processors), and for gnm no more extra links than the 4-port budget
+// can place (2 per switch), which bounds the placement attempts.
 func admitTopology(spec string) (topology.Spec, error) {
 	sp, err := topology.ParseSpec(spec)
 	if err != nil {
@@ -387,6 +388,9 @@ func admitTopology(spec string) (topology.Spec, error) {
 	}
 	if n := sp.Switches(); n < 1 || n > maxSwitches {
 		return sp, fmt.Errorf("%w: %q expands to %d switches (cap %d)", ErrBadTopology, spec, n, maxSwitches)
+	}
+	if n := sp.Nodes(); n < 1 || n > topology.MaxAdmittedNodes {
+		return sp, fmt.Errorf("%w: %q expands to %d nodes (cap %d)", ErrBadTopology, spec, n, topology.MaxAdmittedNodes)
 	}
 	if sp.Family == "gnm" && sp.Extra > 2*sp.A {
 		return sp, fmt.Errorf("%w: %q asks for %d extra links (cap %d)", ErrBadTopology, spec, sp.Extra, 2*sp.A)

@@ -77,6 +77,8 @@ func TestRunTopologyRejected(t *testing.T) {
 		// a 4-port budget can place.
 		"mesh:4611686018427387905x4", "torus:4611686018427387905x4",
 		"fattree:1x4611686018427387905", "gnm:64+1000000000",
+		// Few switches, but more processors than fit in memory.
+		"torus:4x4/100000000", "fattree:4x3/1000000000",
 	} {
 		_, err := svc.Run(context.Background(), topoRequest(topo, 1))
 		if !errors.Is(err, ErrBadTopology) {

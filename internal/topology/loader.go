@@ -30,6 +30,12 @@ import (
 // an OOM by declaring an enormous switch count.
 const MaxAdmittedSwitches = 65536
 
+// MaxAdmittedNodes bounds the same inputs' node count, switches plus
+// processors: a small switch count cannot smuggle in a processor count whose
+// per-node state (N-bit descendant rows, per-processor queues) exhausts
+// memory. The largest builtin network, fattree:25x4, has 453,125 nodes.
+const MaxAdmittedNodes = 1 << 20
+
 // LoadAdjacency parses the adjacency text format into a validated Network.
 func LoadAdjacency(r io.Reader) (*Network, error) {
 	sc := bufio.NewScanner(r)
@@ -37,6 +43,8 @@ func LoadAdjacency(r io.Reader) (*Network, error) {
 	var b *Builder
 	var coords [][2]int
 	haveCoord := false
+	// nodes counts the switches and the processors attached so far.
+	nodes := 0
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -82,6 +90,7 @@ func LoadAdjacency(r io.Reader) (*Network, error) {
 				}
 			}
 			b = NewBuilder(n, maxPorts)
+			nodes = n
 			coords = make([][2]int, n)
 		case "link", "proc", "coord":
 			if b == nil {
@@ -112,6 +121,10 @@ func LoadAdjacency(r io.Reader) (*Network, error) {
 				if err != nil {
 					return nil, fmt.Errorf("topology: line %d: bad switch %q", lineNo, v[0])
 				}
+				if count > MaxAdmittedNodes-nodes {
+					return nil, fmt.Errorf("topology: line %d: %d more processors take the network past the admission cap of %d nodes", lineNo, count, MaxAdmittedNodes)
+				}
+				nodes += count
 				for i := 0; i < count; i++ {
 					b.AttachProcessor(sw)
 				}

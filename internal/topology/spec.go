@@ -144,6 +144,30 @@ func (sp Spec) Switches() int {
 	return -1
 }
 
+// Nodes predicts the node count — switches plus processors — the spec
+// builds: -1 for file specs and whenever the count overflows an int. Every
+// lattice, gnm, mesh, torus and hypercube switch gets max(Procs, 1)
+// processors; each of a fat-tree's k^(levels-1) leaf switches gets Procs (k
+// by default). Admission bounds it with MaxAdmittedNodes.
+func (sp Spec) Nodes() int {
+	s := sp.Switches()
+	if s < 1 {
+		return -1
+	}
+	procs := mulPositive(s, max(sp.Procs, 1))
+	if sp.Family == "fattree" {
+		perLeaf := sp.Procs
+		if perLeaf <= 0 {
+			perLeaf = sp.A
+		}
+		procs = mulPositive(s/sp.B, perLeaf)
+	}
+	if procs < 0 || s > math.MaxInt-procs {
+		return -1
+	}
+	return s + procs
+}
+
 // mulPositive returns a·b for positive a and b, or -1 when a factor is below
 // 1 or the product overflows an int.
 func mulPositive(a, b int) int {

@@ -9,7 +9,7 @@ import (
 // FuzzParseSpec is the spec grammar's input contract: ParseSpec never
 // panics, every spec it accepts round-trips through String, and a spec
 // predicted to be small builds without a panic into exactly the predicted
-// number of switches. "Small" keeps the fuzzer from building anything
+// numbers of switches and nodes. "Small" keeps the fuzzer from building anything
 // large: 1 to 256 switches, at most 4 processors per switch, and no more gnm
 // extra links than a 4-port budget can place (2 per switch).
 func FuzzParseSpec(f *testing.F) {
@@ -44,6 +44,9 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if net.NumSwitches != n {
 			t.Fatalf("%q: built %d switches, Switches() predicts %d", s, net.NumSwitches, n)
+		}
+		if net.N() != sp.Nodes() {
+			t.Fatalf("%q: built %d nodes, Nodes() predicts %d", s, net.N(), sp.Nodes())
 		}
 	})
 }

@@ -206,6 +206,11 @@ func TestLoadAdjacencyErrors(t *testing.T) {
 		// before any proportional allocation: the admission cap specs get
 		// cannot be bypassed via an adjacency upload.
 		fmt.Sprintf("switches %d\nlink 0 1\nproc 0", topology.MaxAdmittedSwitches+1),
+		// So is a proc line whose count would take the network past
+		// topology.MaxAdmittedNodes, before it attaches a processor.
+		"switches 1\nproc 0 2000000000",
+		"switches 1\nproc 0 9223372036854775807",
+		fmt.Sprintf("switches 2\nlink 0 1\nproc 0 %d\nproc 1 1", topology.MaxAdmittedNodes-2),
 	}
 	for _, in := range cases {
 		if _, err := topology.LoadAdjacency(strings.NewReader(in)); err == nil {
