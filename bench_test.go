@@ -668,12 +668,14 @@ func BenchmarkFaultStormTrial(b *testing.B) {
 // topology spec names — the network serve admits for that spec. The
 // reported MiB/tables and x/compression metrics are what /healthz and the
 // campaign reports surface for the same network. fattree:16x4 (16384
-// switches, 65536 processors) allocates 1.70 GB per op and peaks at 1.6 GiB
-// RSS (one op, 34 s, on a 2-vCPU Xeon VM): 288 MiB of labeling relations,
-// the compiler's transient 4·S² distance scratch (1 GiB), 39.0 MiB of tables
-// (476x under the dense layout), and the table pools' growth. CI's scale
-// smoke fails when its MiB/tables exceeds 48. The 62500-switch cell is
-// gated behind -benchlarge (its distance scratch alone is ~15 GiB).
+// switches, 65536 processors) allocates 1,594,925,064 B in 56,936
+// allocations per op and peaks at 1.52 GiB RSS (one op, 48 s, on a 2-vCPU
+// Xeon VM): the compiler's transient 4·S² distance scratch (1 GiB) and
+// S²/8 extended-descendant scratch (32 MiB), the labeling's S·N/8
+// descendant rows (160 MiB), 39.0 MiB of tables (476x under the dense
+// layout), and the table pools' growth. CI's scale smoke fails when its
+// MiB/tables exceeds 48 or its B/op exceeds 1.65e9. The 62500-switch cell
+// is gated behind -benchlarge (its distance scratch alone is ~15 GiB).
 func BenchmarkLargeFatTreeCompile(b *testing.B) {
 	cases := []string{
 		"fattree:8x4",  // 2048 switches: the pre-PR7 comfort zone

@@ -173,7 +173,7 @@ func (dst *Set) AndInto(a, b *Set) {
 }
 
 // Word returns the i-th 64-bit word of the backing storage (bits
-// [64i, 64i+64)). Table compilation reads relation rows word-wise through
+// [64i, 64i+64)). Table compilation reads descendant rows word-wise through
 // this to build per-block membership masks.
 func (s *Set) Word(i int) uint64 { return s.words[i] }
 

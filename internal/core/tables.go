@@ -47,16 +47,19 @@ import (
 //
 // Compilation streams, rather than tests, the legality relations: for each
 // switch the live channels are split by class once, and then each block of
-// 64 LCAs reads one 64-bit word of the (extended-)descendant transpose per
-// channel endpoint plus the endpoint's row of the compiler's distance
-// scratch (S×S hop counts, one BFS per switch, filled per compile). Each
-// LCA's packed legality/distance vector is hashed into a per-switch
-// signature memo, so LCA-equivalent columns pay one row construction for the
-// whole equivalence class — the fast path that makes regular families
-// compile in near-linear time.
+// 64 LCAs reads one 64-bit word per channel endpoint — of the labeling's
+// descendant row for a down-tree channel, of the compiler's extended-
+// descendant scratch (S×⌈S/64⌉ words, filled per compile) for a down-cross
+// one — plus the endpoint's row of the compiler's distance scratch (S×S hop
+// counts, one BFS per switch, filled per compile). Each LCA's packed
+// legality/distance vector is hashed into a per-switch signature memo, so
+// LCA-equivalent columns pay one row construction for the whole
+// equivalence class — the fast path that makes regular families compile in
+// near-linear time.
 //
 // A built table keeps only its index: compileTables drops the compiler —
-// distance scratch, dedup maps, memo — and trims the pools to their lengths.
+// distance and extended-descendant scratch, dedup maps, memo — and trims
+// the pools to their lengths.
 //
 // Reconfiguration. Recompile rebuilds the whole structure for a *new*
 // labeling of the same network into the retained pools, with a compiler it
@@ -118,9 +121,13 @@ type compiler struct {
 	t *Tables
 	// dist is the S×S hop-distance matrix of the labeling being compiled,
 	// row-major: dist[u*S+v] is the live switch-graph distance from u to v.
-	// queue is the BFS frontier that fills it.
+	// queue is the BFS frontier that fills it, and then the switch order
+	// that fills ext.
 	dist  []int32
 	queue []int32
+	// ext is the labeling's extended-descendant relation, ⌈S/64⌉ words per
+	// switch (Labeling.ExtendedDescendantRows).
+	ext []uint64
 	// rowSeen / pageSeen / colSeen dedup rows, pages and columns: FNV-1a
 	// hash of the content to its first pool reference. A (vanishingly
 	// unlikely) hash collision is detected by content comparison and
@@ -261,6 +268,7 @@ func newCompiler(t *Tables) *compiler {
 		t:          t,
 		dist:       make([]int32, s*s),
 		queue:      make([]int32, s),
+		ext:        make([]uint64, s*ppc),
 		rowSeen:    make(map[uint64]tableRow),
 		pageSeen:   make(map[uint64]uint32),
 		colSeen:    make(map[uint64]uint32),
@@ -293,9 +301,10 @@ func (c *compiler) distRow(u topology.NodeID) []int32 {
 
 // compile fills t's pools for lab. The loop is shaped for the live-
 // reconfiguration hot path (a fault event pays one Recompile): the distance
-// scratch is filled by one BFS per switch; the switch's live channels are
+// scratch is filled by one BFS per switch and the extended-descendant
+// scratch by one pass over the switches; the switch's live channels are
 // split by class once per switch; legality is read word-at-a-time from the
-// labeling's descendant transposes (64 LCAs per load) with the distance rows
+// descendant rows and that scratch (64 LCAs per load) with the distance rows
 // walked sequentially; and each LCA's packed legality/distance vector is
 // hashed into a per-switch memo so LCA-equivalent cells pay one row
 // construction per equivalence class instead of one per LCA.
@@ -305,6 +314,8 @@ func (c *compiler) compile(lab *updown.Labeling) {
 	for src := 0; src < s; src++ {
 		lab.SwitchDistances(topology.NodeID(src), c.distRow(topology.NodeID(src)), c.queue)
 	}
+	lab.ExtendedDescendantRows(c.ext, c.queue)
+	ppc := t.pagesPerCol()
 	t.arena = t.arena[:0]
 	t.pages = t.pages[:0]
 	t.colPages = t.colPages[:0]
@@ -377,7 +388,7 @@ func (c *compiler) compile(lab *updown.Labeling) {
 				ei++
 			}
 			for _, lc := range c.live[1] {
-				w := lab.ExtendedDescendants(lc.end).Word(wb)
+				w := c.ext[int(lc.end)*ppc+wb]
 				dr := c.distRow(lc.end)[base : base+lim]
 				for j := 0; j < lim; j++ {
 					var p uint64

@@ -70,13 +70,16 @@ const (
 	// bounds how many request keys, and so systems, stay cached besides the
 	// default one. The cap is the shared admission bound
 	// (topology.MaxAdmittedSwitches, also enforced on file-loaded adjacency
-	// text) and tracks what the compressed
-	// routing tables make affordable: a 65536-switch fat-tree compiles in
-	// low single-digit GiB of table memory (Tables.MemStats reports the
-	// exact footprint via /healthz), where the dense pre-compression layout
-	// needed that much for 4096 switches.
+	// text): it keeps the routing tables' uint16 class index in range. It
+	// does not bound memory; maxBuildBytes does.
 	maxSwitches = topology.MaxAdmittedSwitches
 	maxSystems  = 8
+	// maxBuildBytes bounds a request-named topology's predicted build peak
+	// (buildBytes). At 2 GiB it admits fattree:16x4 (16384 switches, 1.275
+	// GB predicted) and, at one processor per switch, up to ~22,150
+	// switches; fattree:25x4 (19.7 GB, 15.6 GB of it distance scratch) is
+	// refused before anything is built.
+	maxBuildBytes = 2 << 30
 	// workerRunners is how many runners a pool worker keeps: just its most
 	// recently used one. A runner holds about a tenth of its system's heap
 	// after a trial, so one per worker per cached system would grow the
@@ -370,14 +373,26 @@ var ErrUnknownScenario = errors.New("serve: unknown scenario")
 
 // ErrBadTopology reports a request-selected topology the service rejects:
 // unparseable spec, file: family (no server-side path reads on request), a
-// size beyond the admission cap, or more gnm extra links than fit.
+// size beyond the admission caps or the build bound, or more gnm extra links
+// than fit.
 var ErrBadTopology = errors.New("serve: bad topology")
+
+// buildBytes predicts the peak bytes one system build needs for s switches
+// and n nodes (switches plus processors): the table compiler's 4·S² bytes of
+// distance scratch and S²/8 of extended-descendant scratch, plus the S·N/8
+// bytes of descendant rows the labeling holds meanwhile. Within the switch
+// and node caps it stays far from int64 overflow.
+func buildBytes(s, n int) int64 {
+	S, N := int64(s), int64(n)
+	return 4*S*S + S*S/8 + S*N/8
+}
 
 // admitTopology parses a request-named topology spec and screens it before
 // any build work: no file: specs (no server-side path reads on request), at
 // most maxSwitches switches and topology.MaxAdmittedNodes nodes (switches
-// plus processors), and for gnm no more extra links than the 4-port budget
-// can place (2 per switch), which bounds the placement attempts.
+// plus processors), a predicted build peak of at most maxBuildBytes, and for
+// gnm no more extra links than the 4-port budget can place (2 per switch),
+// which bounds the placement attempts.
 func admitTopology(spec string) (topology.Spec, error) {
 	sp, err := topology.ParseSpec(spec)
 	if err != nil {
@@ -391,6 +406,9 @@ func admitTopology(spec string) (topology.Spec, error) {
 	}
 	if n := sp.Nodes(); n < 1 || n > topology.MaxAdmittedNodes {
 		return sp, fmt.Errorf("%w: %q expands to %d nodes (cap %d)", ErrBadTopology, spec, n, topology.MaxAdmittedNodes)
+	}
+	if b := buildBytes(sp.Switches(), sp.Nodes()); b > maxBuildBytes {
+		return sp, fmt.Errorf("%w: %q predicts a %d-byte build peak (bound %d)", ErrBadTopology, spec, b, int64(maxBuildBytes))
 	}
 	if sp.Family == "gnm" && sp.Extra > 2*sp.A {
 		return sp, fmt.Errorf("%w: %q asks for %d extra links (cap %d)", ErrBadTopology, spec, sp.Extra, 2*sp.A)
@@ -721,7 +739,8 @@ func (s *Service) mergeTrials(rv *resolvedRun, shards []shard) (*RunResponse, er
 // campaign: either a built-in manifest by name ("paper", "smoke", "scale") or an
 // inline manifest. The campaign runs with the service's admission clamps
 // (MaxTrials, MaxMessages), every grid topology passes the admission screen
-// of /run and /cell, and its worker count is bounded by the pool size.
+// of /run and /cell (which refuses "scale"'s 62500-switch cell), and its
+// worker count is bounded by the pool size.
 type CampaignRequest struct {
 	// Name selects a built-in manifest; mutually exclusive with Manifest.
 	Name string `json:"name,omitempty"`

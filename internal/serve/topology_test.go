@@ -79,6 +79,8 @@ func TestRunTopologyRejected(t *testing.T) {
 		"fattree:1x4611686018427387905", "gnm:64+1000000000",
 		// Few switches, but more processors than fit in memory.
 		"torus:4x4/100000000", "fattree:4x3/1000000000",
+		// Within both caps, but the predicted build peak is past the bound.
+		"fattree:25x4", "hypercube:16",
 	} {
 		_, err := svc.Run(context.Background(), topoRequest(topo, 1))
 		if !errors.Is(err, ErrBadTopology) {
@@ -103,6 +105,27 @@ func TestRunTopologyRejected(t *testing.T) {
 	}
 	if _, err := svc.Run(context.Background(), topoRequest("torus:4x4", 1)); err != nil {
 		t.Fatalf("service stopped serving after the rejections: %v", err)
+	}
+}
+
+// TestAdmitTopologyBuildBound pins both sides of the build bound: the
+// largest fat-tree the scale smoke compiles and every benchmark spec are
+// admitted, and the refusal of a spec within both caps names the predicted
+// peak and the bound.
+func TestAdmitTopologyBuildBound(t *testing.T) {
+	for _, spec := range []string{"fattree:16x4", "fattree:8x4", "lattice:1024", "gnm:1024+256", "hypercube:10", "mesh:32x32", "torus:32x32"} {
+		if _, err := admitTopology(spec); err != nil {
+			t.Errorf("%s: %v", spec, err)
+		}
+	}
+	_, err := admitTopology("fattree:25x4")
+	if !errors.Is(err, ErrBadTopology) {
+		t.Fatalf("fattree:25x4: got %v, want ErrBadTopology", err)
+	}
+	for _, want := range []string{"19653320312", "2147483648"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("fattree:25x4: error %q does not name %s", err, want)
+		}
 	}
 }
 

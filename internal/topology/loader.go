@@ -24,10 +24,14 @@ import (
 // MaxAdmittedSwitches is the admission bound every externally supplied
 // topology shares: request-named specs (serve's topology admission cap) and
 // file-loaded adjacency text both refuse networks larger than this before
-// any proportional allocation happens. It tracks what the compressed routing
-// tables make affordable — a 64k-switch fat-tree compiles in low single-
-// digit GiB — so an adjacency upload cannot bypass the spec-level cap into
-// an OOM by declaring an enormous switch count.
+// any proportional allocation happens, so an adjacency upload cannot
+// declare an enormous switch count. It is the range of the routing tables'
+// uint16 class index, not a memory bound: with S switches and N nodes a
+// build transiently needs 4·S² + S²/8 bytes of compile scratch beside the
+// S·N/8 bytes of descendant rows its labeling holds, ~19.7 GB for the
+// 62500-switch fattree:25x4. Serve also refuses a spec whose predicted
+// peak passes 2 GiB, which admits up to ~22,150 switches at one processor
+// per switch.
 const MaxAdmittedSwitches = 65536
 
 // MaxAdmittedNodes bounds the same inputs' node count, switches plus

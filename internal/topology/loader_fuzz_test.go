@@ -1,0 +1,64 @@
+package topology_test
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/topology"
+)
+
+// FuzzLoadAdjacency is the adjacency loader's input contract: LoadAdjacency
+// never panics, every network it accepts stays within the shared admission
+// caps, and FormatAdjacency of an accepted network reloads into a network
+// that formats to the same bytes.
+func FuzzLoadAdjacency(f *testing.F) {
+	for _, spec := range []string{"lattice:16", "gnm:12+6", "mesh:3x3", "torus:3x3/2", "hypercube:3", "fattree:2x3"} {
+		sp, err := topology.ParseSpec(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		net, err := sp.Build(1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(topology.FormatAdjacency(net))
+	}
+	for _, s := range []string{
+		"switches 2\nlink 0 1\nproc 0 3\nproc 1\n",
+		"# two processors on one switch\nswitches 1 2\nproc 0 2\n",
+		"switches 3 4\nlink 0 1\nlink 1 2\ncoord 0 0 0\ncoord 2 5 -1\nproc 2\n",
+		// Refused: past the switch cap, past the node cap, a directive
+		// before the switches line, an over-budget port count, a self-loop,
+		// a duplicate link, a processor on a missing switch, a coordinate
+		// out of range and a disconnected switch graph.
+		"switches 65537\n",
+		"switches 2\nlink 0 1\nproc 0 1048575\n",
+		"link 0 1\nswitches 2\n",
+		"switches 2 1\nlink 0 1\nproc 0\n",
+		"switches 2\nlink 0 0\n",
+		"switches 2\nlink 0 1\nlink 1 0\n",
+		"switches 2\nlink 0 1\nproc 2\n",
+		"switches 2\nlink 0 1\ncoord 2 0 0\n",
+		"switches 3\nlink 0 1\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		net, err := topology.LoadAdjacency(strings.NewReader(s))
+		if err != nil {
+			return
+		}
+		if net.NumSwitches > topology.MaxAdmittedSwitches || net.N() > topology.MaxAdmittedNodes {
+			t.Fatalf("accepted %d switches and %d nodes, caps %d and %d",
+				net.NumSwitches, net.N(), topology.MaxAdmittedSwitches, topology.MaxAdmittedNodes)
+		}
+		text := topology.FormatAdjacency(net)
+		back, err := topology.LoadAdjacency(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("formatted network does not reload: %v\n%s", err, text)
+		}
+		if again := topology.FormatAdjacency(back); again != text {
+			t.Fatalf("reloaded network formats differently:\n%s\nvs\n%s", text, again)
+		}
+	})
+}

@@ -16,9 +16,16 @@
 // Processors are leaves of the spanning tree: processor→switch channels are
 // up tree channels and switch→processor channels are down tree channels.
 //
-// The ancestor relations are stored for switches only; processors have no
-// relation rows. A processor's (extended) ancestors are itself plus those of
-// its switch, so IsAncestor and IsExtendedAncestor still answer for any two
-// nodes, while the set accessors take switches. Switch-graph distances are
-// not stored: SwitchDistances computes one BFS row into caller buffers.
+// A built labeling stores no switch×switch relation. Tree ancestry is an
+// interval test: Relabel numbers the tree's switches in preorder, so each
+// subtree is one range [pre, end) and IsAncestor is two comparisons. The
+// distribution phase's subtree test reads Descendants, one row per switch
+// over all nodes, so its words line up with node-indexed destination sets.
+// Extended ancestry is derived on demand: IsExtendedAncestor walks the
+// down-cross channels for one query, and ExtendedDescendantRows fills the
+// whole switch relation into caller-owned words for the table compiler.
+// A processor's (extended) ancestors are itself plus those of its switch,
+// so both predicates answer for any two nodes. Switch-graph distances are
+// not stored either: SwitchDistances computes one BFS row into caller
+// buffers.
 package updown

@@ -1,8 +1,10 @@
 package updown
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/rng"
 	"repro/internal/topology"
 )
@@ -160,18 +162,105 @@ func TestUpPathsReachRoot(t *testing.T) {
 	}
 }
 
-// Property: extended ancestors are a superset of ancestors (the set
-// accessors range over switches), and the root is an extended ancestor of
-// every node.
+// Property: ancestry implies extended ancestry for every node pair, and the
+// root is an extended ancestor of every node.
 func TestExtendedSupersetProperty(t *testing.T) {
 	for _, l := range randomLabelings(t, 10) {
-		for v := 0; v < l.Net.N(); v++ {
-			if v < l.Net.NumSwitches && !l.ExtendedAncestors(topology.NodeID(v)).Contains(l.Ancestors(topology.NodeID(v))) {
-				t.Fatalf("switch %d: extAnc does not contain anc", v)
+		n := l.Net.N()
+		for v := 0; v < n; v++ {
+			vn := topology.NodeID(v)
+			for u := 0; u < n; u++ {
+				un := topology.NodeID(u)
+				if l.IsAncestor(un, vn) && !l.IsExtendedAncestor(un, vn) {
+					t.Fatalf("n=%d: %d is an ancestor of %d but not an extended ancestor", l.Net.NumSwitches, u, v)
+				}
 			}
-			if !l.IsExtendedAncestor(l.Root, topology.NodeID(v)) {
+			if !l.IsExtendedAncestor(l.Root, vn) {
 				t.Fatalf("root not extended ancestor of %d", v)
 			}
+		}
+	}
+}
+
+// maskedRelabel fails one switch link of l whose loss keeps the switch graph
+// connected, found by trial relabel on a scratch labeling, and relabels l
+// under it.
+func maskedRelabel(t *testing.T, l *Labeling) {
+	t.Helper()
+	net := l.Net
+	probe, err := NewWithRoot(net, l.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask := bitset.New(len(net.Channels))
+	for ci, ch := range net.Channels {
+		if topology.ChannelID(ci) > ch.Reverse || !net.IsSwitch(ch.Src) || !net.IsSwitch(ch.Dst) {
+			continue
+		}
+		mask.Reset()
+		mask.Set(ci)
+		mask.Set(int(ch.Reverse))
+		if probe.Relabel(mask) == nil {
+			if err := l.Relabel(mask); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatal("no link can fail without disconnecting the switches")
+}
+
+// checkExtendedDescendantRows compares every bit of the bulk extended-
+// descendant rows with IsExtendedAncestor's walk, and checks that no bit
+// past the last switch is set.
+func checkExtendedDescendantRows(t *testing.T, label string, l *Labeling) {
+	t.Helper()
+	s := l.Net.NumSwitches
+	nw := (s + 63) / 64
+	rows := make([]uint64, s*nw)
+	for i := range rows {
+		rows[i] = ^uint64(0) // stale words must be overwritten
+	}
+	l.ExtendedDescendantRows(rows, make([]int32, s))
+	for u := 0; u < s; u++ {
+		row := rows[u*nw : (u+1)*nw]
+		for w := 0; w < nw*64; w++ {
+			got := row[w/64]>>uint(w%64)&1 != 0
+			want := w < s && l.IsExtendedAncestor(topology.NodeID(u), topology.NodeID(w))
+			if got != want {
+				t.Fatalf("%s: row %d bit %d is %v, IsExtendedAncestor says %v", label, u, w, got, want)
+			}
+		}
+	}
+}
+
+// Property: the extended-descendant rows the table compiler reads equal
+// IsExtendedAncestor on every switch pair — on random lattices, on every zoo
+// family under every root strategy, and after a fault-masked Relabel. The
+// zoo sizes cover one-word and multi-word rows, and switch counts with and
+// without processor bits in the last switch word.
+func TestExtendedDescendantRowsMatchWalk(t *testing.T) {
+	for i, l := range randomLabelings(t, 10) {
+		checkExtendedDescendantRows(t, fmt.Sprintf("random %d", i), l)
+	}
+	for _, spec := range []string{"lattice:100", "gnm:70+30", "mesh:9x8", "torus:8x8", "hypercube:7", "fattree:4x3"} {
+		sp, err := topology.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := sp.Build(1998)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strat := range []RootStrategy{RootMinID, RootMaxDegree, RootCenter} {
+			label := fmt.Sprintf("%s/%v", spec, strat)
+			l, err := New(net, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExtendedDescendantRows(t, label, l)
+			maskedRelabel(t, l)
+			checkExtendedDescendantRows(t, label+"/masked", l)
 		}
 	}
 }

@@ -82,9 +82,15 @@ func ParseRootStrategy(name string) (RootStrategy, error) {
 // in place for a new mask, reusing every internal allocation, which is the
 // hot-reconfiguration path the fault-injection engine drives.
 //
-// The relations are stored for switches only. A processor is a leaf: its
-// (extended) ancestors are itself plus those of its switch, and it is
-// nobody else's, so it adds no information its switch does not hold.
+// A built labeling holds no switch×switch relation. Tree ancestry is an
+// interval test on a preorder numbering of the spanning tree; the
+// distribution phase reads one descendant row per switch (S rows over all
+// N nodes); extended ancestry is a walk over down-cross channels for one
+// query (IsExtendedAncestor) and, for the table compiler, a word matrix
+// that ExtendedDescendantRows fills into caller-owned storage. A processor
+// is a leaf: its (extended) ancestors are itself plus those of its switch,
+// and it is nobody else's, so it adds no information its switch does not
+// hold.
 type Labeling struct {
 	Net  *topology.Network
 	Root topology.NodeID
@@ -103,31 +109,20 @@ type Labeling struct {
 	// Down marks failed channels (nil or empty = none). Failed channels
 	// keep a nominal class from the level rules (so structural checks keep
 	// working) but are never tree channels, never legal routing candidates
-	// and never contribute to cross-reachability.
+	// and never carry extended ancestry.
 	Down *bitset.Set
 
-	// anc[sw] is the set of switches that are tree ancestors of switch sw,
-	// sw itself included (S rows × S columns).
-	anc []*bitset.Set
-	// desc[sw] is the transpose of anc extended to processors: every node
-	// in the tree subtree rooted at switch sw, sw itself included (S rows
-	// × N columns). desc[sw] ∩ D ≠ ∅ answers "does the subtree rooted at sw
-	// contain a destination?" with a handful of word-level ANDs — the
+	// pre and end number the spanning tree's switches in preorder, so the
+	// subtree of switch u is the switches w with pre[u] ≤ pre[w] < end[u]:
+	// tree ancestry in two comparisons and 8 bytes per switch.
+	pre []int32
+	end []int32
+	// desc[sw] is every node in the tree subtree rooted at switch sw, sw
+	// itself included (S rows × N columns). desc[sw] ∩ D ≠ ∅ answers "does
+	// the subtree rooted at sw contain a destination?" with a handful of
+	// word-level ANDs against a node-indexed destination set — the
 	// precomputed form of the distribution-phase subtree test.
 	desc []*bitset.Set
-	// extAnc[sw] is the set of switches u with a path of zero or more
-	// down-cross channels followed by zero or more down-tree channels from
-	// u to sw (S × S).
-	extAnc []*bitset.Set
-	// extDesc[sw] is the transpose of extAnc: the switches sw is an
-	// extended ancestor of (S × S). Table compilation streams its words to
-	// test extended-ancestor legality for one channel endpoint across a
-	// whole block of LCAs at once (the desc-to-anc trick, applied to
-	// extAnc).
-	extDesc []*bitset.Set
-	// crossReach[sw] is the set of switches that reach sw using only
-	// down-cross channels, sw included (S × S).
-	crossReach []*bitset.Set
 
 	// liveOff/liveNbrs is the live (non-failed) switch graph in CSR form:
 	// the neighbors of switch sw are liveNbrs[liveOff[sw]:liveOff[sw+1]],
@@ -291,11 +286,8 @@ func (l *Labeling) Relabel(down *bitset.Set) error {
 		slices.Sort(chans)
 	}
 
-	l.buildAncestors()
+	l.buildIntervals()
 	l.buildDescendants()
-	l.buildCrossReach()
-	l.buildExtendedAncestors()
-	l.buildExtendedDescendants()
 	return nil
 }
 
@@ -313,17 +305,11 @@ func (l *Labeling) ensureStorage() {
 	l.ChildChans = make([][]topology.ChannelID, total)
 	l.ClassOf = make([]Class, len(net.Channels))
 	l.Down = bitset.New(len(net.Channels))
-	l.anc = make([]*bitset.Set, s)
+	l.pre = make([]int32, s)
+	l.end = make([]int32, s)
 	l.desc = make([]*bitset.Set, s)
-	l.extAnc = make([]*bitset.Set, s)
-	l.extDesc = make([]*bitset.Set, s)
-	l.crossReach = make([]*bitset.Set, s)
 	for sw := 0; sw < s; sw++ {
-		l.anc[sw] = bitset.New(s)
 		l.desc[sw] = bitset.New(total)
-		l.extAnc[sw] = bitset.New(s)
-		l.extDesc[sw] = bitset.New(s)
-		l.crossReach[sw] = bitset.New(s)
 	}
 	links := 0
 	for sw := 0; sw < s; sw++ {
@@ -396,84 +382,92 @@ func pickRoot(net *topology.Network, strategy RootStrategy) (topology.NodeID, er
 	return 0, fmt.Errorf("updown: unknown root strategy %v", strategy)
 }
 
-// buildAncestors fills anc[sw] = {sw} ∪ anc[Parent[sw]], walking the
-// switches in BFS order so every parent's row is complete before its
-// children read it.
-func (l *Labeling) buildAncestors() {
+// buildIntervals numbers the spanning tree's switches in preorder: a
+// reverse pass over the BFS order (children after parents) sums subtree
+// sizes into end, then a forward pass places each switch's range inside its
+// parent's. During the forward pass end[p] of an already placed switch is
+// the next free number in its range; once all of p's children are placed it
+// has advanced to the end of that range.
+func (l *Labeling) buildIntervals() {
 	for _, v := range l.queue {
-		s := l.anc[v]
-		s.Reset()
-		s.Set(int(v))
+		l.end[v] = 1
+	}
+	for i := len(l.queue) - 1; i > 0; i-- {
+		v := l.queue[i]
+		l.end[l.Parent[v]] += l.end[v]
+	}
+	for _, v := range l.queue {
+		size := l.end[v]
+		l.pre[v] = 0
 		if p := l.Parent[v]; p >= 0 {
-			s.Or(l.anc[p])
+			l.pre[v] = l.end[p]
+			l.end[p] += size
 		}
+		l.end[v] = l.pre[v] + 1
 	}
 }
 
-// buildDescendants materializes the transpose of the ancestor relation over
-// all nodes: desc[u] = {v : u is an ancestor of v}, where a processor's
-// ancestors are those of its switch. Cost is O(N · depth) set bits.
+// buildDescendants fills desc[u] = {v : u is a tree ancestor of v} by
+// walking the Parent chain from every node's switch. Cost is O(N · depth)
+// set bits.
 func (l *Labeling) buildDescendants() {
 	net := l.Net
 	for _, d := range l.desc {
 		d.Reset()
 	}
 	for v := 0; v < net.N(); v++ {
-		// NextSet iteration instead of ForEach: no closure, so Relabel
-		// stays allocation-free.
-		a := l.anc[net.SwitchOf(topology.NodeID(v))]
-		for u := a.NextSet(0); u >= 0; u = a.NextSet(u + 1) {
+		for u := net.SwitchOf(topology.NodeID(v)); u >= 0; u = l.Parent[u] {
 			l.desc[u].Set(v)
 		}
 	}
 }
 
-// buildCrossReach computes crossReach[w], the switches that reach w over
-// zero or more live down-cross channels, as the least fixed point of
-// crossReach[w] ⊇ {w} ∪ crossReach[u] for every live down-cross channel u→w.
-func (l *Labeling) buildCrossReach() {
-	for w, s := range l.crossReach {
-		s.Reset()
-		s.Set(w)
+// ExtendedDescendantRows fills rows with the extended-descendant relation
+// over switches: bit w of row u (words rows[u·W : (u+1)·W], W = ⌈S/64⌉) is
+// set when switch u is an extended ancestor of switch w. rows needs S·W
+// words and order S entries of scratch; both belong to the caller, so the
+// call allocates nothing. Each row is the recurrence
+//
+//	row(u) = subtree(u) ∪ ⋃ row(w) over the live down-cross channels u→w,
+//
+// evaluated in descending (level, id) order: a down-cross channel strictly
+// ascends that order, so every row it reads is complete.
+func (l *Labeling) ExtendedDescendantRows(rows []uint64, order []int32) {
+	net := l.Net
+	s := net.NumSwitches
+	nw := (s + 63) / 64
+	// The BFS order is sorted by level; sorting each level's run by ID
+	// gives ascending (level, id).
+	copy(order, l.queue)
+	for i := 0; i < s; {
+		j := i + 1
+		for j < s && l.Level[order[j]] == l.Level[order[i]] {
+			j++
+		}
+		slices.Sort(order[i:j])
+		i = j
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := range l.Net.Channels {
-			if l.ClassOf[i] != DownCross || l.Down.Test(i) {
+	// The last switch word of a descendant row also holds processor bits.
+	tail := ^uint64(0)
+	if r := s % 64; r != 0 {
+		tail = 1<<uint(r) - 1
+	}
+	for i := s - 1; i >= 0; i-- {
+		u := order[i]
+		row := rows[int(u)*nw : (int(u)+1)*nw]
+		d := l.desc[u]
+		for k := range row {
+			row[k] = d.Word(k)
+		}
+		row[nw-1] &= tail
+		for _, c := range net.Out(topology.NodeID(u)) {
+			if l.ClassOf[c] != DownCross || l.Down.Test(int(c)) {
 				continue
 			}
-			ch := &l.Net.Channels[i]
-			before := l.crossReach[ch.Dst].Count()
-			l.crossReach[ch.Dst].Or(l.crossReach[ch.Src])
-			if l.crossReach[ch.Dst].Count() != before {
-				changed = true
+			w := int(net.Chan(c).Dst)
+			for k, x := range rows[w*nw : (w+1)*nw] {
+				row[k] |= x
 			}
-		}
-	}
-}
-
-// buildExtendedAncestors computes extAnc[v] = ⋃_{w ∈ anc[v]} crossReach[w]:
-// u is an extended ancestor of v iff u reaches some tree ancestor w of v via
-// down-cross channels only, then w reaches v via down-tree channels.
-func (l *Labeling) buildExtendedAncestors() {
-	for v, s := range l.extAnc {
-		s.Reset()
-		for w := l.anc[v].NextSet(0); w >= 0; w = l.anc[v].NextSet(w + 1) {
-			s.Or(l.crossReach[w])
-		}
-	}
-}
-
-// buildExtendedDescendants materializes the transpose of the extended-
-// ancestor relation, exactly as buildDescendants does for anc. Cost is
-// O(Σ|extAnc[v]|) set bits.
-func (l *Labeling) buildExtendedDescendants() {
-	for _, d := range l.extDesc {
-		d.Reset()
-	}
-	for v, a := range l.extAnc {
-		for u := a.NextSet(0); u >= 0; u = a.NextSet(u + 1) {
-			l.extDesc[u].Set(v)
 		}
 	}
 }
@@ -491,28 +485,55 @@ func (l *Labeling) DownChannels() *bitset.Set { return l.Down }
 // a path of zero or more down-tree channels from u to v. Either node may be
 // a processor.
 func (l *Labeling) IsAncestor(u, v topology.NodeID) bool {
-	return l.relates(l.anc, u, v)
+	if u == v {
+		return true
+	}
+	if !l.Net.IsSwitch(u) {
+		return false
+	}
+	w := l.Net.SwitchOf(v)
+	return l.pre[u] <= l.pre[w] && l.pre[w] < l.end[u]
 }
 
 // IsExtendedAncestor reports whether u is a (reflexive) extended ancestor of
 // v: a path of zero or more down-cross channels followed by zero or more
-// down-tree channels leads from u to v. Either node may be a processor.
+// down-tree channels leads from u to v. Either node may be a processor. It
+// walks the live down-cross channels from u and stops at the first switch
+// that is a tree ancestor of v; a switch deeper than v's is not followed,
+// since down-cross channels never lead to a shallower level. The walk
+// allocates its visited set: it answers one query, for the reference router
+// and the checkers; the table compiler reads ExtendedDescendantRows instead.
 func (l *Labeling) IsExtendedAncestor(u, v topology.NodeID) bool {
-	return l.relates(l.extAnc, u, v)
-}
-
-// relates answers a reflexive switch relation at node level: a processor is
-// related only to itself as u, and as v inherits its switch's row.
-func (l *Labeling) relates(rel []*bitset.Set, u, v topology.NodeID) bool {
 	if u == v {
 		return true
 	}
-	return l.Net.IsSwitch(u) && rel[l.Net.SwitchOf(v)].Test(int(u))
+	net := l.Net
+	if !net.IsSwitch(u) {
+		return false
+	}
+	target := net.SwitchOf(v)
+	seen := bitset.New(net.NumSwitches)
+	seen.Set(int(u))
+	stack := []topology.NodeID{u}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if l.IsAncestor(x, target) {
+			return true
+		}
+		for _, c := range net.Out(x) {
+			if l.ClassOf[c] != DownCross || l.Down.Test(int(c)) {
+				continue
+			}
+			w := net.Chan(c).Dst
+			if !seen.Test(int(w)) && l.Level[w] <= l.Level[target] {
+				seen.Set(int(w))
+				stack = append(stack, w)
+			}
+		}
+	}
+	return false
 }
-
-// Ancestors returns the (reflexive) ancestor set of switch v, a set over
-// switches. v must be a switch. Shared; do not mutate.
-func (l *Labeling) Ancestors(v topology.NodeID) *bitset.Set { return l.anc[v] }
 
 // Descendants returns the (reflexive) descendant set of switch v — every
 // node, processors included, in the tree subtree rooted at v. v must be a
@@ -525,15 +546,6 @@ func (l *Labeling) Descendants(v topology.NodeID) *bitset.Set { return l.desc[v]
 func (l *Labeling) SubtreeIntersects(v topology.NodeID, set *bitset.Set) bool {
 	return l.desc[v].Intersects(set)
 }
-
-// ExtendedAncestors returns the (reflexive) extended-ancestor set of switch
-// v, a set over switches. v must be a switch. Shared; do not mutate.
-func (l *Labeling) ExtendedAncestors(v topology.NodeID) *bitset.Set { return l.extAnc[v] }
-
-// ExtendedDescendants returns the transpose view: the set of switches that
-// switch v is an extended ancestor of. v must be a switch. Shared; do not
-// mutate.
-func (l *Labeling) ExtendedDescendants(v topology.NodeID) *bitset.Set { return l.extDesc[v] }
 
 // LCA returns the least (deepest) common tree ancestor of a and b.
 func (l *Labeling) LCA(a, b topology.NodeID) topology.NodeID {
@@ -585,9 +597,11 @@ func (l *Labeling) Depth(v topology.NodeID) int32 { return l.Level[v] }
 //  3. the combined down sub-network (down-tree ∪ down-cross) is acyclic;
 //  4. down-tree channels form the spanning tree (n-1 switch tree channels
 //     plus one per processor);
-//  5. ancestor implies extended ancestor;
-//  6. the descendant sets are the exact transpose of the ancestor sets, and
-//     the extended-descendant sets of the extended-ancestor sets.
+//  5. the preorder intervals agree with Parent: the root's is [0, S), and
+//     each switch's nests in its parent's, disjoint from its siblings', with
+//     the sizes adding up;
+//  6. every descendant row holds exactly the nodes whose switch lies in its
+//     switch's interval.
 func (l *Labeling) Verify() error {
 	net := l.Net
 	// (2) and (3): topological order by (level, id) with direction checks.
@@ -622,22 +636,51 @@ func (l *Labeling) Verify() error {
 	if treeCount != want {
 		return fmt.Errorf("updown: %d tree-parent channels, want %d", treeCount, want)
 	}
-	// (5) anc ⊆ extAnc.
-	for v := range l.anc {
-		if !l.extAnc[v].Contains(l.anc[v]) {
-			return fmt.Errorf("updown: switch %d: ancestors not contained in extended ancestors", v)
+	// (5) Walking the switches in preorder, each child's interval must
+	// start where its previous sibling's ended (or just after its parent's
+	// own number), and each switch's must end where its last child's did.
+	s := net.NumSwitches
+	byPre := make([]int32, s)
+	for i := range byPre {
+		byPre[i] = -1
+	}
+	for v := 0; v < s; v++ {
+		lo, hi := l.pre[v], l.end[v]
+		if lo < 0 || lo >= hi || hi > int32(s) || byPre[lo] >= 0 {
+			return fmt.Errorf("updown: switch %d: interval [%d,%d) is out of range or shares its start", v, lo, hi)
+		}
+		byPre[lo] = int32(v)
+	}
+	if l.pre[l.Root] != 0 || l.end[l.Root] != int32(s) {
+		return fmt.Errorf("updown: root %d: interval [%d,%d), want [0,%d)", l.Root, l.pre[l.Root], l.end[l.Root], s)
+	}
+	// next[u] is where u's next child must start (-1 until u is reached).
+	next := make([]int32, s)
+	for i := range next {
+		next[i] = -1
+	}
+	for _, v := range byPre {
+		next[v] = l.pre[v] + 1
+		if topology.NodeID(v) == l.Root {
+			continue
+		}
+		p := l.Parent[v]
+		if !net.IsSwitch(p) || l.pre[v] != next[p] {
+			return fmt.Errorf("updown: switch %d: interval [%d,%d) does not follow its siblings inside parent %d", v, l.pre[v], l.end[v], p)
+		}
+		next[p] = l.end[v]
+	}
+	for v := 0; v < s; v++ {
+		if next[v] != l.end[v] {
+			return fmt.Errorf("updown: switch %d: children's intervals end at %d, its own at %d", v, next[v], l.end[v])
 		}
 	}
-	// (6) desc is the exact transpose of anc (a processor column reading
-	// its switch's ancestors), and extDesc of extAnc.
+	// (6) desc against interval ancestry (a processor column reading its
+	// switch's interval).
 	for v := 0; v < net.N(); v++ {
-		sw := int(net.SwitchOf(topology.NodeID(v)))
 		for u := range l.desc {
-			if l.anc[sw].Test(u) != l.desc[u].Test(v) {
-				return fmt.Errorf("updown: descendant sets are not the transpose of ancestor sets at (u=%d, v=%d)", u, v)
-			}
-			if v < net.NumSwitches && l.extAnc[v].Test(u) != l.extDesc[u].Test(v) {
-				return fmt.Errorf("updown: extended-descendant sets are not the transpose of extended-ancestor sets at (u=%d, v=%d)", u, v)
+			if l.IsAncestor(topology.NodeID(u), topology.NodeID(v)) != l.desc[u].Test(v) {
+				return fmt.Errorf("updown: descendant row of switch %d disagrees with the tree intervals at node %d", u, v)
 			}
 		}
 	}

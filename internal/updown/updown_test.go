@@ -242,31 +242,72 @@ func TestClassString(t *testing.T) {
 	}
 }
 
-// TestNewFootprint guards what one labeling build allocates. The relations
-// range over switches (one S×N descendant relation, four S×S) and no
-// distance matrix is kept, so torus:16x16/64 — 256 switches, 16,384
-// processors — builds in about 1.5 MiB. Relations over all N nodes would
-// allocate ~187 MiB here.
+// TestVerifyCatchesCorruption corrupts one preorder interval or one
+// descendant row of a correct labeling and expects Verify to refuse it.
+// Figure 1's tree numbers 0:[0,6) 1:[1,2) 2:[2,6) 3:[3,6) 4:[4,5) 5:[5,6).
+func TestVerifyCatchesCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(l *Labeling)
+	}{
+		{"leaf interval overlaps its sibling", func(l *Labeling) { l.end[4] = 6 }},
+		{"two intervals share a start", func(l *Labeling) { l.pre[5] = 4 }},
+		{"interval ends before its children's", func(l *Labeling) { l.end[3] = 5 }},
+		{"root interval short of every switch", func(l *Labeling) { l.end[0] = 5 }},
+		{"descendant row gains a node outside the subtree", func(l *Labeling) { l.desc[1].Set(7) }},
+		{"descendant row loses a processor", func(l *Labeling) { l.desc[3].Clear(10) }},
+	} {
+		l := fig1Labeling(t)
+		if err := l.Verify(); err != nil {
+			t.Fatalf("%s: before corruption: %v", tc.name, err)
+		}
+		tc.corrupt(l)
+		if err := l.Verify(); err == nil {
+			t.Errorf("%s: Verify accepted the corrupted labeling", tc.name)
+		} else {
+			t.Logf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestNewFootprint guards what one labeling build allocates. A built
+// labeling holds no switch×switch relation: its S×N descendant rows, tree
+// intervals and per-node arrays only, and no distance matrix. Storing
+// ancestor, extended-ancestor, extended-descendant and cross-reach rows
+// over all switch pairs put lattice:1024 at ~1.06 MiB and fattree:8x4 at
+// ~4.28 MiB, so the two switch-heavy cases fail with them. torus:16x16/64 —
+// 256 switches, 16,384 processors — guards the processor dimension:
+// relations over all N nodes would allocate ~187 MiB there.
 func TestNewFootprint(t *testing.T) {
-	sp, err := topology.ParseSpec("torus:16x16/64")
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		spec     string
+		limitMiB float64
+	}{
+		{"torus:16x16/64", 8},
+		{"lattice:1024", 0.6},
+		{"fattree:8x4", 2.5},
+	} {
+		sp, err := topology.ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := sp.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		l, err := New(net, RootMinID)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		t.Logf("New(%s) allocated %.3f MiB", tc.spec, got)
+		if got >= tc.limitMiB {
+			t.Errorf("New(%s) allocated %.3f MiB, want < %g MiB", tc.spec, got, tc.limitMiB)
+		}
+		runtime.KeepAlive(l)
 	}
-	net, err := sp.Build(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	l, err := New(net, RootMinID)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const limit = 8 << 20
-	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
-		t.Fatalf("New(torus:16x16/64) allocated %.1f MiB, want < %d MiB", float64(got)/(1<<20), limit>>20)
-	}
-	runtime.KeepAlive(l)
 }
