@@ -424,7 +424,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkRoutingDecision measures one SPAM routing-function evaluation
-// (the per-header hot path): a compiled-table candidate lookup.
+// (the per-header hot path): a compiled-table candidate lookup into a reused
+// buffer, as the simulator makes it. It stays at 0 allocs/op.
 func BenchmarkRoutingDecision(b *testing.B) {
 	sys, err := NewLattice(128, WithSeed(7))
 	if err != nil {
@@ -432,12 +433,15 @@ func BenchmarkRoutingDecision(b *testing.B) {
 	}
 	r := sys.Router()
 	lcas := sys.Switches()
+	buf := make([]topology.ChannelID, 0, 16)
+	b.ReportAllocs()
 	b.ResetTimer()
 	var sink int
 	for i := 0; i < b.N; i++ {
 		at := lcas[i%len(lcas)]
 		lca := lcas[(i*7+3)%len(lcas)]
-		sink += len(r.CandidateChannels(at, 1 /* up arrival */, lca))
+		buf = r.AppendCandidateChannels(buf[:0], at, core.ArriveUp, lca)
+		sink += len(buf)
 	}
 	_ = sink
 }
@@ -464,8 +468,9 @@ func BenchmarkRoutingDecisionReference(b *testing.B) {
 // BenchmarkPolicyRoutingDecision measures the full warm per-header decision
 // of each routing-policy family — the baseline candidate row plus, for the
 // armed families, the extras row the engine scans when every candidate is
-// busy. The policy dimension must cost nothing when disarmed and one extra
-// compiled-row read when armed; all three stay 0 allocs/op.
+// busy, each read into a reused buffer. The policy dimension must cost
+// nothing when disarmed and one extra compiled-row read when armed; all
+// three stay 0 allocs/op.
 func BenchmarkPolicyRoutingDecision(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -482,18 +487,18 @@ func BenchmarkPolicyRoutingDecision(b *testing.B) {
 			}
 			r := sys.Router()
 			lcas := sys.Switches()
+			buf := make([]topology.ChannelID, 0, 16)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var sink int
 			for i := 0; i < b.N; i++ {
 				at := lcas[i%len(lcas)]
 				lca := lcas[(i*7+3)%len(lcas)]
-				sink += len(r.CandidateChannels(at, core.ArriveDownTree, lca))
-				switch tc.pol {
-				case PolicyMisroute:
-					sink += len(r.DerouteChannels(at, core.ArriveDownTree, lca))
-				case PolicyDuato:
-					sink += len(r.AdaptiveChannels(at, core.ArriveDownTree, lca))
+				buf = r.AppendCandidateChannels(buf[:0], at, core.ArriveDownTree, lca)
+				sink += len(buf)
+				if tc.pol != PolicyBaseline {
+					buf = r.AppendExtrasChannels(buf[:0], at, core.ArriveDownTree, lca)
+					sink += len(buf)
 				}
 			}
 			_ = sink
@@ -668,14 +673,15 @@ func BenchmarkFaultStormTrial(b *testing.B) {
 // topology spec names — the network serve admits for that spec. The
 // reported MiB/tables and x/compression metrics are what /healthz and the
 // campaign reports surface for the same network. fattree:16x4 (16384
-// switches, 65536 processors) allocates 1,594,925,064 B in 56,936
-// allocations per op and peaks at 1.52 GiB RSS (one op, 48 s, on a 2-vCPU
+// switches, 65536 processors) allocates 1,344,411,040 B in 52,765
+// allocations per op and peaks at 1.28 GiB RSS (one op, 25 s, on a 2-vCPU
 // Xeon VM): the compiler's transient 4·S² distance scratch (1 GiB) and
 // S²/8 extended-descendant scratch (32 MiB), the labeling's S·N/8
-// descendant rows (160 MiB), 39.0 MiB of tables (476x under the dense
-// layout), and the table pools' growth. CI's scale smoke fails when its
-// MiB/tables exceeds 48 or its B/op exceeds 1.65e9. The 62500-switch cell
-// is gated behind -benchlarge (its distance scratch alone is ~15 GiB).
+// descendant rows (160 MiB), 8.75 MiB of tables (2120x under the dense
+// layout; 8.49 MiB of it column page vectors), and the table pools'
+// growth. CI's scale smoke fails when its MiB/tables exceeds 12 or its
+// B/op exceeds 1.65e9. The 62500-switch cell is gated behind -benchlarge
+// (its distance scratch alone is ~15 GiB).
 func BenchmarkLargeFatTreeCompile(b *testing.B) {
 	cases := []string{
 		"fattree:8x4",  // 2048 switches: the pre-PR7 comfort zone

@@ -73,12 +73,15 @@ func (r *Router) appendPhase1Path(dst []topology.ChannelID, src, lcaSwitch topol
 	arrival := ArriveInjection
 	guard := 0
 	for at != lcaSwitch {
-		cands := r.CandidateChannels(at, arrival, lcaSwitch)
-		if len(cands) == 0 {
+		// Append the candidate row and keep its first channel, the one a
+		// header takes when every channel is free.
+		n := len(dst)
+		dst = r.AppendCandidateChannels(dst, at, arrival, lcaSwitch)
+		if len(dst) == n {
 			return nil, fmt.Errorf("core: no legal output at switch %d toward LCA %d (arrival %v)", at, lcaSwitch, arrival)
 		}
-		c := cands[0]
-		dst = append(dst, c)
+		dst = dst[:n+1]
+		c := dst[n]
 		at = r.Net.Chan(c).Dst
 		arrival = ArrivalOf(r.Lab.ClassOf[c])
 		if guard++; guard > 4*r.Net.N() {

@@ -123,8 +123,9 @@ func candsMatch(got []topology.ChannelID, want []Candidate) bool {
 }
 
 // TestAdaptiveDecisionZeroAlloc guards the hot path: once the policy tables
-// are compiled, reading a cell's baseline, deroute and adaptive rows — the
-// whole per-header adaptive routing decision — performs zero allocations.
+// are compiled, reading a cell's baseline and extras rows into a reused
+// buffer — the whole per-header adaptive routing decision — performs zero
+// allocations.
 // The engine calls these on every blocked header retry, so a single
 // allocation here would dominate congested trials.
 func TestAdaptiveDecisionZeroAlloc(t *testing.T) {
@@ -157,10 +158,12 @@ func TestAdaptiveDecisionZeroAlloc(t *testing.T) {
 		t.Fatal("gnm:24+12 seed 1998 has no populated extras cell — pick another seed")
 	}
 	var sink int
+	buf := make([]topology.ChannelID, 0, 16)
 	if n := testing.AllocsPerRun(1000, func() {
-		sink += len(r.CandidateChannels(atN, ArriveDownTree, lcaN))
-		sink += len(r.DerouteChannels(atN, ArriveDownTree, lcaN))
-		sink += len(r.AdaptiveChannels(atN, ArriveDownTree, lcaN))
+		buf = r.AppendCandidateChannels(buf[:0], atN, ArriveDownTree, lcaN)
+		sink += len(buf)
+		buf = r.AppendExtrasChannels(buf[:0], atN, ArriveDownTree, lcaN)
+		sink += len(buf)
 	}); n != 0 {
 		t.Fatalf("adaptive routing decision allocates %.1f/op, want 0", n)
 	}

@@ -101,9 +101,10 @@ func NewRouter(lab *updown.Labeling) *Router {
 
 // NewRouterPolicy builds a SPAM router with compiled routing tables for the
 // given routing policy. Non-baseline policies additionally compile the
-// extras rows (DerouteChannels, AdaptiveChannels); the baseline candidate
-// rows are identical across policies. The tables index each switch's LCA
-// classes with uint16s: a network of at most 65536 switches
+// extras rows (AppendExtrasChannels); the baseline candidate rows are
+// identical across policies. The tables write rows as out-ports, so rows and
+// class tables are shared across switches, and index each switch's LCA
+// classes with at most 16 bits: a network of at most 65536 switches
 // (topology.MaxAdmittedSwitches) always fits, and a larger one whose switch
 // needs more than 65536 classes panics the compile rather than truncate.
 func NewRouterPolicy(lab *updown.Labeling, pol Policy) *Router {
@@ -163,7 +164,7 @@ type Candidate struct {
 // at == lcaSwitch is the caller's signal to switch to distribution.
 //
 // The returned slice is freshly allocated; the allocation-free hot-path
-// variant is CandidateChannels.
+// variant is AppendCandidateChannels.
 func (r *Router) CandidateOutputs(at topology.NodeID, arrival ArrivalClass, lcaSwitch topology.NodeID) []Candidate {
 	if r.tab == nil {
 		return r.ReferenceCandidateOutputs(at, arrival, lcaSwitch)
@@ -171,7 +172,7 @@ func (r *Router) CandidateOutputs(at topology.NodeID, arrival ArrivalClass, lcaS
 	if !r.Net.IsSwitch(at) {
 		panic(fmt.Sprintf("core: CandidateOutputs at non-switch %d", at))
 	}
-	row := r.tab.candidates(arrival, at, lcaSwitch)
+	row := r.AppendCandidateChannels(nil, at, arrival, lcaSwitch)
 	dist := r.distancesTo(lcaSwitch)
 	out := make([]Candidate, len(row))
 	for i, c := range row {
@@ -190,24 +191,28 @@ func (r *Router) distancesTo(lca topology.NodeID) []int32 {
 	return dist
 }
 
-// CandidateChannels is the zero-allocation form of CandidateOutputs: the
-// channels of the candidate list in selection order, without the distance
-// keys (the order already encodes them). With tables the returned slice
-// aliases the compiled arena and MUST NOT be mutated; in reference mode it is
-// freshly computed (and allocates — reference mode is the debug path).
+// CandidateChannels returns the channels of the candidate list in selection
+// order, without the distance keys (the order already encodes them), in a
+// freshly allocated slice; the allocation-free hot-path variant is
+// AppendCandidateChannels.
 func (r *Router) CandidateChannels(at topology.NodeID, arrival ArrivalClass, lcaSwitch topology.NodeID) []topology.ChannelID {
-	if r.tab != nil {
-		if !r.Net.IsSwitch(at) {
-			panic(fmt.Sprintf("core: CandidateChannels at non-switch %d", at))
-		}
-		return r.tab.candidates(arrival, at, lcaSwitch)
+	return r.AppendCandidateChannels(nil, at, arrival, lcaSwitch)
+}
+
+// AppendCandidateChannels appends the channels of the candidate list for
+// (at, arrival, lca) to dst in selection order and returns the extended
+// slice. With tables it translates the row's out-ports through Net.Out(at)
+// and, given capacity in dst, performs no allocation; in reference mode the
+// list is freshly computed (and allocates — reference mode is the debug
+// path).
+func (r *Router) AppendCandidateChannels(dst []topology.ChannelID, at topology.NodeID, arrival ArrivalClass, lcaSwitch topology.NodeID) []topology.ChannelID {
+	if r.tab == nil {
+		return appendChannels(dst, r.ReferenceCandidateOutputs(at, arrival, lcaSwitch))
 	}
-	cands := r.ReferenceCandidateOutputs(at, arrival, lcaSwitch)
-	out := make([]topology.ChannelID, len(cands))
-	for i, cand := range cands {
-		out[i] = cand.Channel
+	if !r.Net.IsSwitch(at) {
+		panic(fmt.Sprintf("core: CandidateChannels at non-switch %d", at))
 	}
-	return out
+	return r.tab.appendRow(dst, r.Net.Out(at), classIndex(arrival), int(at), int(lcaSwitch))
 }
 
 // ReferenceCandidateOutputs is the original compute-per-event routing
@@ -270,20 +275,10 @@ func (r *Router) ReferenceCandidateOutputs(at topology.NodeID, arrival ArrivalCl
 // every policy family's dependency relation — and its escape subrelation —
 // acyclic.
 //
-// The row is empty for PolicyBaseline routers. With tables the returned
-// slice aliases the compiled arena and MUST NOT be mutated; in reference
-// mode it is freshly computed.
+// The row is empty for PolicyBaseline routers. The returned slice is freshly
+// allocated; the allocation-free hot-path variant is AppendExtrasChannels.
 func (r *Router) DerouteChannels(at topology.NodeID, arrival ArrivalClass, lcaSwitch topology.NodeID) []topology.ChannelID {
-	if r.pol == PolicyBaseline {
-		return nil
-	}
-	if r.tab != nil {
-		if !r.Net.IsSwitch(at) {
-			panic(fmt.Sprintf("core: DerouteChannels at non-switch %d", at))
-		}
-		return r.tab.extras(arrival, at, lcaSwitch)
-	}
-	return channelsOf(r.ReferenceDerouteOutputs(at, arrival, lcaSwitch))
+	return r.AppendExtrasChannels(nil, at, arrival, lcaSwitch)
 }
 
 // AdaptiveChannels returns the adaptive-extras row for (at, arrival, lca):
@@ -298,31 +293,40 @@ func (r *Router) DerouteChannels(at topology.NodeID, arrival ArrivalClass, lcaSw
 // down-cross channel — down channels strictly ascend the labeling's
 // (level, id) order, so any worm's path length is bounded without a budget.
 //
-// The row is empty for PolicyBaseline routers. With tables the returned
-// slice aliases the compiled arena and MUST NOT be mutated; in reference
-// mode it is freshly computed.
+// The row is empty for PolicyBaseline routers. The returned slice is freshly
+// allocated; the allocation-free hot-path variant is AppendExtrasChannels.
 func (r *Router) AdaptiveChannels(at topology.NodeID, arrival ArrivalClass, lcaSwitch topology.NodeID) []topology.ChannelID {
-	if r.pol == PolicyBaseline {
-		return nil
-	}
-	if r.tab != nil {
-		if !r.Net.IsSwitch(at) {
-			panic(fmt.Sprintf("core: AdaptiveChannels at non-switch %d", at))
-		}
-		return r.tab.extras(arrival, at, lcaSwitch)
-	}
-	return channelsOf(r.ReferenceAdaptiveOutputs(at, arrival, lcaSwitch))
+	return r.AppendExtrasChannels(nil, at, arrival, lcaSwitch)
 }
 
-func channelsOf(cands []Candidate) []topology.ChannelID {
-	if len(cands) == 0 {
-		return nil
+// AppendExtrasChannels appends the extras row for (at, arrival, lca) — the
+// one row DerouteChannels and AdaptiveChannels both return — to dst and
+// returns the extended slice. Only down-tree arrivals of policy routers have
+// extras; every other query appends nothing. With tables the call performs
+// no allocation given capacity in dst; in reference mode the row is freshly
+// computed.
+func (r *Router) AppendExtrasChannels(dst []topology.ChannelID, at topology.NodeID, arrival ArrivalClass, lcaSwitch topology.NodeID) []topology.ChannelID {
+	if r.pol == PolicyBaseline {
+		return dst
 	}
-	out := make([]topology.ChannelID, len(cands))
-	for i, cand := range cands {
-		out[i] = cand.Channel
+	if r.tab == nil {
+		return appendChannels(dst, r.referenceExtras(at, arrival, lcaSwitch))
 	}
-	return out
+	if !r.Net.IsSwitch(at) {
+		panic(fmt.Sprintf("core: extras at non-switch %d", at))
+	}
+	if arrival != ArriveDownTree {
+		return dst
+	}
+	return r.tab.appendRow(dst, r.Net.Out(at), numClasses, int(at), int(lcaSwitch))
+}
+
+// appendChannels appends the channels of a candidate list to dst.
+func appendChannels(dst []topology.ChannelID, cands []Candidate) []topology.ChannelID {
+	for _, cand := range cands {
+		dst = append(dst, cand.Channel)
+	}
+	return dst
 }
 
 // ReferenceDerouteOutputs is the compute-per-event specification of the

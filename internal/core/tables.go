@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/topology"
@@ -12,10 +14,10 @@ import (
 // functions — the software analogue of the routing tables the paper's
 // hardware router would hold. Where the reference implementation filters,
 // allocates and sorts a fresh candidate list on every header arrival, Tables
-// answers the same query with a short chain of index loads and a slice of a
-// shared arena: candidates(class, at, lca) is the exact slice Reference-
-// CandidateOutputs would produce (same channels, same (DistToLCA, ChannelID)
-// order).
+// answers the same query with a short chain of index loads and a copy of one
+// arena row: the (arrival, at, lca) row lists exactly the channels
+// ReferenceCandidateOutputs would produce, in the same (DistToLCA, ChannelID)
+// order.
 //
 // Memory model. Earlier revisions indexed rows through a dense
 // numClasses × switches × switches array of 8-byte (offset, length)
@@ -23,27 +25,34 @@ import (
 // single candidate is stored. The index is now compressed by naming, per
 // switch, the few LCA classes its rows fall into, and by structural sharing
 // of everything else, the way decision diagrams merge nodes that behave
-// alike and label their edges once:
+// alike once their edges carry local labels:
 //
-//	sw[at] ──▶ (col, base)
+//	sw[at] ──▶ (col, base, bits)
 //	col  + lca/64 ──▶ colPages: page offset
-//	page + lca%64 ──▶ pages: class index (uint16, local to the switch)
+//	page + lca%64·bits ──▶ pages: class index (bits wide, local to the switch)
 //	base + class·width + k ──▶ classes: (off, n) into arena
+//	arena[off:off+n] ──▶ out-ports, each an index into Net.Out(at)
 //
-// An LCA class of switch at is a set of LCAs that get the same rows for
-// every arrival class. A switch numbers its classes in order of first
-// occurrence along the LCA axis, so its one column of class indices depends
-// only on how the LCAs partition, and switches that partition alike — most
-// of a regular family — share the column. The class table holds width row
+// A row names the switch's own output ports, as the paper's router does —
+// "port 3, then port 5" — not global channel IDs, so a row is the same at
+// every switch that sees the same situation, and rows intern across all
+// switches. An LCA class of switch at is a set of LCAs that get the same rows
+// for every arrival class. A switch numbers its classes in order of first
+// occurrence along the LCA axis, so its column of class indices depends only
+// on how the LCAs partition, and switches that partition alike — most of a
+// regular family — share the column. The class table holds width row
 // references per class: the numClasses legality rows, then for policy tables
-// the extras row. Rows with identical candidate lists share one arena range;
-// 64-LCA pages with identical class vectors share one page; identical
-// columns share one colPages range. Every level is deduplicated by FNV hash
-// with content verification, so correctness never depends on hash
-// uniqueness. A switch has at most S classes, so a uint16 class index covers
-// S ≤ 65536 (topology.MaxAdmittedSwitches); the compiler panics rather than
-// truncate past that. A lookup is four dependent loads (switch ref, page
-// base, class index, class row) and the arena slice.
+// the extras row; switches whose classes carry the same port rows share one
+// class table. A switch with n classes stores its class indices at the
+// power-of-two width that holds n−1 (0, 1, 2, 4, 8 or 16 bits), so a 64-LCA
+// page is that many words; a one-class switch stores none and reads the
+// pool's leading zero word. Rows, pages, class tables and columns are each
+// deduplicated by FNV hash with content verification, so correctness never
+// depends on hash uniqueness. A switch has at most S classes, so a 16-bit
+// class index covers S ≤ 65536 (topology.MaxAdmittedSwitches); the compiler
+// panics rather than truncate past that. A lookup is four dependent loads
+// (switch ref, page base, page word, class row), then the row's ports,
+// translated to channels through Net.Out(at) into a caller buffer.
 //
 // Compilation streams, rather than tests, the legality relations: for each
 // switch the live channels are split by class once, and then each block of
@@ -55,7 +64,8 @@ import (
 // legality/distance vector is hashed into a per-switch signature memo, so
 // LCA-equivalent columns pay one row construction for the whole
 // equivalence class — the fast path that makes regular families compile in
-// near-linear time.
+// near-linear time. A switch's class table and column are interned once
+// its column is complete, when its class count fixes the page width.
 //
 // A built table keeps only its index: compileTables drops the compiler —
 // distance and extended-descendant scratch, dedup maps, memo — and trims
@@ -77,21 +87,28 @@ type Tables struct {
 	// width is the number of row references per class: numClasses, plus
 	// the extras row for policy tables.
 	width int
-	// sw maps a switch to its column (an offset into colPages) and its
-	// class table (an offset into classes).
+	// sw maps a switch to its column (an offset into colPages), its class
+	// table (an offset into classes) and its class-index width.
 	sw []switchRef
 	// colPages is the flat pool of page vectors: ppc consecutive entries
 	// per distinct column, each the start offset of a page inside pages.
 	colPages []uint32
-	// pages is the flat pool of 64-entry pages of class indices (tail pages
-	// are padded with class 0; the pad entries are never read).
-	pages []uint16
-	// classes holds every switch's class table back to back: width arena
+	// pages is the flat pool of packed class-index pages. A page of a
+	// switch whose indices are b bits wide is b words, entry j in bits
+	// [j·b, j·b+b) (tail pages are padded with class 0; the pad entries are
+	// never read). Word 0 is the zero word the columns of one-class
+	// switches (b = 0) point at.
+	pages []uint64
+	// numPages counts the distinct pages, the zero word excluded.
+	numPages int
+	// classes holds the distinct class tables back to back: width arena
 	// references per class, legality rows in class order, then extras.
 	classes []tableRow
-	// arena backs every row; rows with identical contents share a range.
-	arena []topology.ChannelID
-	// rows counts the distinct rows, the empty row included.
+	// arena backs every row with out-port indices: a port p of a row read
+	// at switch at names channel Net.Out(at)[p]. Rows with identical port
+	// sequences share a range, across switches.
+	arena []uint32
+	// rows counts the distinct port rows, the empty row included.
 	rows int
 	// naiveArena counts the channel IDs a non-deduplicated arena would
 	// hold, accumulated during compilation so MemStats needs no O(S²) walk.
@@ -103,13 +120,15 @@ type Tables struct {
 	comp *compiler
 }
 
-// switchRef locates one switch's column and class table.
+// switchRef locates one switch's column and class table, and gives the width
+// in bits of its class indices: 0, 1, 2, 4, 8 or 16.
 type switchRef struct {
 	col  uint32
 	base uint32
+	bits uint8
 }
 
-// maxClasses is the most LCA classes one switch may have: the uint16 class
+// maxClasses is the most LCA classes one switch may have: the 16-bit class
 // index's range, which a network of at most 65536 switches never exceeds.
 const maxClasses = 1 << 16
 
@@ -128,19 +147,21 @@ type compiler struct {
 	// ext is the labeling's extended-descendant relation, ⌈S/64⌉ words per
 	// switch (Labeling.ExtendedDescendantRows).
 	ext []uint64
-	// rowSeen / pageSeen / colSeen dedup rows, pages and columns: FNV-1a
-	// hash of the content to its first pool reference. A (vanishingly
-	// unlikely) hash collision is detected by content comparison and
-	// merely stores the content twice — correctness never depends on hash
-	// uniqueness. Keying by uint64 keeps Recompile allocation-free.
-	rowSeen  map[uint64]tableRow
-	pageSeen map[uint64]uint32
-	colSeen  map[uint64]uint32
+	// rowSeen / pageSeen / tableSeen / colSeen dedup port rows, pages,
+	// class tables and columns: FNV-1a hash of the content to its first
+	// pool reference. A (vanishingly unlikely) hash collision is detected by
+	// content comparison and merely stores the content twice — correctness
+	// never depends on hash uniqueness. Keying by uint64 keeps Recompile
+	// allocation-free.
+	rowSeen   map[uint64]tableRow
+	pageSeen  map[uint64]uint32
+	tableSeen map[uint64]tableRow
+	colSeen   map[uint64]uint32
 	// classSeen numbers the current switch's classes: row-reference tuple
 	// to class index. Cleared per switch.
 	classSeen map[[numClasses + 1]tableRow]uint16
 	// row is the per-cell candidate scratch.
-	row []Candidate
+	row []portCand
 	// live is the per-switch compile scratch: the current labeling's live
 	// channels of the switch split by class (indexed by the class-0/1/2
 	// scheme below), with endpoints cached.
@@ -164,14 +185,23 @@ type compiler struct {
 }
 
 // liveChan caches a live (non-failed) inter-switch channel with its
-// endpoint for the compile inner loop.
+// endpoint and its out-port at the switch for the compile inner loop.
 type liveChan struct {
-	c   topology.ChannelID
-	end topology.NodeID
+	c    topology.ChannelID
+	end  topology.NodeID
+	port uint32
 }
 
-// tableRow is one (offset, length) reference into the shared arena. The zero
-// value is the empty row.
+// portCand is one candidate of a row under construction: the selection key
+// the row is sorted by, and the out-port the row stores.
+type portCand struct {
+	Candidate
+	port uint32
+}
+
+// tableRow is one (offset, length) reference into a pool: the shared arena
+// for a row, the classes pool for a class table. The zero value is the empty
+// row.
 type tableRow struct {
 	off uint32
 	n   uint32
@@ -271,10 +301,11 @@ func newCompiler(t *Tables) *compiler {
 		ext:        make([]uint64, s*ppc),
 		rowSeen:    make(map[uint64]tableRow),
 		pageSeen:   make(map[uint64]uint32),
+		tableSeen:  make(map[uint64]tableRow),
 		colSeen:    make(map[uint64]uint32),
 		classSeen:  make(map[[numClasses + 1]tableRow]uint16),
 		sigSeen:    make(map[uint64]int32),
-		row:        make([]Candidate, 0, 16),
+		row:        make([]portCand, 0, 16),
 		col:        make([]uint16, ppc*pageSize),
 		colScratch: make([]uint32, ppc),
 	}
@@ -317,13 +348,15 @@ func (c *compiler) compile(lab *updown.Labeling) {
 	lab.ExtendedDescendantRows(c.ext, c.queue)
 	ppc := t.pagesPerCol()
 	t.arena = t.arena[:0]
-	t.pages = t.pages[:0]
+	t.pages = append(t.pages[:0], 0) // the zero word one-class switches read
+	t.numPages = 0
 	t.colPages = t.colPages[:0]
 	t.classes = t.classes[:0]
 	t.rows = 1 // the empty row
 	t.naiveArena = 0
 	clear(c.rowSeen)
 	clear(c.pageSeen)
+	clear(c.tableSeen)
 	clear(c.colSeen)
 	var sigHash [pageSize]uint64
 	for at := 0; at < s; at++ {
@@ -335,7 +368,7 @@ func (c *compiler) compile(lab *updown.Labeling) {
 		for k := range c.live {
 			c.live[k] = c.live[k][:0]
 		}
-		for _, ch := range lab.Net.Out(topology.NodeID(at)) {
+		for port, ch := range lab.Net.Out(topology.NodeID(at)) {
 			end := lab.Net.Chan(ch).Dst
 			if !lab.Net.IsSwitch(end) || lab.IsDown(ch) {
 				continue
@@ -349,7 +382,7 @@ func (c *compiler) compile(lab *updown.Labeling) {
 			default:
 				k = 2
 			}
-			c.live[k] = append(c.live[k], liveChan{c: ch, end: end})
+			c.live[k] = append(c.live[k], liveChan{c: ch, end: end, port: uint32(port)})
 		}
 		nLive := len(c.live[0]) + len(c.live[1]) + len(c.live[2])
 		if need := pageSize * nLive; cap(c.packBuf) < need {
@@ -361,7 +394,7 @@ func (c *compiler) compile(lab *updown.Labeling) {
 		clear(c.classSeen)
 		c.memo = c.memo[:0]
 		c.packArena = c.packArena[:0]
-		t.sw[at].base = uint32(len(t.classes))
+		classBase := len(t.classes)
 		for base := 0; base < s; base += pageSize {
 			lim := s - base
 			if lim > pageSize {
@@ -419,30 +452,53 @@ func (c *compiler) compile(lab *updown.Labeling) {
 				t.naiveArena += int(m.naive)
 			}
 		}
-		t.sw[at].col = c.internColumn(c.col)
+		b := classBits(len(c.classSeen))
+		t.sw[at] = switchRef{
+			col:  c.internColumn(c.col, b),
+			base: c.internClassTable(classBase),
+			bits: b,
+		}
 	}
 }
 
-// internColumn interns one finished class column: pages first, then the
-// page-offset vector. Two switches whose LCAs partition into classes alike
-// end up sharing one colPages range.
-func (c *compiler) internColumn(col []uint16) uint32 {
+// classBits returns the class-index width of a switch with n classes: the
+// smallest power of two that holds n−1, or 0 for one class.
+func classBits(n int) uint8 {
+	b := bits.Len(uint(n - 1))
+	if b <= 1 {
+		return uint8(b)
+	}
+	return uint8(1 << bits.Len(uint(b-1)))
+}
+
+// internColumn interns one finished class column at b bits per entry: pages
+// first, then the page-offset vector. Two switches whose LCAs partition
+// into classes alike end up sharing one colPages range.
+func (c *compiler) internColumn(col []uint16, b uint8) uint32 {
 	for p := range c.colScratch {
-		c.colScratch[p] = c.internPage(col[p*pageSize : (p+1)*pageSize])
+		c.colScratch[p] = c.internPage(col[p*pageSize:(p+1)*pageSize], b)
 	}
 	return c.internCol(c.colScratch)
 }
 
-// extras returns the precompiled extras row for (arrival, at, lca) — the
-// row DerouteChannels and AdaptiveChannels share. Only down-tree arrivals
-// have extras; every other arrival gets the empty row. The slice aliases
-// the shared arena: callers must treat it as immutable.
-func (t *Tables) extras(arrival ArrivalClass, at, lcaSwitch topology.NodeID) []topology.ChannelID {
-	if arrival != ArriveDownTree {
-		return nil
+// internClassTable interns the class table the current switch appended at
+// t.classes[base:]: when an earlier switch's classes carry the same rows in
+// the same order, the copy is dropped and the earlier table's offset is
+// returned.
+func (c *compiler) internClassTable(base int) uint32 {
+	t := c.t
+	tab := t.classes[base:]
+	h := fnvBasis
+	for _, r := range tab {
+		h = (h ^ uint64(r.off)) * fnvPrime
+		h = (h ^ uint64(r.n)) * fnvPrime
 	}
-	ref := t.rowAt(numClasses, int(at), int(lcaSwitch))
-	return t.arena[ref.off : ref.off+ref.n : ref.off+ref.n]
+	if ref, ok := c.tableSeen[h]; ok && slices.Equal(t.classes[ref.off:ref.off+ref.n], tab) {
+		t.classes = t.classes[:base]
+		return ref.off
+	}
+	c.tableSeen[h] = tableRow{off: uint32(base), n: uint32(len(tab))}
+	return uint32(base)
 }
 
 // resolveClass returns the memo entry for an LCA whose packed
@@ -474,7 +530,7 @@ func (c *compiler) buildClass(pk []uint64) memoEntry {
 	off2 := off1 + len(c.live[1])
 	for i, lc := range c.live[1] {
 		if p := pk[off1+i]; p != 0 {
-			row = append(row, Candidate{Channel: lc.c, DistToLCA: int32(uint32(p>>1) - 1)})
+			row = append(row, lc.cand(p))
 		}
 	}
 	downCross := len(row)
@@ -501,7 +557,7 @@ func (c *compiler) buildClass(pk []uint64) memoEntry {
 	}
 	for i, lc := range c.live[2] {
 		if p := pk[off2+i]; p != 0 {
-			row = append(row, Candidate{Channel: lc.c, DistToLCA: int32(uint32(p>>1) - 1)})
+			row = append(row, lc.cand(p))
 		}
 	}
 	downAny := len(row)
@@ -512,8 +568,7 @@ func (c *compiler) buildClass(pk []uint64) memoEntry {
 	refs[1] = c.internRow(row[:downAny])
 	// Class 0 (up/injection arrival): everything plus the ups.
 	for i, lc := range c.live[0] {
-		p := pk[i]
-		row = append(row, Candidate{Channel: lc.c, DistToLCA: int32(uint32(p>>1) - 1)})
+		row = append(row, lc.cand(pk[i]))
 	}
 	c.row = row
 	refs[0] = c.internRow(row)
@@ -521,6 +576,12 @@ func (c *compiler) buildClass(pk []uint64) memoEntry {
 	// twice: in the deroute plane and in the adaptive plane.
 	naive := refs[0].n + refs[1].n + refs[2].n + 2*refs[numClasses].n
 	return memoEntry{class: c.internClass(refs), naive: naive}
+}
+
+// cand unpacks a live channel's packed legality/distance value into a row
+// candidate.
+func (lc liveChan) cand(p uint64) portCand {
+	return portCand{Candidate{Channel: lc.c, DistToLCA: int32(uint32(p>>1) - 1)}, lc.port}
 }
 
 // internClass returns the current switch's class index for a row-reference
@@ -542,19 +603,18 @@ func (c *compiler) internClass(refs [numClasses + 1]tableRow) uint16 {
 	return uint16(n)
 }
 
-// internRow sorts a candidate row into selection order and returns its
-// (deduplicated) arena reference. The row slice is scratch owned by the
-// caller; interning copies the channels out.
-func (c *compiler) internRow(row []Candidate) tableRow {
+// internRow sorts a candidate row into selection order and returns the
+// (deduplicated) arena reference of its port sequence. The row slice is
+// scratch owned by the caller; interning copies the ports out.
+func (c *compiler) internRow(row []portCand) tableRow {
 	t := c.t
 	if len(row) == 0 {
 		return tableRow{}
 	}
-	sortCandidates(row)
+	slices.SortFunc(row, func(a, b portCand) int { return compareCandidates(a.Candidate, b.Candidate) })
 	h := fnvBasis
 	for _, cand := range row {
-		h ^= uint64(uint32(cand.Channel))
-		h *= fnvPrime
+		h = (h ^ uint64(cand.port)) * fnvPrime
 	}
 	if ref, ok := c.rowSeen[h]; ok && t.rowEqual(ref, row) {
 		return ref
@@ -562,27 +622,42 @@ func (c *compiler) internRow(row []Candidate) tableRow {
 	// New row, or hash collision (store separately).
 	ref := tableRow{off: uint32(len(t.arena)), n: uint32(len(row))}
 	for _, cand := range row {
-		t.arena = append(t.arena, cand.Channel)
+		t.arena = append(t.arena, cand.port)
 	}
 	c.rowSeen[h] = ref
 	t.rows++
 	return ref
 }
 
-// internPage returns the pages-pool offset of a 64-entry class-index page,
-// deduplicated by content.
-func (c *compiler) internPage(pg []uint16) uint32 {
-	t := c.t
-	h := fnvBasis
-	for _, v := range pg {
-		h = (h ^ uint64(v)) * fnvPrime
+// internPage packs a 64-entry class-index page at b bits per entry and
+// returns its pages-pool offset, deduplicated by content. A one-class
+// switch's page (b = 0) is the zero word at offset 0.
+func (c *compiler) internPage(pg []uint16, b uint8) uint32 {
+	if b == 0 {
+		return 0
 	}
-	if off, ok := c.pageSeen[h]; ok && slices.Equal(t.pages[off:int(off)+pageSize], pg) {
+	t := c.t
+	var buf [16]uint64
+	words := buf[:b]
+	for j, v := range pg {
+		bit := j * int(b)
+		words[bit>>6] |= uint64(v) << (bit & 63)
+	}
+	// Each word enters the hash as two 32-bit halves: a whole 64-bit step
+	// would leave its high bits unmixed, so pages that differ only in
+	// their top entries would collide.
+	h := (fnvBasis ^ uint64(b)) * fnvPrime
+	for _, w := range words {
+		h = (h ^ w&0xffffffff) * fnvPrime
+		h = (h ^ w>>32) * fnvPrime
+	}
+	if off, ok := c.pageSeen[h]; ok && slices.Equal(t.pages[off:int(off)+len(words)], words) {
 		return off
 	}
 	off := uint32(len(t.pages))
-	t.pages = append(t.pages, pg...)
+	t.pages = append(t.pages, words...)
 	c.pageSeen[h] = off
+	t.numPages++
 	return off
 }
 
@@ -603,14 +678,14 @@ func (c *compiler) internCol(col []uint32) uint32 {
 	return off
 }
 
-// rowEqual reports whether the arena range ref holds exactly the channels of
+// rowEqual reports whether the arena range ref holds exactly the ports of
 // row, in order.
-func (t *Tables) rowEqual(ref tableRow, row []Candidate) bool {
+func (t *Tables) rowEqual(ref tableRow, row []portCand) bool {
 	if int(ref.n) != len(row) {
 		return false
 	}
 	for i, cand := range row {
-		if t.arena[int(ref.off)+i] != cand.Channel {
+		if t.arena[int(ref.off)+i] != cand.port {
 			return false
 		}
 	}
@@ -619,38 +694,40 @@ func (t *Tables) rowEqual(ref tableRow, row []Candidate) bool {
 
 // sortCandidates orders candidates by the paper's selection priority:
 // ascending (DistToLCA, ChannelID). The key is a total order (channel IDs
-// are unique), so the insertion sort — allocation-free, unlike sort.Slice —
-// produces the identical unique ordering on lists of any origin.
+// are unique), so any sort produces the identical unique ordering on lists
+// of any origin.
 func sortCandidates(cands []Candidate) {
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && less(cands[j], cands[j-1]); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
+	slices.SortFunc(cands, compareCandidates)
 }
 
-func less(a, b Candidate) bool {
+func compareCandidates(a, b Candidate) int {
 	if a.DistToLCA != b.DistToLCA {
-		return a.DistToLCA < b.DistToLCA
+		return cmp.Compare(a.DistToLCA, b.DistToLCA)
 	}
-	return a.Channel < b.Channel
+	return cmp.Compare(a.Channel, b.Channel)
 }
 
 // rowAt resolves the compressed index for row k (a legality class, or
-// numClasses for extras) of one (at, lca) cell: switch ref, page base, class
-// index, class row — four dependent loads.
+// numClasses for extras) of one (at, lca) cell: switch ref, page base, page
+// word, class row — four dependent loads. The class index is the switch's
+// bits-wide entry lca%64 of the page; a one-class switch (bits 0) reads the
+// zero word under an empty mask.
 func (t *Tables) rowAt(k, at, lca int) tableRow {
 	sw := t.sw[at]
 	pb := t.colPages[int(sw.col)+lca>>pageBits]
-	cls := t.pages[int(pb)+lca&(pageSize-1)]
-	return t.classes[int(sw.base)+int(cls)*t.width+k]
+	bit := (lca & (pageSize - 1)) * int(sw.bits)
+	cls := int(t.pages[int(pb)+bit>>6]>>(bit&63)) & (1<<sw.bits - 1)
+	return t.classes[int(sw.base)+cls*t.width+k]
 }
 
-// candidates returns the precompiled row for (arrival, at, lca). The slice
-// aliases the shared arena: callers must treat it as immutable.
-func (t *Tables) candidates(arrival ArrivalClass, at, lcaSwitch topology.NodeID) []topology.ChannelID {
-	ref := t.rowAt(classIndex(arrival), int(at), int(lcaSwitch))
-	return t.arena[ref.off : ref.off+ref.n : ref.off+ref.n]
+// appendRow appends row k of the (at, lca) cell to dst as channels: out is
+// Net.Out(at), which the row's ports index.
+func (t *Tables) appendRow(dst, out []topology.ChannelID, k, at, lca int) []topology.ChannelID {
+	ref := t.rowAt(k, at, lca)
+	for _, p := range t.arena[ref.off : ref.off+ref.n] {
+		dst = append(dst, out[p])
+	}
+	return dst
 }
 
 // MemStats is the byte-level accounting of one compiled table set, exposed
@@ -682,12 +759,13 @@ func (t *Tables) MemStats() MemStats {
 		Switches:        s,
 		Cells:           t.planes() * s * s,
 		DistinctRows:    t.rows,
-		DistinctPages:   len(t.pages) / pageSize,
+		DistinctPages:   t.numPages,
 		DistinctColumns: len(t.colPages) / t.pagesPerCol(),
 		ArenaChannels:   len(t.arena),
 		NaiveChannels:   t.naiveArena,
 	}
-	m.IndexBytes = 8*int64(len(t.sw)) + 4*int64(len(t.colPages)) + 2*int64(len(t.pages)) + 8*int64(len(t.classes))
+	// A switchRef is two uint32s and a byte, padded to 12 bytes.
+	m.IndexBytes = 12*int64(len(t.sw)) + 4*int64(len(t.colPages)) + 8*int64(len(t.pages)) + 8*int64(len(t.classes))
 	m.ArenaBytes = 4 * int64(len(t.arena))
 	m.TableBytes = m.IndexBytes + m.ArenaBytes
 	m.NaiveIndexBytes = 8 * int64(m.Cells)
@@ -701,8 +779,9 @@ func (t *Tables) MemStats() MemStats {
 // EqualContent reports whether two tables answer every (arrival class, at,
 // lca) query with the identical candidate list — the bit-identical hot-swap
 // criterion the fault property tests pin (pool layout may differ; contents
-// may not). Policy tables compare their extras rows too, so two tables with
-// different policies are never content-equal.
+// may not). Both tables are compiled over one network, so equal port rows
+// are equal channel rows. Policy tables compare their extras rows too, so
+// two tables with different policies are never content-equal.
 func (t *Tables) EqualContent(o *Tables) bool {
 	if t.numSwitches != o.numSwitches || t.policy != o.policy {
 		return false

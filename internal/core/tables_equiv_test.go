@@ -177,8 +177,8 @@ func TestTreeReachMatchesRecursiveReference(t *testing.T) {
 	}
 }
 
-// TestTableLookupsAllocationFree pins the hot-path lookups at zero
-// allocations.
+// TestTableLookupsAllocationFree pins the hot-path lookups, each filling a
+// reused buffer, at zero allocations.
 func TestTableLookupsAllocationFree(t *testing.T) {
 	net, err := topology.RandomLattice(topology.DefaultLattice(64, 11))
 	if err != nil {
@@ -197,7 +197,8 @@ func TestTableLookupsAllocationFree(t *testing.T) {
 	var sink int
 	if n := testing.AllocsPerRun(100, func() {
 		for at := 0; at < net.NumSwitches; at++ {
-			sink += len(r.CandidateChannels(topology.NodeID(at), ArriveUp, 0))
+			buf = r.AppendCandidateChannels(buf[:0], topology.NodeID(at), ArriveUp, 0)
+			sink += len(buf)
 			buf = r.AppendDistributionOutputs(buf[:0], topology.NodeID(at), ds)
 			sink += len(buf)
 		}
@@ -260,20 +261,22 @@ func TestBuiltTablesHoldOnlyTheIndex(t *testing.T) {
 	runtime.KeepAlive(r)
 }
 
-// TestTableFootprint bounds the compiled tables of three zoo systems (seed
-// 1, min-id root). Each bound sits above what the per-switch LCA-class index
-// takes (1.13, 0.26 and 1.68 MiB) and below what a uint32 row ID per (plane,
-// switch, LCA) cell took (6.2, 2.1 and 5.9 MiB), so a return to per-cell
-// global row IDs fails here.
+// TestTableFootprint bounds the compiled tables of four zoo systems (seed
+// 1, min-id root). Port rows shared across switches, shared class tables and
+// pages packed to each switch's class-index width hold 0.200, 0.077, 0.185
+// and 0.541 MiB. Each bound sits below what rows of global channel IDs under
+// 16-bit class pages took (1.130, 0.256, 1.679 and 5.433 MiB), so a return
+// to per-switch rows or unpacked pages fails here.
 func TestTableFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		spec   string
 		pol    Policy
 		maxMiB float64
 	}{
-		{"lattice:1024", PolicyBaseline, 2},
-		{"mesh:32x32", PolicyDuato, 0.5},
-		{"fattree:8x4", PolicyDuato, 2.5},
+		{"lattice:1024", PolicyBaseline, 0.5},
+		{"mesh:32x32", PolicyDuato, 0.2},
+		{"fattree:8x4", PolicyDuato, 0.6},
+		{"hypercube:10", PolicyMisroute, 1.2},
 	} {
 		sp, err := topology.ParseSpec(tc.spec)
 		if err != nil {

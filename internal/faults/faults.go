@@ -108,8 +108,9 @@ func (s Script) DSL() string {
 
 // Parse reads the DSL form: entries separated by ';' or newlines, each
 // "<duration> <op> <args>" with op one of down|up|switch-down|switch-up,
-// link args "u-v" and switch args "u". Durations use Go syntax (ns, us, µs,
-// ms, s). Events are sorted into canonical order.
+// link args "u-v" and switch args "u", each ID a decimal in [0, 2^31).
+// Durations use Go syntax (ns, us, µs, ms, s). Events are sorted into
+// canonical order.
 func Parse(dsl string) (Script, error) {
 	var out Script
 	for _, entry := range strings.FieldsFunc(dsl, func(r rune) bool { return r == ';' || r == '\n' }) {
@@ -140,25 +141,35 @@ func Parse(dsl string) (Script, error) {
 		}
 		switch ev.Kind {
 		case SwitchDown, SwitchUp:
-			u, err := strconv.Atoi(fields[2])
-			if err != nil {
+			u, ok := parseID(fields[2])
+			if !ok {
 				return nil, fmt.Errorf("faults: entry %q: bad switch %q", entry, fields[2])
 			}
-			ev.U = int32(u)
+			ev.U = u
 		default:
 			uv := strings.SplitN(fields[2], "-", 2)
 			if len(uv) != 2 {
 				return nil, fmt.Errorf("faults: entry %q: link args must be u-v", entry)
 			}
-			u, err1 := strconv.Atoi(uv[0])
-			v, err2 := strconv.Atoi(uv[1])
-			if err1 != nil || err2 != nil {
+			u, ok1 := parseID(uv[0])
+			v, ok2 := parseID(uv[1])
+			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("faults: entry %q: bad link %q", entry, fields[2])
 			}
-			ev.U, ev.V = int32(u), int32(v)
+			ev.U, ev.V = u, v
 		}
 		out = append(out, ev)
 	}
 	sortScript(out)
 	return out, nil
+}
+
+// parseID reads one switch ID: a decimal in [0, 2^31), so no ID wraps into
+// another when it is stored as an int32.
+func parseID(s string) (int32, bool) {
+	u, err := strconv.ParseInt(s, 10, 32)
+	if err != nil || u < 0 {
+		return 0, false
+	}
+	return int32(u), true
 }

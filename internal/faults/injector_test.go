@@ -325,7 +325,12 @@ func TestDSLRoundTrip(t *testing.T) {
 			t.Fatalf("round-trip drift at %d: %v vs %v", i, script[i], round[i])
 		}
 	}
-	for _, bad := range []string{"5us explode 1-2", "down 1-2", "5us down 12", "-5us down 1-2", "5us down a-b"} {
+	for _, bad := range []string{
+		"5us explode 1-2", "down 1-2", "5us down 12", "-5us down 1-2", "5us down a-b",
+		// IDs past int32, and negative ones, must not wrap onto real switches.
+		"1us switch-down 4294967296", "1us down 4294967296-4294967297",
+		"1us switch-down 2147483648", "1us down 3--5",
+	} {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) should fail", bad)
 		}

@@ -11,11 +11,11 @@ import (
 // Simulator is a deterministic, single-threaded flit-level wormhole
 // simulator over one labeled network.
 //
-// The inner loop is allocation-free in steady state: routing decisions come
-// from the router's compiled tables (or are appended into per-segment scratch
-// buffers), segments are recycled through a free list, scheduled closures
-// live in a slot-recycled call table, and every queue (event heap, OCRQs,
-// input buffers, injection queues) reuses its backing storage. Per-worm
+// The inner loop is allocation-free in steady state: routing decisions are
+// appended from the router's compiled tables into reused scratch and
+// per-segment buffers, segments are recycled through a free list, scheduled
+// closures live in a slot-recycled call table, and every queue (event heap,
+// OCRQs, input buffers, injection queues) reuses its backing storage. Per-worm
 // bookkeeping (the Worm struct itself) is the only steady-state allocation.
 type Simulator struct {
 	router *core.Router
@@ -39,6 +39,10 @@ type Simulator struct {
 	segFree []*segment
 	// pruneScratch collects blocked channels during pruneBlocked.
 	pruneScratch []topology.ChannelID
+	// candScratch and extrasScratch receive a routed header's candidate
+	// and extras rows.
+	candScratch   []topology.ChannelID
+	extrasScratch []topology.ChannelID
 	// worms holds every worm submitted this epoch in submit order; evInject
 	// events carry an index into it. wormPool recycles the structs (and
 	// their Dests/ArrivalNs/DestSet storage) across Reset epochs.
@@ -775,7 +779,8 @@ func (s *Simulator) onRoute(c topology.ChannelID) {
 		}
 	} else {
 		arrival := core.ArrivalOf(s.router.Lab.ClassOf[c])
-		cands := s.router.CandidateChannels(at, arrival, w.LCA)
+		s.candScratch = s.router.AppendCandidateChannels(s.candScratch[:0], at, arrival, w.LCA)
+		cands := s.candScratch
 		if len(cands) == 0 {
 			s.freeSegment(seg)
 			if s.faultMode {
@@ -807,7 +812,8 @@ func (s *Simulator) onRoute(c topology.ChannelID) {
 			// the acyclic up*/down* one (ARCHITECTURE invariant 12).
 			switch s.router.Policy() {
 			case core.PolicyDuato:
-				for _, cand := range s.router.AdaptiveChannels(at, arrival, w.LCA) {
+				s.extrasScratch = s.router.AppendExtrasChannels(s.extrasScratch[:0], at, arrival, w.LCA)
+				for _, cand := range s.extrasScratch {
 					ocs := &s.chans[cand]
 					if ocs.reserved == nil && !ocs.outOcc && len(ocs.ocrq) == 0 {
 						pick = cand
@@ -817,7 +823,8 @@ func (s *Simulator) onRoute(c topology.ChannelID) {
 				}
 			case core.PolicyMisroute:
 				if w.MisrouteLeft > 0 {
-					for _, cand := range s.router.DerouteChannels(at, arrival, w.LCA) {
+					s.extrasScratch = s.router.AppendExtrasChannels(s.extrasScratch[:0], at, arrival, w.LCA)
+					for _, cand := range s.extrasScratch {
 						ocs := &s.chans[cand]
 						if ocs.reserved == nil && !ocs.outOcc && len(ocs.ocrq) == 0 {
 							pick = cand
