@@ -449,11 +449,11 @@ func BenchmarkRoutingDecision(b *testing.B) {
 // BenchmarkRoutingDecisionReference measures the same evaluation through the
 // reference (compute-per-event) implementation the tables replaced.
 func BenchmarkRoutingDecisionReference(b *testing.B) {
-	sys, err := NewLattice(128, WithSeed(7), WithReferenceRouting())
+	sys, err := NewLattice(128, WithSeed(7))
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := sys.Router()
+	r := core.NewReferenceRouter(sys.Labeling())
 	lcas := sys.Switches()
 	b.ResetTimer()
 	var sink int
@@ -466,11 +466,11 @@ func BenchmarkRoutingDecisionReference(b *testing.B) {
 }
 
 // BenchmarkPolicyRoutingDecision measures the full warm per-header decision
-// of each routing-policy family — the baseline candidate row plus, for the
-// armed families, the extras row the engine scans when every candidate is
-// busy, each read into a reused buffer. The policy dimension must cost
-// nothing when disarmed and one extra compiled-row read when armed; all
-// three stay 0 allocs/op.
+// of each routing-policy family — the baseline candidate row plus, under
+// misroute, the extras row the engine scans when every candidate is busy,
+// each read into a reused buffer. The policy dimension must cost nothing
+// when disarmed and one extra compiled-row read when armed; both stay 0
+// allocs/op.
 func BenchmarkPolicyRoutingDecision(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -478,7 +478,6 @@ func BenchmarkPolicyRoutingDecision(b *testing.B) {
 	}{
 		{"baseline", PolicyBaseline},
 		{"misroute", PolicyMisroute},
-		{"duato", PolicyDuato},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			sys, err := NewFromSpec("gnm:24+12", WithSeed(1998), WithRoutingPolicy(tc.pol))

@@ -63,6 +63,7 @@ import (
 	spamnet "repro"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -72,7 +73,7 @@ func main() {
 		topoSpec    = flag.String("topo", "", `default-system topology spec, e.g. "torus:16x16", "fattree:4x3" (default: lattice:<nodes>)`)
 		seed        = flag.Uint64("seed", 1998, "topology generation seed")
 		root        = flag.String("root", "min-id", "spanning-tree root strategy: min-id | max-degree | center")
-		routing     = flag.String("routing", "baseline", "default-system routing policy: baseline | misroute | duato")
+		routing     = flag.String("routing", "baseline", "default-system routing policy: baseline | misroute | duato (misroute with an unbounded budget)")
 		misBudget   = flag.Int("misroute-budget", 0, "default-system per-worm deroute budget (-routing misroute only)")
 		pool        = flag.Int("pool", 0, "simulator pool size (0 = GOMAXPROCS)")
 		bufFlits    = flag.Int("inputbuf", 1, "input buffer size in flits")
@@ -119,20 +120,18 @@ func main() {
 	if err != nil {
 		fatal("bad flag", "error", err.Error())
 	}
-	policy, err := spamnet.ParseRoutingPolicy(*routing)
-	if err != nil {
+	routingParams := workload.Params{Routing: *routing, MisrouteBudget: *misBudget}
+	if err := workload.ValidateRoutingParams(routingParams); err != nil {
 		fatal("bad flag", "error", err.Error())
 	}
-	if *misBudget != 0 && policy != spamnet.PolicyMisroute {
-		fatal("bad flag", "error", "-misroute-budget requires -routing misroute")
-	}
+	policy, budget, _ := workload.RoutingPolicy(routingParams)
 	params := spamnet.PaperParams()
 	params.MessageFlits = *flits
 	sysOpts := []spamnet.Option{
 		spamnet.WithSeed(*seed),
 		spamnet.WithRootStrategy(strategy),
 		spamnet.WithRoutingPolicy(policy),
-		spamnet.WithMisrouteBudget(*misBudget),
+		spamnet.WithMisrouteBudget(budget),
 		spamnet.WithInputBufferFlits(*bufFlits),
 		spamnet.WithLatencyParams(params),
 		spamnet.WithMaxSimTime(*horizon),

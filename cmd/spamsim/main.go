@@ -78,7 +78,7 @@ func main() {
 		stages    = flag.Int("stages", 0, "pipeline stage count (0 = scenario default)")
 		fanout    = flag.Int("fanout", 0, "tree all-reduce arity (0 = scenario default)")
 		warmup    = flag.Int("warmup", -1, "scenario warmup messages excluded from measurement (-1 = messages/10)")
-		routing   = flag.String("routing", "", "routing policy: baseline (default) | misroute | duato")
+		routing   = flag.String("routing", "", "routing policy: baseline (default) | misroute | duato (misroute with an unbounded budget)")
 		misBudget = flag.Int("misroute-budget", 0, "per-worm deroute budget (routing=misroute only)")
 		rootStrat = flag.String("root", "", "spanning-tree root strategy: min-id (default) | max-degree | center")
 		traceOut  = flag.String("trace-out", "", "record the last trial's submission stream to this trace file")
@@ -379,7 +379,7 @@ func runScenario(name string, params workload.Params, simCfg sim.Config, nodes, 
 	t.AddRow("events (last trial)", fmt.Sprintf("%d", c.Events))
 	t.AddRow("payload flit-hops (last trial)", fmt.Sprintf("%d", c.PayloadFlitHops))
 	if router.Policy() != core.PolicyBaseline {
-		t.AddRow("adaptive / misroute hops (last trial)", fmt.Sprintf("%d / %d", c.AdaptiveHops, c.MisrouteHops))
+		t.AddRow("misroute hops (last trial)", fmt.Sprintf("%d", c.MisrouteHops))
 	}
 	if inj := runner.FaultInjector(); inj != nil {
 		m := inj.Metrics()

@@ -17,9 +17,8 @@ import (
 
 	spamnet "repro"
 	"repro/internal/baseline"
-	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/traffic"
+	"repro/internal/workload"
 )
 
 const beacons = 20
@@ -43,37 +42,47 @@ func main() {
 		swSkew.Percentile(50)/hwSkew.Percentile(50))
 }
 
-// measure sends beacons every 200 µs and returns (skew, latency) samples in
-// microseconds.
+// measure runs one trial of beacons every 200 µs and returns (skew,
+// latency) samples in microseconds.
 func measure(sys *spamnet.System, hw bool) (*stats.Sample, *stats.Sample) {
-	sess, err := sys.NewSession()
+	r, err := workload.NewRunner(sys.Router(), sys.SimConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := sess.Simulator()
-	procs := sys.Processors()
-	master := procs[0]
-	var slaves []spamnet.NodeID
-	slaves = append(slaves, procs[1:]...)
-
-	// Light background load: random unicasts.
-	r := rng.New(11)
-	if _, err := traffic.Mixed(s, r, traffic.NetworkAdapter{N: sys.Topology()}, traffic.MixedConfig{
-		RatePerProcPerUs:  0.002,
-		MulticastFraction: 0,
-		Messages:          800,
-	}); err != nil {
+	r.MaxSimTimeNs = sys.MaxSimTimeNs()
+	bc := beaconTrial{hw: hw, skews: &stats.Sample{}, lats: &stats.Sample{}}
+	if err := r.Trial(bc, 11); err != nil {
 		log.Fatal(err)
 	}
+	return bc.skews, bc.lats
+}
 
-	skews := &stats.Sample{}
-	lats := &stats.Sample{}
+// beaconTrial is the trial's workload: light background unicasts plus the
+// master's beacons, broadcast as one SPAM worm each (hw) or by a unicast
+// binomial tree.
+type beaconTrial struct {
+	hw          bool
+	skews, lats *stats.Sample
+}
+
+func (bc beaconTrial) Name() string { return "clocksync" }
+
+func (bc beaconTrial) Generate(g *workload.Gen) error {
+	if err := (workload.Mixed{RatePerProcPerUs: 0.002, Messages: 800}).Generate(g); err != nil {
+		return err
+	}
+	s := g.Sim
+	master := g.Proc(0)
+	var slaves []spamnet.NodeID
+	for i := 1; i < g.NumProcs(); i++ {
+		slaves = append(slaves, g.Proc(i))
+	}
 	for b := 0; b < beacons; b++ {
 		t0 := int64(b) * 200_000
-		if hw {
+		if bc.hw {
 			w, err := s.Submit(t0, master, slaves)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			w.OnComplete = func(w *spamnet.Message, _ int64) {
 				first, last := w.ArrivalNs[0], w.ArrivalNs[0]
@@ -85,13 +94,13 @@ func measure(sys *spamnet.System, hw bool) (*stats.Sample, *stats.Sample) {
 						last = a
 					}
 				}
-				skews.Add(float64(last-first) / 1000)
-				lats.Add(float64(w.Latency()) / 1000)
+				bc.skews.Add(float64(last-first) / 1000)
+				bc.lats.Add(float64(w.Latency()) / 1000)
 			}
 		} else {
 			run, err := baseline.Start(s, baseline.BinomialTree, t0, master, slaves)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			run.OnComplete(func(rn *baseline.Run) {
 				first, last := rn.DoneNs, int64(0)
@@ -103,13 +112,10 @@ func measure(sys *spamnet.System, hw bool) (*stats.Sample, *stats.Sample) {
 						last = at
 					}
 				}
-				skews.Add(float64(last-first) / 1000)
-				lats.Add(float64(rn.Latency()) / 1000)
+				bc.skews.Add(float64(last-first) / 1000)
+				bc.lats.Add(float64(rn.Latency()) / 1000)
 			})
 		}
 	}
-	if err := sess.Run(); err != nil {
-		log.Fatal(err)
-	}
-	return skews, lats
+	return nil
 }

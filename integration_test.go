@@ -11,8 +11,7 @@ import (
 	"repro/internal/deadlock"
 	"repro/internal/partition"
 	"repro/internal/prune"
-	"repro/internal/rng"
-	"repro/internal/traffic"
+	"repro/internal/workload"
 )
 
 func TestIntegrationAllSchemesOneNetwork(t *testing.T) {
@@ -113,24 +112,20 @@ func TestIntegrationMixedTrafficWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := sys.NewSession()
+	r, err := workload.NewRunner(sys.Router(), sys.SimConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sess.Simulator()
-	r := rng.New(42)
-	worms, err := traffic.Mixed(s, r, traffic.NetworkAdapter{N: sys.Topology()}, traffic.MixedConfig{
+	r.MaxSimTimeNs = sys.MaxSimTimeNs()
+	if err := r.Trial(workload.Mixed{
 		RatePerProcPerUs:  0.01,
 		MulticastFraction: 0.2,
 		MulticastDests:    8,
 		Messages:          150,
-	})
-	if err != nil {
+	}, 42); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s, worms := r.Sim(), r.Worms()
 	for _, w := range worms {
 		if !w.Completed() {
 			t.Fatalf("worm %d incomplete", w.ID)

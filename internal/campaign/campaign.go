@@ -258,13 +258,14 @@ func Builtin(name string) (*Manifest, bool) {
 		}, true
 	case "routing":
 		// Adaptive-routing comparator: the same zoo × workload cells under
-		// each routing-policy family — baseline up*/down*, bounded misroute
-		// (budget 2) and Duato-style fully adaptive with the baseline escape
-		// class. One grid per policy (Params are per-grid), certificate-sweep
-		// topology sizes so the whole campaign is seconds-scale and CI can
-		// diff two runs byte-for-byte. The routing experiment driver
-		// regenerates the Fig 3-style latency-vs-rate sweep per policy plus
-		// the root-strategy comparison.
+		// baseline up*/down*, bounded misroute (budget 2) and duato —
+		// misroute with an unbounded budget, Duato-style fully adaptive over
+		// the baseline escape class. One grid per policy (Params are
+		// per-grid), certificate-sweep topology sizes so the whole campaign
+		// is seconds-scale and CI can diff two runs byte-for-byte. The
+		// routing experiment driver regenerates the Fig 3-style
+		// latency-vs-rate sweep per policy plus the root-strategy
+		// comparison.
 		zoo := []string{
 			"lattice:32", "gnm:24+12", "mesh:5x4", "torus:5x5",
 			"hypercube:4", "fattree:2x3",

@@ -148,7 +148,11 @@ type checkpoint struct {
 	Cell       *CellResult       `json:"cell,omitempty"`
 }
 
-const checkpointVersion = 1
+// checkpointVersion is bumped whenever a stored unit's meaning changes, so
+// older checkpoints recompute instead of loading. Version 2: duato cells run
+// as unbounded misroute, and Counters lost adaptive_hops (their hops count
+// in misroute_hops).
+const checkpointVersion = 2
 
 // cellID derives the stable checkpoint identity of a unit from its complete
 // parameterization: any change to the spec changes the ID, so stale

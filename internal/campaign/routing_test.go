@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func TestBuiltinRoutingManifest(t *testing.T) {
 	}{
 		"baseline":   {core.PolicyBaseline, 0},
 		"misroute-2": {core.PolicyMisroute, 2},
-		"duato":      {core.PolicyDuato, 0},
+		"duato":      {core.PolicyMisroute, math.MaxInt32},
 	}
 	if len(m.Grids) != len(want) {
 		t.Fatalf("routing manifest has %d grids, want %d", len(m.Grids), len(want))

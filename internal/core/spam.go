@@ -63,8 +63,7 @@ func ArrivalOf(c updown.Class) ArrivalClass {
 // (switch, arrival class, LCA) decision into the shared candidate tables the
 // paper's hardware router would hold (see Tables), so the per-header cost is
 // an array lookup. NewReferenceRouter keeps the original compute-per-event
-// path, which tests cross-check the tables against and which serves as a
-// debugging fallback (spamnet.WithReferenceRouting).
+// path, the specification tests cross-check the tables against.
 type Router struct {
 	Net *topology.Network
 	Lab *updown.Labeling
@@ -281,28 +280,10 @@ func (r *Router) DerouteChannels(at topology.NodeID, arrival ArrivalClass, lcaSw
 	return r.AppendExtrasChannels(nil, at, arrival, lcaSwitch)
 }
 
-// AdaptiveChannels returns the adaptive-extras row for (at, arrival, lca):
-// the full viable extras row, identical to DerouteChannels (the compiled
-// tables hold one extras row per LCA class, which both queries read). A
-// Duato-policy worm may take any of these without budget whenever one is
-// instantly free; none is ever waited on. The row is ordered by
-// (DistToLCA, id), so shortcut sidesteps are preferred when several are
-// free. Distance-productivity is deliberately NOT required: a productive
-// extra is provably unreachable under BFS up*/down* labelings (see
-// referenceExtras), and termination follows from every extra being a
-// down-cross channel — down channels strictly ascend the labeling's
-// (level, id) order, so any worm's path length is bounded without a budget.
-//
-// The row is empty for PolicyBaseline routers. The returned slice is freshly
-// allocated; the allocation-free hot-path variant is AppendExtrasChannels.
-func (r *Router) AdaptiveChannels(at topology.NodeID, arrival ArrivalClass, lcaSwitch topology.NodeID) []topology.ChannelID {
-	return r.AppendExtrasChannels(nil, at, arrival, lcaSwitch)
-}
-
 // AppendExtrasChannels appends the extras row for (at, arrival, lca) — the
-// one row DerouteChannels and AdaptiveChannels both return — to dst and
-// returns the extended slice. Only down-tree arrivals of policy routers have
-// extras; every other query appends nothing. With tables the call performs
+// row DerouteChannels returns — to dst and returns the extended slice. Only
+// down-tree arrivals of policy routers have extras; every other query
+// appends nothing. With tables the call performs
 // no allocation given capacity in dst; in reference mode the row is freshly
 // computed.
 func (r *Router) AppendExtrasChannels(dst []topology.ChannelID, at topology.NodeID, arrival ArrivalClass, lcaSwitch topology.NodeID) []topology.ChannelID {
@@ -335,12 +316,6 @@ func (r *Router) ReferenceDerouteOutputs(at topology.NodeID, arrival ArrivalClas
 	return r.referenceExtras(at, arrival, lcaSwitch)
 }
 
-// ReferenceAdaptiveOutputs is the compute-per-event specification of the
-// adaptive-extras row the policy tables are verified against.
-func (r *Router) ReferenceAdaptiveOutputs(at topology.NodeID, arrival ArrivalClass, lcaSwitch topology.NodeID) []Candidate {
-	return r.referenceExtras(at, arrival, lcaSwitch)
-}
-
 // referenceExtras computes the extras of one cell: the channels that are
 // not up*/down*-legal for (arrival, lca) but whose use provably preserves
 // the deadlock certificate. Within the paper's framework exactly one
@@ -364,17 +339,17 @@ func (r *Router) ReferenceAdaptiveOutputs(at topology.NodeID, arrival ArrivalCla
 // the labeling's (level, id) order, the relation enlarged by extras remains
 // acyclic — including Duato-style indirect dependencies, which are paths in
 // it (deadlock.VerifyPolicy and the zoo battery certify both graphs). The
-// same lexicographic ascent bounds every worm's path length, so Duato
-// routing terminates without a budget or a distance-productivity filter.
+// same lexicographic ascent bounds every worm's path length, so misroute
+// routing terminates under any budget, unbounded ("duato") included, without
+// a distance-productivity filter.
 //
 // A productivity filter (endpoint strictly closer to the LCA) was in fact
-// tried for the adaptive row and proved *vacuous at every reachable
-// cell*: a worm holding a down-tree arrival sits at a tree ancestor of its
+// tried for the extras row and proved *vacuous at every reachable cell*: a worm holding a down-tree arrival sits at a tree ancestor of its
 // LCA, whose tree descent is already a shortest path under BFS levels, and
 // the BFS discovery order guarantees any strictly-shorter cross sidestep
 // would have captured the LCA's parent pointer into its own subtree —
-// contradicting the ancestor relation. The adaptive row is therefore the
-// full extras row (the deroute row), ordered by (DistToLCA, id).
+// contradicting the ancestor relation. The extras row is therefore every
+// viable down-cross channel, ordered by (DistToLCA, id).
 func (r *Router) referenceExtras(at topology.NodeID, arrival ArrivalClass, lcaSwitch topology.NodeID) []Candidate {
 	if !r.Net.IsSwitch(at) {
 		panic(fmt.Sprintf("core: extras at non-switch %d", at))

@@ -253,9 +253,11 @@ func (t *Tables) pagesPerCol() int {
 	return (t.numSwitches + pageSize - 1) / pageSize
 }
 
-// planes returns the number of (arrival class, at, lca) planes a dense index
-// of these tables would hold: the numClasses baseline legality planes, plus
-// a deroute and an adaptive plane per class for policy tables.
+// planes returns the number of (arrival class, at, lca) planes the dense
+// index MemStats compares against holds: the numClasses baseline legality
+// planes, plus two extras planes per class for policy tables (the model
+// keeps the deroute and adaptive planes of the original policy index, so
+// reported compression ratios stay comparable across versions).
 func (t *Tables) planes() int {
 	if t.policy == PolicyBaseline {
 		return numClasses
@@ -542,17 +544,16 @@ func (c *compiler) buildClass(pk []uint64) memoEntry {
 		// class (see Router.referenceExtras for the argument): the legal
 		// down-cross channels above, offered to *down-tree* arrivals.
 		//
-		// The deroute and adaptive queries share the row. A distance-
-		// productivity filter was considered and rejected: under a BFS
-		// up*/down* labeling a productive extra is *provably unreachable*
-		// — any switch a worm can legally occupy with a down-tree arrival
+		// A distance-productivity filter was considered and rejected:
+		// under a BFS up*/down* labeling a productive extra is *provably
+		// unreachable* — any switch a worm can legally occupy with a down-tree arrival
 		// is a tree ancestor of its LCA, whose tree descent is already a
 		// shortest path, and the BFS discovery order forces every
 		// strictly-shorter sidestep's subtree to capture the LCA's parent
-		// pointer first (see ARCHITECTURE.md). Duato hops terminate
-		// without the filter because every extra is a down-cross channel,
-		// and down channels strictly ascend the labeling's (level, id)
-		// order.
+		// pointer first (see ARCHITECTURE.md). Unbounded-budget worms
+		// terminate without the filter because every extra is a down-cross
+		// channel, and down channels strictly ascend the labeling's
+		// (level, id) order.
 		refs[numClasses] = c.internRow(row)
 	}
 	for i, lc := range c.live[2] {
@@ -572,8 +573,8 @@ func (c *compiler) buildClass(pk []uint64) memoEntry {
 	}
 	c.row = row
 	refs[0] = c.internRow(row)
-	// A dense index holds the legality rows once each and the extras row
-	// twice: in the deroute plane and in the adaptive plane.
+	// The dense index of the MemStats model holds the legality rows once
+	// each and the extras row twice (see planes).
 	naive := refs[0].n + refs[1].n + refs[2].n + 2*refs[numClasses].n
 	return memoEntry{class: c.internClass(refs), naive: naive}
 }
@@ -734,7 +735,7 @@ func (t *Tables) appendRow(dst, out []topology.ChannelID, k, at, lca int) []topo
 // through the facade, /healthz and campaign reports. Cells, NaiveChannels
 // and NaiveIndexBytes describe the dense layout — one 8-byte (offset,
 // length) reference and one copy of the row per (plane, at, lca) cell, with
-// a deroute and an adaptive plane per arrival class on policy tables;
+// two extras planes per arrival class on policy tables (see planes);
 // CompressionX is the ratio of that naive structure (dense index + per-cell
 // arena) to the compressed one.
 type MemStats struct {

@@ -274,8 +274,8 @@ func TestTableFootprint(t *testing.T) {
 		maxMiB float64
 	}{
 		{"lattice:1024", PolicyBaseline, 0.5},
-		{"mesh:32x32", PolicyDuato, 0.2},
-		{"fattree:8x4", PolicyDuato, 0.6},
+		{"mesh:32x32", PolicyMisroute, 0.2},
+		{"fattree:8x4", PolicyMisroute, 0.6},
 		{"hypercube:10", PolicyMisroute, 1.2},
 	} {
 		sp, err := topology.ParseSpec(tc.spec)

@@ -11,11 +11,10 @@ import (
 // BuildPolicyCDG constructs the *full* continuation relation of a policy
 // router: adj[a] lists every channel b such that a worm arriving on a may
 // continue on b for some LCA — through a baseline up*/down* candidate or
-// through the policy's extras class (deroute channels for PolicyMisroute,
-// adaptive channels for PolicyDuato). For a baseline router it coincides
-// with BuildCDG.
+// through the policy's extras class (the deroute channels of
+// PolicyMisroute). For a baseline router it coincides with BuildCDG.
 //
-// Under adaptive policies this graph may legitimately contain cycles: two
+// Under an adaptive policy this graph may legitimately contain cycles: two
 // worms can each hold a channel the other's extras class covers. Deadlock
 // freedom does not rest on this graph — it rests on the engine never
 // *waiting* on an extras channel, so the wait-for relation is the escape
@@ -47,15 +46,8 @@ func BuildPolicyCDG(r *core.Router) [][]topology.ChannelID {
 			for _, c := range r.CandidateChannels(mid, arrival, lca) {
 				add(c)
 			}
-			switch r.Policy() {
-			case core.PolicyMisroute:
-				for _, c := range r.DerouteChannels(mid, arrival, lca) {
-					add(c)
-				}
-			case core.PolicyDuato:
-				for _, c := range r.AdaptiveChannels(mid, arrival, lca) {
-					add(c)
-				}
+			for _, c := range r.DerouteChannels(mid, arrival, lca) {
+				add(c)
 			}
 		}
 	}
@@ -71,13 +63,13 @@ func BuildPolicyCDG(r *core.Router) [][]topology.ChannelID {
 // waited on.
 //
 // Beyond the escape certificate it checks the per-cell extras invariants
-// that make the adaptive classes safe:
+// that make the extras class safe:
 //
 //   - extras exist only for down-tree arrivals and are all down-cross
 //     channels — the unique relaxable clause of the up*/down* rules; in
 //     particular no extras channel climbs (phase monotonicity, which keeps
-//     even the extras-enlarged relation acyclic and thereby covers Duato's
-//     indirect dependencies);
+//     even the extras-enlarged relation acyclic and thereby covers
+//     Duato-style indirect dependencies);
 //   - extras are disjoint from the cell's baseline candidates and never
 //     failed channels;
 //   - every extras endpoint is viable: it is the LCA or has a non-empty
@@ -85,8 +77,8 @@ func BuildPolicyCDG(r *core.Router) [][]topology.ChannelID {
 //     channels to fall back on, so a deroute can never strand a header);
 //   - every extras hop strictly ascends the labeling's (level, id) order —
 //     the lexicographic-descent witness that bounds any worm's path length,
-//     so unbudgeted Duato hops terminate without a productivity filter
-//     (which is provably vacuous at reachable cells; see
+//     so hops under an unbounded budget terminate without a productivity
+//     filter (which is provably vacuous at reachable cells; see
 //     core.Router.referenceExtras).
 func VerifyPolicy(r *core.Router) (map[topology.ChannelID]int, error) {
 	lab := r.Lab
@@ -116,9 +108,8 @@ func VerifyPolicy(r *core.Router) (map[topology.ChannelID]int, error) {
 			for lcaInt := 0; lcaInt < net.NumSwitches; lcaInt++ {
 				lca := topology.NodeID(lcaInt)
 				der := r.DerouteChannels(at, arrival, lca)
-				ada := r.AdaptiveChannels(at, arrival, lca)
 				if arrival != core.ArriveDownTree {
-					if len(der) != 0 || len(ada) != 0 {
+					if len(der) != 0 {
 						return nil, fmt.Errorf("deadlock: (%d,%v,%d): extras offered to a non-down-tree arrival", at, arrival, lca)
 					}
 					continue
@@ -127,9 +118,7 @@ func VerifyPolicy(r *core.Router) (map[topology.ChannelID]int, error) {
 				for _, c := range r.CandidateChannels(at, arrival, lca) {
 					inBase[c] = true
 				}
-				inDer := map[topology.ChannelID]bool{}
 				for _, c := range der {
-					inDer[c] = true
 					cell := fmt.Sprintf("(%d,%v,%d)", at, arrival, lca)
 					if lab.IsDown(c) {
 						return nil, fmt.Errorf("deadlock: %s: deroute channel %d is failed", cell, c)
@@ -151,15 +140,6 @@ func VerifyPolicy(r *core.Router) (map[topology.ChannelID]int, error) {
 					if end != lca && len(r.CandidateChannels(end, core.ArriveDownCross, lca)) == 0 {
 						return nil, fmt.Errorf("deadlock: %s: deroute channel %d strands the worm at %d", cell, c, end)
 					}
-				}
-				for _, c := range ada {
-					if !inDer[c] {
-						return nil, fmt.Errorf("deadlock: (%d,%v,%d): adaptive channel %d outside the deroute set", at, arrival, lca, c)
-					}
-				}
-				if len(ada) != len(der) {
-					return nil, fmt.Errorf("deadlock: (%d,%v,%d): adaptive row (%d) narrower than deroute row (%d)",
-						at, arrival, lca, len(ada), len(der))
 				}
 			}
 		}

@@ -2,12 +2,14 @@ package deadlock
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/topology"
 	"repro/internal/updown"
+	"repro/internal/workload"
 )
 
 // policyZooSpecs spans every topology-zoo family at certificate-sweep sizes
@@ -68,8 +70,9 @@ func certifyPolicy(t *testing.T, label string, r *core.Router) map[topology.Chan
 	return order
 }
 
-// TestZooPolicyCertificates is the satellite property battery: every policy
-// router (misroute with budgets 0/1/2, Duato escape) emits a CDG
+// TestZooPolicyCertificates is the satellite property battery: the router
+// each wire name of the misroute family builds ("misroute" with budgets
+// 0/1/2, and "duato", misroute with an unbounded budget) emits a CDG
 // topological-order certificate on all zoo families × 3 root strategies,
 // and keeps doing so through a fault-masked Relabel/Recompile round trip.
 // The misroute budget is per-worm engine state, invisible to the static
@@ -97,16 +100,23 @@ func TestZooPolicyCertificates(t *testing.T) {
 			t.Fatalf("%s: %v", spec, err)
 		}
 		for _, strat := range strategies {
-			for _, pol := range []core.Policy{core.PolicyMisroute, core.PolicyDuato} {
-				label := fmt.Sprintf("%s/%v/%v", spec, strat, pol)
+			for _, routing := range []string{"misroute", "duato"} {
+				label := fmt.Sprintf("%s/%v/%s", spec, strat, routing)
 				t.Run(label, func(t *testing.T) {
+					pol, budget, err := workload.RoutingPolicy(workload.Params{Routing: routing})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pol != core.PolicyMisroute || (routing == "duato") != (budget == math.MaxInt32) {
+						t.Fatalf("%s resolves to (%v, %d)", routing, pol, budget)
+					}
 					lab, err := updown.New(net, strat)
 					if err != nil {
 						t.Fatal(err)
 					}
 					r := core.NewRouterPolicy(lab, pol)
 					order := certifyPolicy(t, label, r)
-					if pol == core.PolicyMisroute {
+					if routing == "misroute" {
 						// Budget k lives in per-worm engine state; the
 						// static certificate must not depend on it.
 						for k := 0; k <= 2; k++ {

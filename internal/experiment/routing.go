@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -12,9 +13,9 @@ import (
 )
 
 // RoutingConfig parameterizes the adaptive-routing comparator sweeps: the
-// same traffic measured under each routing-policy family — baseline
-// up*/down*, budget-bounded misroute and Duato-style fully adaptive with the
-// baseline escape class.
+// same traffic measured under baseline up*/down* routing, budget-bounded
+// misroute, and "duato" — misroute with an unbounded budget, the fully
+// adaptive variant over the baseline escape class.
 type RoutingConfig struct {
 	Nodes int
 	// Rates lists average arrival rates in messages/µs/processor for the
@@ -49,28 +50,11 @@ func DefaultRouting(messages int) RoutingConfig {
 	}
 }
 
-// routingVariants lists the compared policies with their display labels and
-// simulator budgets.
-func (cfg RoutingConfig) routingVariants() []struct {
-	label  string
-	pol    core.Policy
-	budget int
-} {
-	return []struct {
-		label  string
-		pol    core.Policy
-		budget int
-	}{
-		{"baseline", core.PolicyBaseline, 0},
-		{fmt.Sprintf("misroute-%d", cfg.MisrouteBudget), core.PolicyMisroute, cfg.MisrouteBudget},
-		{"duato", core.PolicyDuato, 0},
-	}
-}
-
 // RunRoutingComparison measures mean latency versus arrival rate under each
 // routing policy on one network and labeling (the policies share the
 // up*/down* structure, so the curves differ only by routing freedom). One
-// series per policy.
+// series per policy; the misroute and duato series share one system and
+// differ only in the simulator's misroute budget.
 func RunRoutingComparison(cfg RoutingConfig) ([]Series, error) {
 	if cfg.Nodes <= 0 || cfg.Messages <= 0 {
 		return nil, fmt.Errorf("experiment: routing needs nodes and messages")
@@ -82,22 +66,29 @@ func RunRoutingComparison(cfg RoutingConfig) ([]Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	variants := cfg.routingVariants()
+	mis, err := withPolicy(base, core.PolicyMisroute)
+	if err != nil {
+		return nil, err
+	}
+	variants := []struct {
+		label  string
+		sys    *workload.System
+		budget int
+	}{
+		{"baseline", base, 0},
+		{fmt.Sprintf("misroute-%d", cfg.MisrouteBudget), mis, cfg.MisrouteBudget},
+		{"duato", mis, math.MaxInt32},
+	}
 	type key struct{ vi, ri int }
 	var jobs []job
 	var keys []key
 	for vi, v := range variants {
-		sys, err := withPolicy(base, v.pol)
-		if err != nil {
-			return nil, err
-		}
 		simCfg := cfg.Sim
 		simCfg.MisrouteBudget = v.budget
 		for ri, rate := range cfg.Rates {
-			sys, ri, rate := sys, ri, rate
 			keys = append(keys, key{vi: vi, ri: ri})
 			jobs = append(jobs, func(c *workload.RunnerCache) (*stats.Summary, error) {
-				runner, err := c.Get(sys, simCfg)
+				runner, err := c.Get(v.sys, simCfg)
 				if err != nil {
 					return nil, err
 				}
@@ -136,7 +127,7 @@ func RunRoutingComparison(cfg RoutingConfig) ([]Series, error) {
 }
 
 // RoutingRootRow is one (topology, root strategy) cell of the root-strategy
-// sweep, measured under baseline and Duato routing.
+// sweep, measured under baseline and duato (unbounded misroute) routing.
 type RoutingRootRow struct {
 	Topology   string
 	Strategy   string
@@ -150,8 +141,9 @@ type RoutingRootRow struct {
 // RunRoutingRootSweep measures the root-placement question the paper leaves
 // open, per policy: a fat-tree rooted at a top-stage switch (max-degree)
 // versus an arbitrary leaf-stage root (min-id), and a torus rooted at a
-// graph center — each under baseline and Duato routing. Down-cross richness
-// depends on the root, so the adaptive win is root-dependent.
+// graph center — each under baseline and duato (unbounded misroute)
+// routing. Down-cross richness depends on the root, so the adaptive win is
+// root-dependent.
 func RunRoutingRootSweep(cfg RoutingConfig) ([]RoutingRootRow, error) {
 	if cfg.Messages <= 0 {
 		return nil, fmt.Errorf("experiment: routing-root needs messages")
@@ -162,9 +154,10 @@ func RunRoutingRootSweep(cfg RoutingConfig) ([]RoutingRootRow, error) {
 	type cell struct {
 		topo  string
 		strat updown.RootStrategy
-		pol   core.Policy
 		depth int
 	}
+	adaptive := cfg.Sim
+	adaptive.MisrouteBudget = math.MaxInt32
 	var jobs []job
 	var cells []cell
 	for _, topo := range topos {
@@ -183,21 +176,24 @@ func RunRoutingRootSweep(cfg RoutingConfig) ([]RoutingRootRow, error) {
 					depth = int(base.Lab.Level[v])
 				}
 			}
-			for _, pol := range []core.Policy{core.PolicyBaseline, core.PolicyDuato} {
-				sys, err := withPolicy(base, pol)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, cell{topo: topo, strat: strat, pol: pol, depth: depth})
+			mis, err := withPolicy(base, core.PolicyMisroute)
+			if err != nil {
+				return nil, err
+			}
+			for _, v := range []struct {
+				sys    *workload.System
+				simCfg sim.Config
+			}{{base, cfg.Sim}, {mis, adaptive}} {
+				cells = append(cells, cell{topo: topo, strat: strat, depth: depth})
 				jobs = append(jobs, func(c *workload.RunnerCache) (*stats.Summary, error) {
-					runner, err := c.Get(sys, cfg.Sim)
+					runner, err := c.Get(v.sys, v.simCfg)
 					if err != nil {
 						return nil, err
 					}
 					return workload.Measure(runner, workload.Mixed{
 						RatePerProcPerUs:  rate,
 						MulticastFraction: cfg.MulticastFraction,
-						MulticastDests:    min(cfg.MulticastDests, sys.Net.NumProcs-1),
+						MulticastDests:    min(cfg.MulticastDests, v.sys.Net.NumProcs-1),
 						Messages:          cfg.Messages,
 					}, workload.MeasureOpts{
 						WarmupMessages: cfg.Warmup,

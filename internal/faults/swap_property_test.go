@@ -3,7 +3,7 @@ package faults
 // The hot-swap correctness property: after any sequence of applied
 // mutations, the injector's in-place relabeled labeling and recompiled
 // tables are bit-identical to a *fresh* NewRouter build over the mutated
-// topology — the same cross-check pattern WithReferenceRouting pins for the
+// topology — the same cross-check pattern the reference router pins for the
 // base tables, extended over live reconfiguration.
 
 import (

@@ -38,7 +38,7 @@ func TestRunMisrouteZeroBaselineDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	want.PoolSize, want.ElapsedMs = 0, 0
-	if want.Counters.MisrouteHops != 0 || want.Counters.AdaptiveHops != 0 {
+	if want.Counters.MisrouteHops != 0 {
 		t.Fatalf("baseline response counted policy hops: %+v", want.Counters)
 	}
 	for _, pool := range []int{1, 4, 8} {
@@ -86,8 +86,8 @@ func TestRunRoutingValidation(t *testing.T) {
 }
 
 // TestRunRoutingDeterministic pins bit-identical responses across pool sizes
-// and repeats for the armed families, composed with a topology and root
-// override — the full alternate-system construction path.
+// and repeats for the armed budgets (misroute-2 and duato), composed with a
+// topology and root override — the full alternate-system construction path.
 func TestRunRoutingDeterministic(t *testing.T) {
 	reqs := map[string]RunRequest{
 		"misroute-2": routingRequest("misroute", 2, 3),
@@ -117,5 +117,41 @@ func TestRunRoutingDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunHugeBudgetMatchesDuato pins the budget clamp at the service
+// boundary: a misroute budget past the int32 range runs as the unbounded
+// budget "duato" names instead of wrapping to nothing, so the two requests
+// reply identically — on a system where deroutes do happen.
+func TestRunHugeBudgetMatchesDuato(t *testing.T) {
+	svc := newService(t, testSystem(t, 16), 2)
+	run := func(routing string, budget int) *RunResponse {
+		t.Helper()
+		req := RunRequest{
+			Scenario: "hotspot",
+			Trials:   2,
+			Seed:     1998,
+			Params: workload.Params{
+				Topology:         "gnm:24+12",
+				Routing:          routing,
+				MisrouteBudget:   budget,
+				RatePerProcPerUs: 0.04,
+				Messages:         2000,
+			},
+		}
+		resp, err := svc.Run(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s/%d: %v", routing, budget, err)
+		}
+		resp.PoolSize, resp.ElapsedMs = 0, 0
+		return resp
+	}
+	want := run("duato", 0)
+	if want.Counters.MisrouteHops == 0 {
+		t.Fatal("duato took no deroute: the comparison is vacuous")
+	}
+	if got := run("misroute", 1<<32); !reflect.DeepEqual(got, want) {
+		t.Fatalf("misroute_budget 2^32 diverged from duato:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -8,22 +9,22 @@ import (
 	"repro/internal/updown"
 )
 
-// FuzzAdaptiveSelection fuzzes the adaptive routing families end to end:
-// on arbitrary random topologies (lattice or unconstrained G(n,m)) under an
-// arbitrary misroute budget and fuzz-chosen congestion, the policy router's
-// extras planes must satisfy every structural safety invariant cell by cell,
-// and a full congested trial must drain to idle (no deadlock, no stall) with
-// the policy counters confined to their family and bounded by the budget:
+// FuzzAdaptiveSelection fuzzes misroute routing end to end: on arbitrary
+// random topologies (lattice or unconstrained G(n,m)) under an arbitrary
+// misroute budget — small, or the unbounded math.MaxInt32 the "duato" wire
+// name selects — and fuzz-chosen congestion, the policy router's extras
+// planes must satisfy every structural safety invariant cell by cell, and a
+// full congested trial must drain to idle (no deadlock, no stall) with the
+// deroute counter bounded:
 //
 //   - extras exist only for down-tree arrivals; every extras channel is an
 //     in-range, non-failed down-cross channel leaving `at` whose endpoint is
 //     an extended ancestor of the LCA (it can complete the descent);
-//   - the adaptive row equals the deroute row (the distance-productivity
-//     filter is provably vacuous — see core.Router.referenceExtras);
-//   - under PolicyMisroute a trial never moves AdaptiveHops and never takes
-//     more than budget × worms deroutes (none at budget 0); under
-//     PolicyDuato it never moves MisrouteHops; no worm's budget goes
-//     negative.
+//   - a small budget caps a trial at budget × worms deroutes (none at
+//     budget 0); under the unbounded budget no worm spends as many as the
+//     switch count, because every extras hop ascends the labeling's
+//     (level, id) order; no worm's budget goes negative, and the counter
+//     equals the budget the worms spent.
 //
 // Run with `go test -fuzz=FuzzAdaptiveSelection ./internal/sim` to explore;
 // the seed corpus runs as part of `go test`.
@@ -33,7 +34,7 @@ func FuzzAdaptiveSelection(f *testing.F) {
 	f.Add(uint64(7), uint8(3), uint8(2), false, uint8(0), uint8(3), uint64(1))
 	f.Add(uint64(1998), uint8(16), uint8(0), true, uint8(1), uint8(1), uint64(0xdeadbeef))
 
-	f.Fuzz(func(t *testing.T, seed uint64, sizeSel, rootSel uint8, irregular bool, polSel, budgetSel uint8, trafficBits uint64) {
+	f.Fuzz(func(t *testing.T, seed uint64, sizeSel, rootSel uint8, irregular bool, unboundedSel, budgetSel uint8, trafficBits uint64) {
 		n := 2 + int(sizeSel%24)
 		var net *topology.Network
 		var err error
@@ -53,11 +54,7 @@ func FuzzAdaptiveSelection(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pol := core.PolicyMisroute
-		if polSel%2 == 1 {
-			pol = core.PolicyDuato
-		}
-		r := core.NewRouterPolicy(lab, pol)
+		r := core.NewRouterPolicy(lab, core.PolicyMisroute)
 
 		// Static sweep: every extras cell obeys the safety invariants.
 		arrivals := []core.ArrivalClass{core.ArriveInjection, core.ArriveUp, core.ArriveDownCross, core.ArriveDownTree}
@@ -67,19 +64,12 @@ func FuzzAdaptiveSelection(f *testing.F) {
 				for lca := 0; lca < net.NumSwitches; lca++ {
 					atN, lcaN := topology.NodeID(at), topology.NodeID(lca)
 					der := r.DerouteChannels(atN, arrival, lcaN)
-					ada := r.AdaptiveChannels(atN, arrival, lcaN)
-					if arrival != core.ArriveDownTree && (len(der) != 0 || len(ada) != 0) {
+					if arrival != core.ArriveDownTree && len(der) != 0 {
 						t.Fatalf("(%d,%v,%d): extras offered to a non-down-tree arrival", at, arrival, lca)
 					}
-					if len(ada) != len(der) {
-						t.Fatalf("(%d,%v,%d): adaptive row %v differs from deroute row %v", at, arrival, lca, ada, der)
-					}
-					for i, c := range der {
+					for _, c := range der {
 						if int(c) < 0 || int(c) >= numChans {
 							t.Fatalf("(%d,%v,%d): extras channel %d out of range [0,%d)", at, arrival, lca, c, numChans)
-						}
-						if ada[i] != c {
-							t.Fatalf("(%d,%v,%d): adaptive row %v differs from deroute row %v", at, arrival, lca, ada, der)
 						}
 						if lab.IsDown(c) {
 							t.Fatalf("(%d,%v,%d): extras channel %d is failed", at, arrival, lca, c)
@@ -100,8 +90,12 @@ func FuzzAdaptiveSelection(f *testing.F) {
 		}
 
 		// Dynamic sweep: a congested multicast burst drains to idle with
-		// the policy counters confined to their family and budget-bounded.
+		// the deroute counter budget-bounded.
 		budget := int(budgetSel % 4)
+		unbounded := unboundedSel%2 == 1
+		if unbounded {
+			budget = math.MaxInt32
+		}
 		cfg := DefaultConfig()
 		cfg.Params.MessageFlits = 16
 		cfg.MisrouteBudget = budget
@@ -137,29 +131,28 @@ func FuzzAdaptiveSelection(f *testing.F) {
 			return
 		}
 		if err := s.RunUntilIdle(int64(1e12)); err != nil {
-			t.Fatalf("%v budget=%d: %v", pol, budget, err)
+			t.Fatalf("budget=%d: %v", budget, err)
 		}
 		c := s.Counters()
-		switch pol {
-		case core.PolicyMisroute:
-			if c.AdaptiveHops != 0 {
-				t.Fatalf("misroute moved the adaptive counter: %+v", c)
-			}
-			if cap := uint64(budget) * uint64(len(worms)); c.MisrouteHops > cap {
-				t.Fatalf("misroute hops %d exceed budget cap %d (%d worms, budget %d)", c.MisrouteHops, cap, len(worms), budget)
-			}
-		case core.PolicyDuato:
-			if c.MisrouteHops != 0 {
-				t.Fatalf("duato moved the misroute counter: %+v", c)
-			}
+		if cap := uint64(budget) * uint64(len(worms)); c.MisrouteHops > cap {
+			t.Fatalf("misroute hops %d exceed budget cap %d (%d worms, budget %d)", c.MisrouteHops, cap, len(worms), budget)
 		}
+		var spentAll uint64
 		for _, w := range worms {
 			if !w.Completed() {
-				t.Fatalf("%v budget=%d: worm %d not delivered", pol, budget, w.ID)
+				t.Fatalf("budget=%d: worm %d not delivered", budget, w.ID)
 			}
 			if w.MisrouteLeft < 0 {
 				t.Fatalf("worm %d overdrew its misroute budget: %d", w.ID, w.MisrouteLeft)
 			}
+			spent := budget - int(w.MisrouteLeft)
+			if unbounded && spent >= net.NumSwitches {
+				t.Fatalf("worm %d took %d deroutes on %d switches: extras hops do not ascend", w.ID, spent, net.NumSwitches)
+			}
+			spentAll += uint64(spent)
+		}
+		if spentAll != c.MisrouteHops {
+			t.Fatalf("worms spent %d budget units, counter reads %d deroutes", spentAll, c.MisrouteHops)
 		}
 	})
 }

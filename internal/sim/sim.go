@@ -804,35 +804,20 @@ func (s *Simulator) onRoute(c topology.ChannelID) {
 				break
 			}
 		}
-		if !found {
-			// Every legal channel is busy: the routing policy may take an
-			// extras channel, but only one that is *instantly free* — policy
-			// channels are never waited on, so every blocking wait below
-			// lands on the baseline escape class and the wait-for CDG stays
-			// the acyclic up*/down* one (ARCHITECTURE invariant 12).
-			switch s.router.Policy() {
-			case core.PolicyDuato:
-				s.extrasScratch = s.router.AppendExtrasChannels(s.extrasScratch[:0], at, arrival, w.LCA)
-				for _, cand := range s.extrasScratch {
-					ocs := &s.chans[cand]
-					if ocs.reserved == nil && !ocs.outOcc && len(ocs.ocrq) == 0 {
-						pick = cand
-						s.counters.AdaptiveHops++
-						break
-					}
-				}
-			case core.PolicyMisroute:
-				if w.MisrouteLeft > 0 {
-					s.extrasScratch = s.router.AppendExtrasChannels(s.extrasScratch[:0], at, arrival, w.LCA)
-					for _, cand := range s.extrasScratch {
-						ocs := &s.chans[cand]
-						if ocs.reserved == nil && !ocs.outOcc && len(ocs.ocrq) == 0 {
-							pick = cand
-							w.MisrouteLeft--
-							s.counters.MisrouteHops++
-							break
-						}
-					}
+		if !found && w.MisrouteLeft > 0 {
+			// Every legal channel is busy: a misroute worm with budget left
+			// may take an extras channel, but only one that is *instantly
+			// free* — policy channels are never waited on, so every blocking
+			// wait below lands on the baseline escape class and the wait-for
+			// CDG stays the acyclic up*/down* one (ARCHITECTURE invariant 12).
+			s.extrasScratch = s.router.AppendExtrasChannels(s.extrasScratch[:0], at, arrival, w.LCA)
+			for _, cand := range s.extrasScratch {
+				ocs := &s.chans[cand]
+				if ocs.reserved == nil && !ocs.outOcc && len(ocs.ocrq) == 0 {
+					pick = cand
+					w.MisrouteLeft--
+					s.counters.MisrouteHops++
+					break
 				}
 			}
 		}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/topology"
@@ -204,11 +206,9 @@ type Counters struct {
 	RouteLostAborts uint64 `json:"route_lost_aborts"`
 	FlitsDropped    uint64 `json:"flits_dropped"`
 	// MisrouteHops counts header hops taken on deroute (non-minimal)
-	// channels under PolicyMisroute; AdaptiveHops counts header hops taken
-	// on the adaptive class under PolicyDuato. Both stay 0 under the
-	// baseline policy (part of the misroute-0 ≡ baseline differential).
+	// channels under PolicyMisroute, whatever the budget. It stays 0 under
+	// the baseline policy (part of the misroute-0 ≡ baseline differential).
 	MisrouteHops uint64 `json:"misroute_hops"`
-	AdaptiveHops uint64 `json:"adaptive_hops"`
 }
 
 // Add folds o into c field by field — exact uint64 addition, so per-trial
@@ -224,7 +224,6 @@ func (c *Counters) Add(o Counters) {
 	c.RouteLostAborts += o.RouteLostAborts
 	c.FlitsDropped += o.FlitsDropped
 	c.MisrouteHops += o.MisrouteHops
-	c.AdaptiveHops += o.AdaptiveHops
 }
 
 // Config parameterizes a Simulator.
@@ -260,7 +259,9 @@ type Config struct {
 	// MisrouteBudget is the per-worm misroute budget under a PolicyMisroute
 	// router: how many deroute (non-minimal) channels one header may take.
 	// Ignored (treated as 0) under other policies; negative values clamp
-	// to 0. With budget 0 a misroute router is bit-identical to baseline.
+	// to 0 and values above math.MaxInt32 to math.MaxInt32, a budget no
+	// worm can spend. With budget 0 a misroute router is bit-identical to
+	// baseline.
 	MisrouteBudget int
 	// Logf, if non-nil, receives a human-readable trace of routing
 	// milestones (used by the quickstart example). Keep nil for speed. It
@@ -299,7 +300,5 @@ func (c *Config) normalize() {
 	if c.MaxEvents == 0 {
 		c.MaxEvents = 4_000_000_000
 	}
-	if c.MisrouteBudget < 0 {
-		c.MisrouteBudget = 0
-	}
+	c.MisrouteBudget = min(max(c.MisrouteBudget, 0), math.MaxInt32)
 }

@@ -59,6 +59,9 @@ func (m Mixed) validate(n int) error {
 	if m.Messages <= 0 {
 		return fmt.Errorf("workload: message count %d must be positive", m.Messages)
 	}
+	if m.NegBinomialR < 0 {
+		return fmt.Errorf("workload: negative-binomial r %d must be >= 0", m.NegBinomialR)
+	}
 	return nil
 }
 

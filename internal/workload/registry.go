@@ -45,8 +45,9 @@ type Params struct {
 	Trace string `json:"trace,omitempty"`
 
 	// Routing selects the routing-policy family ("baseline" | "misroute" |
-	// "duato"; empty = baseline) and MisrouteBudget the per-worm deroute
-	// budget (misroute only — the serving layers clamp it to 0 elsewhere).
+	// "duato", which is misroute with an unbounded budget; empty =
+	// baseline) and MisrouteBudget the per-worm deroute budget ("misroute"
+	// only — see RoutingPolicy).
 	// Root overrides the spanning-tree root strategy ("min-id" |
 	// "max-degree" | "center"; empty = the server's/CLI's default). Like
 	// Topology, scenario constructors ignore all three — the serving layers

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // policyRouter builds a policy router from a topology spec string, the
-// specRouter counterpart for the adaptive families.
+// specRouter counterpart for the misroute family.
 func policyRouter(t testing.TB, spec string, seed uint64, pol core.Policy) *core.Router {
 	t.Helper()
 	sp, err := topology.ParseSpec(spec)
@@ -50,7 +51,7 @@ func TestMisrouteZeroBaselineDifferential(t *testing.T) {
 					t.Fatalf("%s: baseline trial: %v", sc.Name, err)
 				}
 				want := signatureOf(base)
-				if want.counters.MisrouteHops != 0 || want.counters.AdaptiveHops != 0 {
+				if want.counters.MisrouteHops != 0 {
 					t.Fatalf("%s: baseline router counted policy hops: %+v", sc.Name, want.counters)
 				}
 				cfg := smallCfg()
@@ -105,13 +106,29 @@ func sidestepNet(t *testing.T) (*topology.Network, *updown.Labeling) {
 }
 
 // TestPolicyCountersMove is the positive control for the differentials: on
-// the sidestep net the armed families actually exercise their extras —
-// exactly one deroute under misroute-2, exactly one adaptive hop under
-// Duato — each family moves only its own counter, budget 0 takes none, and
-// the sidestepping worm still reaches every destination.
+// the sidestep net an armed misroute worm actually takes its extras — exactly
+// one deroute under misroute-2, under "duato" (the unbounded budget) and
+// under budgets of 2^31 and 2^32, which clamp to that budget rather than wrap
+// to nothing — budget 0 and the baseline take none, and the sidestepping
+// worm still reaches every destination.
 func TestPolicyCountersMove(t *testing.T) {
-	run := func(pol core.Policy, budget int) sim.Counters {
-		t.Helper()
+	cases := []struct {
+		name    string
+		p       Params
+		deroute uint64
+	}{
+		{"misroute-2", Params{Routing: "misroute", MisrouteBudget: 2}, 1},
+		{"misroute-0", Params{Routing: "misroute"}, 0},
+		{"duato", Params{Routing: "duato"}, 1},
+		{"misroute-2^31", Params{Routing: "misroute", MisrouteBudget: 1 << 31}, 1},
+		{"misroute-2^32", Params{Routing: "misroute", MisrouteBudget: 1 << 32}, 1},
+		{"baseline", Params{}, 0},
+	}
+	for _, c := range cases {
+		pol, budget, err := RoutingPolicy(c.p)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		_, lab := sidestepNet(t)
 		cfg := sim.DefaultConfig() // paper params: 128-flit worms, ample hold time
 		cfg.MisrouteBudget = budget
@@ -132,29 +149,11 @@ func TestPolicyCountersMove(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !occ.Completed() || !worm.Completed() {
-			t.Fatalf("%v/budget=%d: worms not delivered (occ=%t worm=%t)", pol, budget, occ.Completed(), worm.Completed())
+			t.Fatalf("%s: worms not delivered (occ=%t worm=%t)", c.name, occ.Completed(), worm.Completed())
 		}
-		return s.Counters()
-	}
-
-	mis := run(core.PolicyMisroute, 2)
-	if mis.MisrouteHops != 1 || mis.AdaptiveHops != 0 {
-		t.Errorf("misroute-2: want exactly one deroute and no adaptive hops, got %+v", mis)
-	}
-
-	zero := run(core.PolicyMisroute, 0)
-	if zero.MisrouteHops != 0 || zero.AdaptiveHops != 0 {
-		t.Errorf("misroute-0: policy counters moved without budget: %+v", zero)
-	}
-
-	du := run(core.PolicyDuato, 0)
-	if du.AdaptiveHops != 1 || du.MisrouteHops != 0 {
-		t.Errorf("duato: want exactly one adaptive hop and no deroutes, got %+v", du)
-	}
-
-	base := run(core.PolicyBaseline, 0)
-	if base.MisrouteHops != 0 || base.AdaptiveHops != 0 {
-		t.Errorf("baseline: policy counters moved: %+v", base)
+		if got := s.Counters().MisrouteHops; got != c.deroute {
+			t.Errorf("%s: %d deroutes, want %d", c.name, got, c.deroute)
+		}
 	}
 }
 
@@ -175,14 +174,12 @@ func TestSidestepNetCell(t *testing.T) {
 	if got, want := r.Net.Chan(der[0]).Dst, topology.NodeID(2); got != want {
 		t.Fatalf("deroute endpoint %d, want the sidestep switch %d", got, want)
 	}
-	if ada := r.AdaptiveChannels(1, core.ArriveDownTree, 4); len(ada) != 1 || ada[0] != der[0] {
-		t.Fatalf("adaptive row %v differs from deroute row %v", ada, der)
-	}
 }
 
 // TestRoutingPolicyResolution pins the wire-params clamp: the budget exists
 // only under the misroute family, so equivalent requests resolve to
-// identical (policy, budget) pairs.
+// identical (policy, budget) pairs, and "duato" is misroute with the
+// unbounded budget.
 func TestRoutingPolicyResolution(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -194,7 +191,7 @@ func TestRoutingPolicyResolution(t *testing.T) {
 		{"baseline", Params{Routing: "baseline"}, core.PolicyBaseline, 0},
 		{"misroute", Params{Routing: "misroute", MisrouteBudget: 5}, core.PolicyMisroute, 5},
 		{"misroute negative", Params{Routing: "misroute", MisrouteBudget: -3}, core.PolicyMisroute, 0},
-		{"duato ignores budget", Params{Routing: "duato", MisrouteBudget: 5}, core.PolicyDuato, 0},
+		{"duato ignores budget", Params{Routing: "duato", MisrouteBudget: 5}, core.PolicyMisroute, math.MaxInt32},
 		{"baseline ignores budget", Params{MisrouteBudget: 7}, core.PolicyBaseline, 0},
 	}
 	for _, c := range cases {

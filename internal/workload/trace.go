@@ -29,6 +29,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -88,8 +89,9 @@ func LoadTrace(r io.Reader) (*Trace, error) {
 			if len(f) != 2 || f[0] != "procs" {
 				return nil, fmt.Errorf("workload: trace line %d: expected \"procs <P>\", got %q", lineNo, line)
 			}
+			// Indices are stored as int32, so a larger count would wrap.
 			p, err := strconv.Atoi(f[1])
-			if err != nil || p < 1 {
+			if err != nil || p < 1 || p > math.MaxInt32 {
 				return nil, fmt.Errorf("workload: trace line %d: bad processor count %q", lineNo, f[1])
 			}
 			tr.Procs = p

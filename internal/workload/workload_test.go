@@ -136,6 +136,81 @@ func TestMixedMessageCountAndShare(t *testing.T) {
 	}
 }
 
+// TestMixedRateControlsArrivals: the rate sets the arrival span, so the same
+// message count arrives sooner at a higher rate.
+func TestMixedRateControlsArrivals(t *testing.T) {
+	r := newTestRunner(t, 16)
+	last := func(rate float64) int64 {
+		if err := r.Trial(Mixed{RatePerProcPerUs: rate, Messages: 300}, 31); err != nil {
+			t.Fatal(err)
+		}
+		worms := r.Worms()
+		return worms[len(worms)-1].SubmitNs
+	}
+	if slow, fast := last(0.005), last(0.04); fast >= slow {
+		t.Fatalf("rate sweep broken: last arrival %d (fast) vs %d (slow)", fast, slow)
+	}
+}
+
+// TestPickDests pins destination sampling: k distinct processors, never the
+// source.
+func TestPickDests(t *testing.T) {
+	r := newTestRunner(t, 16)
+	g := &r.gen
+	g.Rand.Seed(7)
+	n := g.NumProcs()
+	for trial := 0; trial < 50; trial++ {
+		src := g.Rand.Intn(n)
+		k := 1 + g.Rand.Intn(n-1)
+		dests := g.PickDests(src, k)
+		if len(dests) != k {
+			t.Fatalf("got %d dests, want %d", len(dests), k)
+		}
+		seen := map[topology.NodeID]bool{}
+		for _, d := range dests {
+			if d == g.Proc(src) {
+				t.Fatal("source picked as destination")
+			}
+			if seen[d] {
+				t.Fatal("duplicate destination")
+			}
+			seen[d] = true
+		}
+	}
+}
+
+// TestPickDestsFullFanout: k = n−1 picks every processor but the source.
+func TestPickDestsFullFanout(t *testing.T) {
+	r := newTestRunner(t, 8)
+	g := &r.gen
+	g.Rand.Seed(1)
+	n := g.NumProcs()
+	dests := g.PickDests(0, n-1)
+	if len(dests) != n-1 {
+		t.Fatalf("full fan-out picked %d dests, want %d", len(dests), n-1)
+	}
+	seen := map[topology.NodeID]bool{g.Proc(0): true}
+	for _, d := range dests {
+		if seen[d] {
+			t.Fatalf("destination %v repeated or is the source", d)
+		}
+		seen[d] = true
+	}
+}
+
+// TestPickDestsPanics: asking for more than n−1 destinations panics.
+func TestPickDestsPanics(t *testing.T) {
+	r := newTestRunner(t, 4)
+	g := &r.gen
+	g.Rand.Seed(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("oversized pick accepted")
+		}
+	}()
+	g.PickDests(0, g.NumProcs())
+}
+
 func TestHotSpotConcentrates(t *testing.T) {
 	r := newTestRunner(t, 16)
 	w := HotSpot{RatePerProcPerUs: 0.01, HotFraction: 0.8, HotIdx: 3, Messages: 150}
@@ -321,6 +396,24 @@ func TestGeneratorValidation(t *testing.T) {
 	for i, w := range bad {
 		if err := r.Trial(w, 1); err == nil {
 			t.Fatalf("bad workload %d accepted", i)
+		}
+	}
+}
+
+// TestMixedValidation: every invalid Mixed config fails the Trial.
+func TestMixedValidation(t *testing.T) {
+	r := newTestRunner(t, 8)
+	bad := []Mixed{
+		{RatePerProcPerUs: 0, Messages: 10},
+		{RatePerProcPerUs: 0.01, MulticastFraction: 2, Messages: 10},
+		{RatePerProcPerUs: 0.01, MulticastFraction: 0.1, MulticastDests: 1000, Messages: 10},
+		{RatePerProcPerUs: 0.01, Messages: 0},
+		{RatePerProcPerUs: 1e9, Messages: 10}, // rate too high for slot
+		{RatePerProcPerUs: 0.01, Messages: 10, NegBinomialR: -1},
+	}
+	for i, w := range bad {
+		if err := r.Trial(w, 1); err == nil {
+			t.Errorf("bad config %d accepted", i)
 		}
 	}
 }

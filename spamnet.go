@@ -67,12 +67,7 @@ type RoutingPolicy = core.Policy
 const (
 	PolicyBaseline = core.PolicyBaseline
 	PolicyMisroute = core.PolicyMisroute
-	PolicyDuato    = core.PolicyDuato
 )
-
-// ParseRoutingPolicy parses a policy's wire name ("" or "baseline",
-// "misroute", "duato").
-func ParseRoutingPolicy(s string) (RoutingPolicy, error) { return core.ParsePolicy(s) }
 
 type options struct {
 	root       RootStrategy
@@ -81,7 +76,6 @@ type options struct {
 	seed       uint64
 	procsPer   int
 	procsSet   bool
-	refRouting bool
 	maxSimTime int64
 }
 
@@ -96,11 +90,12 @@ type Option func(*options)
 func WithRootStrategy(s RootStrategy) Option { return func(o *options) { o.root = s } }
 
 // WithRoutingPolicy selects the routing-policy family: PolicyBaseline (the
-// paper's fixed selection, the default), PolicyMisroute (budget-bounded
-// deroutes under congestion — pair with WithMisrouteBudget) or PolicyDuato
-// (fully adaptive productive hops over a deadlock-free baseline escape
-// class). Policy routers stay bit-identical to baseline when their adaptive
-// freedom is never exercised; misroute with budget 0 always is.
+// paper's fixed selection, the default) or PolicyMisroute (budgeted
+// deroutes under congestion over a deadlock-free baseline escape class —
+// pair with WithMisrouteBudget; math.MaxInt32 is the unbounded budget the
+// "duato" wire name selects). Misroute routers stay bit-identical to
+// baseline when their adaptive freedom is never exercised; budget 0 always
+// is.
 func WithRoutingPolicy(p RoutingPolicy) Option { return func(o *options) { o.policy = p } }
 
 // WithMisrouteBudget sets the per-worm deroute budget for PolicyMisroute
@@ -122,14 +117,6 @@ func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 func WithProcessorsPerSwitch(n int) Option {
 	return func(o *options) { o.procsPer, o.procsSet = n, true }
 }
-
-// WithReferenceRouting disables the compiled routing tables: every routing
-// decision is recomputed from the up*/down* labeling the way the original
-// implementation did. This is the debugging escape hatch for suspected table
-// miscompilations — slower and allocating, but with no precomputed routing
-// state. Table-driven and reference routing produce identical decisions
-// (property tests cross-check them on random topologies).
-func WithReferenceRouting() Option { return func(o *options) { o.refRouting = true } }
 
 // WithTrace routes a hop-by-hop routing trace of every session to logf.
 func WithTrace(logf func(format string, args ...any)) Option {
@@ -168,15 +155,7 @@ type System struct {
 	simCfg     sim.Config
 	root       RootStrategy
 	policy     RoutingPolicy
-	refRouting bool
 	maxSimTime int64
-}
-
-func makeRouter(lab *updown.Labeling, reference bool, pol RoutingPolicy) *core.Router {
-	if reference {
-		return core.NewReferenceRouterPolicy(lab, pol)
-	}
-	return core.NewRouterPolicy(lab, pol)
 }
 
 // NewLattice builds the paper's experimental platform: `switches` 8-port
@@ -278,10 +257,9 @@ func FromParts(net *topology.Network, lab *updown.Labeling, opts ...Option) (*Sy
 	return &System{
 		net:        net,
 		lab:        lab,
-		router:     makeRouter(lab, o.refRouting, o.policy),
+		router:     core.NewRouterPolicy(lab, o.policy),
 		simCfg:     o.simCfg,
 		policy:     o.policy,
-		refRouting: o.refRouting,
 		maxSimTime: o.maxSimTime,
 	}, nil
 }
@@ -294,11 +272,10 @@ func newSystem(net *topology.Network, o options) (*System, error) {
 	return &System{
 		net:        net,
 		lab:        lab,
-		router:     makeRouter(lab, o.refRouting, o.policy),
+		router:     core.NewRouterPolicy(lab, o.policy),
 		simCfg:     o.simCfg,
 		root:       o.root,
 		policy:     o.policy,
-		refRouting: o.refRouting,
 		maxSimTime: o.maxSimTime,
 	}, nil
 }
@@ -324,11 +301,10 @@ func (s *System) Reconfigure(failedLinks [][2]int) (*System, error) {
 	return &System{
 		net:        net,
 		lab:        lab,
-		router:     makeRouter(lab, s.refRouting, s.policy),
+		router:     core.NewRouterPolicy(lab, s.policy),
 		simCfg:     s.simCfg,
 		root:       s.root,
 		policy:     s.policy,
-		refRouting: s.refRouting,
 		maxSimTime: s.maxSimTime,
 	}, nil
 }
@@ -381,7 +357,7 @@ func (s *System) Fingerprint() uint64 {
 	io.WriteString(h, topology.FormatAdjacency(s.net))
 	cfg := s.simCfg
 	cfg.Logf = nil // function values have no stable representation (and no effect on results)
-	fmt.Fprintf(h, "|root=%d|ref=%t|pol=%d|cfg=%+v|horizon=%d", s.lab.Root, s.refRouting, uint8(s.policy), cfg, s.MaxSimTimeNs())
+	fmt.Fprintf(h, "|root=%d|pol=%d|cfg=%+v|horizon=%d", s.lab.Root, uint8(s.policy), cfg, s.MaxSimTimeNs())
 	return h.Sum64()
 }
 
@@ -400,7 +376,7 @@ func (s *System) Policy() RoutingPolicy { return s.policy }
 // TableMemStats is the byte-level accounting of the system's compiled
 // routing tables (see core.MemStats): distinct rows/pages/columns after
 // structural sharing, arena size, and the compression ratio against the
-// dense O(3·S²) index. The zero value under WithReferenceRouting.
+// dense O(3·S²) index.
 type TableMemStats = core.MemStats
 
 // TableMemStats reports the compiled routing-table memory accounting.
