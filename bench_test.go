@@ -672,14 +672,15 @@ func BenchmarkFaultStormTrial(b *testing.B) {
 // topology spec names — the network serve admits for that spec. The
 // reported MiB/tables and x/compression metrics are what /healthz and the
 // campaign reports surface for the same network. fattree:16x4 (16384
-// switches, 65536 processors) allocates 1,344,411,040 B in 52,765
-// allocations per op and peaks at 1.28 GiB RSS (one op, 25 s, on a 2-vCPU
-// Xeon VM): the compiler's transient 4·S² distance scratch (1 GiB) and
-// S²/8 extended-descendant scratch (32 MiB), the labeling's S·N/8
-// descendant rows (160 MiB), 8.75 MiB of tables (2120x under the dense
-// layout; 8.49 MiB of it column page vectors), and the table pools'
-// growth. CI's scale smoke fails when its MiB/tables exceeds 12 or its
-// B/op exceeds 1.65e9. The 62500-switch cell is gated behind -benchlarge
+// switches, 65536 processors) allocates 1,174,398,336 B in 271 allocations
+// per op and peaks at 1.13 GiB RSS (one op, 45.8 s median of five, on a
+// 2-vCPU Xeon VM): the compiler's transient 4·S² distance scratch (1 GiB)
+// and S²/8 extended-descendant scratch (32 MiB), 8.75 MiB of tables (2120x
+// under the dense layout; 8.49 MiB of it column page vectors), the
+// labeling's flat arrays and the table pools' growth. With S·N/8 bytes of
+// descendant rows (160 MiB) in the labeling it was 1,344,411,040 B in
+// 52,765 allocations and 1.28 GiB. CI's scale smoke fails when its
+// MiB/tables exceeds 12 or its B/op exceeds 1.25e9. The 62500-switch cell is gated behind -benchlarge
 // (its distance scratch alone is ~15 GiB).
 func BenchmarkLargeFatTreeCompile(b *testing.B) {
 	cases := []string{
@@ -716,29 +717,51 @@ func BenchmarkLargeFatTreeCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributionOutputs measures the fused-bitset distribution-phase
-// hot path: one op resolves the down-tree output set for a broadcast
-// destination set at a rotating switch. This is the kernel the AndCount/
-// AndAny/AndInto rewrite targets; it must stay allocation-free.
+// BenchmarkDistributionOutputs measures the distribution-phase hot path:
+// one op resolves the down-tree output set at a rotating switch, for a
+// broadcast set (every processor but the first) and for 16 destinations
+// spread over the processors. A switch child costs one range count over the
+// tree-ordered set, which reads only the words of that child's subtree
+// (against all N bits per child with node-indexed descendant rows: 96 words
+// on fattree:8x4). It must stay allocation-free.
 func BenchmarkDistributionOutputs(b *testing.B) {
-	sys, err := NewLattice(256, WithSeed(7))
-	if err != nil {
-		b.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		build func() (*System, error)
+	}{
+		{"lattice:256", func() (*System, error) { return NewLattice(256, WithSeed(7)) }},
+		{"fattree:8x4", func() (*System, error) { return NewFromSpec("fattree:8x4") }},
+	} {
+		sys, err := tc.build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := sys.Router()
+		procs := sys.Processors()
+		spread := make([]NodeID, 16)
+		for i := range spread {
+			spread[i] = procs[i*len(procs)/len(spread)]
+		}
+		switches := sys.Switches()
+		for _, set := range []struct {
+			name  string
+			dests []NodeID
+		}{{"broadcast", procs[1:]}, {"16-dests", spread}} {
+			dests, err := r.DestSet(set.dests)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(tc.name+"/"+set.name, func(b *testing.B) {
+				buf := make([]topology.ChannelID, 0, 64)
+				b.ReportAllocs()
+				b.ResetTimer()
+				var sink int
+				for i := 0; i < b.N; i++ {
+					buf = r.AppendDistributionOutputs(buf[:0], switches[i%len(switches)], dests)
+					sink += len(buf)
+				}
+				_ = sink
+			})
+		}
 	}
-	r := sys.Router()
-	procs := sys.Processors()
-	dests, err := r.DestSet(procs[1:])
-	if err != nil {
-		b.Fatal(err)
-	}
-	switches := sys.Switches()
-	buf := make([]topology.ChannelID, 0, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		buf = r.AppendDistributionOutputs(buf[:0], switches[i%len(switches)], dests)
-		sink += len(buf)
-	}
-	_ = sink
 }

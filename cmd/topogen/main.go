@@ -99,7 +99,7 @@ func main() {
 		fmt.Printf("tree depth=%d\n", depth)
 		for sw := 0; sw < net.NumSwitches; sw++ {
 			fmt.Printf("switch %d: level=%d parent=%d children=%d\n",
-				sw, lab.Level[sw], lab.Parent[sw], len(lab.ChildChans[sw]))
+				sw, lab.Level[sw], lab.Parent[sw], len(lab.Children(topology.NodeID(sw))))
 		}
 	default:
 		fail(fmt.Errorf("unknown format %q", *format))

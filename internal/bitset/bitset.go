@@ -127,58 +127,37 @@ func (s *Set) Equal(other *Set) bool {
 	return true
 }
 
-// AndCount returns |s ∩ other| without materializing the intersection.
-// The loop is unrolled four words at a time so the popcounts pipeline; on
-// amd64 each OnesCount64 compiles to a single POPCNT.
-func (s *Set) AndCount(other *Set) int {
-	s.sameLen(other)
-	a, b := s.words, other.words
-	c := 0
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		c += bits.OnesCount64(a[i]&b[i]) +
-			bits.OnesCount64(a[i+1]&b[i+1]) +
-			bits.OnesCount64(a[i+2]&b[i+2]) +
-			bits.OnesCount64(a[i+3]&b[i+3])
+// CountRange returns the number of set bits in [lo, hi). It reads only the
+// words the range touches: the two end words are masked, and the whole
+// words between them are counted four at a time so the popcounts pipeline
+// (on amd64 each OnesCount64 compiles to a single POPCNT).
+func (s *Set) CountRange(lo, hi int) int {
+	if lo < 0 || hi > s.n || lo > hi {
+		panic(fmt.Sprintf("bitset: range [%d,%d) out of [0,%d)", lo, hi, s.n))
 	}
-	for ; i < len(a); i++ {
-		c += bits.OnesCount64(a[i] & b[i])
+	if lo == hi {
+		return 0
+	}
+	lw, hw := lo/wordBits, (hi-1)/wordBits
+	first := s.words[lw] &^ (1<<uint(lo%wordBits) - 1)
+	last := ^uint64(0) >> uint(wordBits-1-(hi-1)%wordBits)
+	if lw == hw {
+		return bits.OnesCount64(first & last)
+	}
+	c := bits.OnesCount64(first) + bits.OnesCount64(s.words[hw]&last)
+	mid := s.words[lw+1 : hw]
+	i := 0
+	for ; i+4 <= len(mid); i += 4 {
+		c += bits.OnesCount64(mid[i]) +
+			bits.OnesCount64(mid[i+1]) +
+			bits.OnesCount64(mid[i+2]) +
+			bits.OnesCount64(mid[i+3])
+	}
+	for ; i < len(mid); i++ {
+		c += bits.OnesCount64(mid[i])
 	}
 	return c
 }
-
-// AndAny reports whether s ∩ other is non-empty — Intersects under the
-// fused-kernel naming, kept as its own entry point so call sites read as a
-// family (AndCount / AndAny / AndInto).
-func (s *Set) AndAny(other *Set) bool {
-	return s.Intersects(other)
-}
-
-// AndInto sets dst to a ∩ b without touching a or b. All three sets must
-// share a capacity; dst may alias either operand.
-func (dst *Set) AndInto(a, b *Set) {
-	dst.sameLen(a)
-	dst.sameLen(b)
-	aw, bw, dw := a.words, b.words, dst.words
-	i := 0
-	for ; i+4 <= len(dw); i += 4 {
-		dw[i] = aw[i] & bw[i]
-		dw[i+1] = aw[i+1] & bw[i+1]
-		dw[i+2] = aw[i+2] & bw[i+2]
-		dw[i+3] = aw[i+3] & bw[i+3]
-	}
-	for ; i < len(dw); i++ {
-		dw[i] = aw[i] & bw[i]
-	}
-}
-
-// Word returns the i-th 64-bit word of the backing storage (bits
-// [64i, 64i+64)). Table compilation reads descendant rows word-wise through
-// this to build per-block membership masks.
-func (s *Set) Word(i int) uint64 { return s.words[i] }
-
-// Words returns the number of backing words.
-func (s *Set) Words() int { return len(s.words) }
 
 func (s *Set) sameLen(other *Set) {
 	if len(s.words) != len(other.words) {

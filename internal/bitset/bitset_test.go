@@ -283,39 +283,45 @@ func intsEqual(a, b []int) bool {
 	return true
 }
 
-// TestQuickFusedKernels pins the fused AND family against the materializing
-// equivalents: AndCount(b) == Count(a∩b), AndAny(b) == Intersects(b), and
-// AndInto(a,b) == Clone(a).And(b), on random sets of awkward lengths.
-func TestQuickFusedKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(1998))
-	for iter := 0; iter < 200; iter++ {
-		n := 1 + rng.Intn(300)
-		a, b := New(n), New(n)
+// TestCountRange checks CountRange against a naive loop over every range
+// [lo, hi) of sets whose lengths put the last word at 1, 63, 64 and a few
+// partial widths — so empty ranges, ranges inside one word, ranges that
+// start or end on a word boundary and ranges reaching the last partial word
+// are all covered — on a random fill and on a full set (where a wrong end
+// mask shows). Ranges outside [0, n) and reversed ones panic.
+func TestCountRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, n := range []int{1, 63, 64, 65, 128, 130, 200} {
+		random, full := New(n), New(n)
 		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				a.Set(i)
+			if rng.Intn(3) != 0 {
+				random.Set(i)
 			}
-			if rng.Intn(3) == 0 {
-				b.Set(i)
+			full.Set(i)
+		}
+		for _, s := range []*Set{random, full} {
+			for lo := 0; lo <= n; lo++ {
+				want := 0
+				for hi := lo; hi <= n; hi++ {
+					if hi > lo && s.Test(hi-1) {
+						want++
+					}
+					if got := s.CountRange(lo, hi); got != want {
+						t.Fatalf("n=%d %v: CountRange(%d,%d)=%d, naive %d", n, s, lo, hi, got, want)
+					}
+				}
 			}
 		}
-		want := a.Clone()
-		want.And(b)
-		if got := a.AndCount(b); got != want.Count() {
-			t.Fatalf("n=%d: AndCount=%d, materialized count=%d", n, got, want.Count())
-		}
-		if got := a.AndAny(b); got != a.Intersects(b) {
-			t.Fatalf("n=%d: AndAny=%v, Intersects=%v", n, got, a.Intersects(b))
-		}
-		dst := New(n)
-		dst.Set(0) // stale content must be overwritten
-		dst.AndInto(a, b)
-		if !dst.Equal(want) {
-			t.Fatalf("n=%d: AndInto != materialized And", n)
-		}
-		// Kernels must not mutate their operands.
-		if got := a.AndCount(b); got != want.Count() {
-			t.Fatalf("n=%d: AndCount mutated an operand", n)
-		}
+	}
+	s := New(130)
+	for _, r := range [][2]int{{-1, 3}, {0, 131}, {5, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic for range [%d,%d)", r[0], r[1])
+				}
+			}()
+			s.CountRange(r[0], r[1])
+		}()
 	}
 }

@@ -309,13 +309,14 @@ func Builtin(name string) (*Manifest, bool) {
 		// (the pre-PR7 cap was 4096). One trial per cell — the point is the
 		// per-cell TableMB/TableCompression columns in the report plus proof
 		// that a 64k-switch network labels, compiles and routes end to end.
-		// Expect hours of wall clock on one core, and ~23 GB of RAM at the
+		// Expect hours of wall clock on one core, and ~20 GB of RAM at the
 		// 62500-switch cell: the table compiler's transient scratch is
 		// 4·S² + S²/8 bytes (15.6 GB of switch distances, 0.5 GB of
-		// extended descendants), the labeling's S×N descendant rows
-		// ~3.5 GB, and the compiled tables took ~3.3 GiB when last
-		// measured (the dense table layout would need ~362 GiB). Serve's
-		// build bound refuses this cell; run it with spamsim.
+		// extended descendants), and the compiled tables took ~3.3 GiB
+		// when last measured (the dense table layout would need ~362 GiB);
+		// the labeling's arrays are flat in the node and channel counts.
+		// Serve's build bound (16.1 GB predicted against 2 GiB) refuses
+		// this cell; run it with spamsim.
 		return &Manifest{
 			Name:  "scale",
 			Title: "Large-network scaling campaign (past the 4096-switch cap)",

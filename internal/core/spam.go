@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/bitset"
 	"repro/internal/topology"
 	"repro/internal/updown"
 )
@@ -379,14 +378,15 @@ func (r *Router) referenceExtras(at topology.NodeID, arrival ArrivalClass, lcaSw
 
 // DistributionOutputs returns the set of down-tree output channels required
 // at switch `at` during the distribution phase for the given destination set
-// (a bitset over node IDs): every child tree channel whose subtree contains
-// a destination, including consumption channels to locally attached
-// destination processors. The result is sorted by channel ID; the request
-// for this set must be enqueued atomically by the router model.
+// (keyed by the router's labeling, see DestSet): every child tree channel
+// whose subtree contains a destination, including consumption channels to
+// locally attached destination processors. The result is sorted by channel
+// ID; the request for this set must be enqueued atomically by the router
+// model.
 //
 // The returned slice is freshly allocated; the allocation-free hot-path
 // variant is AppendDistributionOutputs.
-func (r *Router) DistributionOutputs(at topology.NodeID, dests *bitset.Set) []topology.ChannelID {
+func (r *Router) DistributionOutputs(at topology.NodeID, dests *updown.TreeSet) []topology.ChannelID {
 	if r.tab == nil {
 		return r.ReferenceDistributionOutputs(at, dests)
 	}
@@ -394,38 +394,40 @@ func (r *Router) DistributionOutputs(at topology.NodeID, dests *bitset.Set) []to
 }
 
 // AppendDistributionOutputs appends the distribution output set of switch
-// `at` to dst and returns the extended slice. The subtree tests are fused
-// AND+popcount kernels over the labeling's precomputed descendant bitsets
-// (bitset.AndCount — no temporary set, one POPCNT per word): counting
+// `at` to dst and returns the extended slice. The destinations below a
+// switch are one range of the labeling's tree order, so a switch child's
+// subtree test is one range count over the set (bitset.CountRange reads
+// only the subtree's words) and a processor child's one bit test. Counting
 // instead of merely testing lets the scan stop as soon as every destination
 // below `at` has been attributed to a child, which on wide switches skips
 // the tail of the child list entirely. Child channels are scanned in their
-// fixed ascending-ID order, so the call performs no sort and (given capacity
-// in dst) no allocation. In reference mode it delegates to the original
-// per-destination ancestor walk.
-func (r *Router) AppendDistributionOutputs(dst []topology.ChannelID, at topology.NodeID, dests *bitset.Set) []topology.ChannelID {
+// fixed ascending-ID order, so the call performs no sort and (given
+// capacity in dst) no allocation. In reference mode it delegates to the
+// original per-destination ancestor walk.
+func (r *Router) AppendDistributionOutputs(dst []topology.ChannelID, at topology.NodeID, dests *updown.TreeSet) []topology.ChannelID {
 	if r.tab == nil {
 		return append(dst, r.ReferenceDistributionOutputs(at, dests)...)
 	}
 	if !r.Net.IsSwitch(at) {
 		panic(fmt.Sprintf("core: DistributionOutputs at non-switch %d", at))
 	}
+	lab := r.Lab
 	// Destinations still unattributed among at's descendants: child subtrees
 	// partition them (at itself is a switch, never a destination).
-	remaining := r.Lab.Descendants(at).AndCount(dests)
-	for _, c := range r.Lab.ChildChans[at] {
+	remaining := dests.CountRange(lab.ProcRange(at))
+	for _, c := range lab.Children(at) {
 		if remaining == 0 {
 			break
 		}
 		child := r.Net.Chan(c).Dst
 		if r.Net.IsProcessor(child) {
-			if dests.Test(int(child)) {
+			if dests.Has(lab.Rank(child)) {
 				dst = append(dst, c)
 				remaining--
 			}
 			continue
 		}
-		if n := r.Lab.Descendants(child).AndCount(dests); n > 0 {
+		if n := dests.CountRange(lab.ProcRange(child)); n > 0 {
 			dst = append(dst, c)
 			remaining -= n
 		}
@@ -435,22 +437,17 @@ func (r *Router) AppendDistributionOutputs(dst []topology.ChannelID, at topology
 
 // ReferenceDistributionOutputs is the original compute-per-event
 // distribution function: a per-destination ancestor walk per child subtree
-// followed by a sort. It is the specification AppendDistributionOutputs is
-// tested against.
-func (r *Router) ReferenceDistributionOutputs(at topology.NodeID, dests *bitset.Set) []topology.ChannelID {
+// followed by a sort. It decodes the set's members to processors through
+// the labeling's inverse numbering (ProcAt), so it checks the tree order
+// rather than sharing the fast path's range arithmetic. It is the
+// specification AppendDistributionOutputs is tested against.
+func (r *Router) ReferenceDistributionOutputs(at topology.NodeID, dests *updown.TreeSet) []topology.ChannelID {
 	if !r.Net.IsSwitch(at) {
 		panic(fmt.Sprintf("core: DistributionOutputs at non-switch %d", at))
 	}
 	var out []topology.ChannelID
-	for _, c := range r.Lab.ChildChans[at] {
-		child := r.Net.Chan(c).Dst
-		if r.Net.IsProcessor(child) {
-			if dests.Test(int(child)) {
-				out = append(out, c)
-			}
-			continue
-		}
-		if r.subtreeContains(child, dests) {
+	for _, c := range r.Lab.Children(at) {
+		if r.subtreeContains(r.Net.Chan(c).Dst, dests) {
 			out = append(out, c)
 		}
 	}
@@ -459,17 +456,15 @@ func (r *Router) ReferenceDistributionOutputs(at topology.NodeID, dests *bitset.
 }
 
 // subtreeContains reports whether any destination lies in the tree subtree
-// rooted at switch `root` (i.e. root is an ancestor of some destination).
-func (r *Router) subtreeContains(root topology.NodeID, dests *bitset.Set) bool {
-	found := false
-	dests.ForEach(func(d int) bool {
-		if r.Lab.IsAncestor(root, topology.NodeID(d)) {
-			found = true
-			return false
+// rooted at node `root` (i.e. root is an ancestor of some destination; a
+// processor is its own only descendant).
+func (r *Router) subtreeContains(root topology.NodeID, dests *updown.TreeSet) bool {
+	for rk := dests.Next(0); rk >= 0; rk = dests.Next(rk + 1) {
+		if r.Lab.IsAncestor(root, r.Lab.ProcAt(rk)) {
+			return true
 		}
-		return true
-	})
-	return found
+	}
+	return false
 }
 
 // LCASwitch returns the switch at which distribution begins for the given
@@ -478,10 +473,11 @@ func (r *Router) LCASwitch(dests []topology.NodeID) topology.NodeID {
 	return r.Lab.LCASwitch(dests)
 }
 
-// DestSet builds the bitset form of a destination list, validating that all
-// destinations are distinct processors.
-func (r *Router) DestSet(dests []topology.NodeID) (*bitset.Set, error) {
-	s := bitset.New(r.Net.N())
+// DestSet builds the set form of a destination list, keyed by the tree
+// order of the router's labeling, validating that all destinations are
+// distinct processors.
+func (r *Router) DestSet(dests []topology.NodeID) (*updown.TreeSet, error) {
+	s := r.Lab.NewTreeSet()
 	if err := r.DestSetInto(s, dests); err != nil {
 		return nil, err
 	}
@@ -489,10 +485,11 @@ func (r *Router) DestSet(dests []topology.NodeID) (*bitset.Set, error) {
 }
 
 // DestSetInto is the allocation-free form of DestSet: it clears dst (which
-// must have capacity Net.N()) and fills it with the destination list,
-// validating that all destinations are distinct processors. Resettable
-// simulators use it to rebuild a recycled worm's destination set in place.
-func (r *Router) DestSetInto(dst *bitset.Set, dests []topology.NodeID) error {
+// must hold Net.NumProcs ranks) and fills it with the destination list
+// under the router's labeling, validating that all destinations are
+// distinct processors. Resettable simulators use it to rebuild a recycled
+// worm's destination set in place.
+func (r *Router) DestSetInto(dst *updown.TreeSet, dests []topology.NodeID) error {
 	if len(dests) == 0 {
 		return fmt.Errorf("core: empty destination set")
 	}
@@ -501,10 +498,11 @@ func (r *Router) DestSetInto(dst *bitset.Set, dests []topology.NodeID) error {
 		if !r.Net.IsProcessor(d) {
 			return fmt.Errorf("core: destination %d is not a processor", d)
 		}
-		if dst.Test(int(d)) {
+		rk := r.Lab.Rank(d)
+		if dst.Has(rk) {
 			return fmt.Errorf("core: duplicate destination %d", d)
 		}
-		dst.Set(int(d))
+		dst.Add(rk)
 	}
 	return nil
 }
@@ -513,14 +511,16 @@ func (r *Router) DestSetInto(dst *bitset.Set, dests []topology.NodeID) error {
 // destination set rooted at the LCA: the exact number of down-tree channels
 // a SPAM worm will traverse in phase 2. Used by analytics and tests.
 //
-// The walk is iterative and tests subtrees directly against the labeling's
-// descendant bitsets, so it performs no per-switch DistributionOutputs
-// allocation (only the destination bitset and one traversal stack).
+// The walk is iterative and tests each switch child with one range count
+// over the tree-ordered destination set, so it performs no per-switch
+// DistributionOutputs allocation (only the destination set and one
+// traversal stack).
 func (r *Router) TreeReach(dests []topology.NodeID) (int, error) {
 	ds, err := r.DestSet(dests)
 	if err != nil {
 		return 0, err
 	}
+	lab := r.Lab
 	lca := r.LCASwitch(dests)
 	count := 0
 	stack := make([]topology.NodeID, 0, r.Net.NumSwitches)
@@ -528,15 +528,15 @@ func (r *Router) TreeReach(dests []topology.NodeID) (int, error) {
 	for len(stack) > 0 {
 		sw := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, c := range r.Lab.ChildChans[sw] {
+		for _, c := range lab.Children(sw) {
 			child := r.Net.Chan(c).Dst
 			if r.Net.IsProcessor(child) {
-				if ds.Test(int(child)) {
+				if ds.Has(lab.Rank(child)) {
 					count++
 				}
 				continue
 			}
-			if r.Lab.SubtreeIntersects(child, ds) {
+			if ds.CountRange(lab.ProcRange(child)) > 0 {
 				count++
 				stack = append(stack, child)
 			}

@@ -56,10 +56,10 @@ import (
 //
 // Compilation streams, rather than tests, the legality relations: for each
 // switch the live channels are split by class once, and then each block of
-// 64 LCAs reads one 64-bit word per channel endpoint — of the labeling's
-// descendant row for a down-tree channel, of the compiler's extended-
-// descendant scratch (S×⌈S/64⌉ words, filled per compile) for a down-cross
-// one — plus the endpoint's row of the compiler's distance scratch (S×S hop
+// 64 LCAs reads, per channel endpoint, one 64-bit word of the compiler's
+// extended-descendant scratch (S×⌈S/64⌉ words, filled per compile) for a
+// down-cross channel or the endpoint's preorder interval for a down-tree
+// one, plus the endpoint's row of the compiler's distance scratch (S×S hop
 // counts, one BFS per switch, filled per compile). Each LCA's packed
 // legality/distance vector is hashed into a per-switch signature memo, so
 // LCA-equivalent columns pay one row construction for the whole
@@ -336,11 +336,12 @@ func (c *compiler) distRow(u topology.NodeID) []int32 {
 // reconfiguration hot path (a fault event pays one Recompile): the distance
 // scratch is filled by one BFS per switch and the extended-descendant
 // scratch by one pass over the switches; the switch's live channels are
-// split by class once per switch; legality is read word-at-a-time from the
-// descendant rows and that scratch (64 LCAs per load) with the distance rows
-// walked sequentially; and each LCA's packed legality/distance vector is
-// hashed into a per-switch memo so LCA-equivalent cells pay one row
-// construction per equivalence class instead of one per LCA.
+// split by class once per switch; down-cross legality is read word-at-a-time
+// from that scratch (64 LCAs per load) and down-tree legality from the
+// preorder intervals, with the distance rows walked sequentially; and each
+// LCA's packed legality/distance vector is hashed into a per-switch memo so
+// LCA-equivalent cells pay one row construction per equivalence class
+// instead of one per LCA.
 func (c *compiler) compile(lab *updown.Labeling) {
 	t := c.t
 	s := t.numSwitches
@@ -410,8 +411,9 @@ func (c *compiler) compile(lab *updown.Labeling) {
 			// packed value fuses the legality bit with the (symmetric)
 			// endpoint→LCA distance, biased so "illegal" (0) is distinct
 			// from every legal value. Ups are always legal; down-cross
-			// legality is one word of the extended-descendant transpose,
-			// down-tree one word of the descendant transpose.
+			// legality is one word of the extended-descendant transpose;
+			// down-tree legality is the LCA's preorder number falling in
+			// the endpoint's subtree interval.
 			ei := 0
 			for _, lc := range c.live[0] {
 				dr := c.distRow(lc.end)[base : base+lim]
@@ -436,11 +438,11 @@ func (c *compiler) compile(lab *updown.Labeling) {
 				ei++
 			}
 			for _, lc := range c.live[2] {
-				w := lab.Descendants(lc.end).Word(wb)
+				lo, hi := lab.Interval(lc.end)
 				dr := c.distRow(lc.end)[base : base+lim]
 				for j := 0; j < lim; j++ {
 					var p uint64
-					if w>>uint(j)&1 != 0 {
+					if pre, _ := lab.Interval(topology.NodeID(base + j)); lo <= pre && pre < hi {
 						p = (uint64(uint32(dr[j]))+1)<<1 | 1
 					}
 					c.packBuf[j*nLive+ei] = p

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/rng"
 	"repro/internal/topology"
 	"repro/internal/updown"
@@ -189,9 +188,13 @@ func TestTableLookupsAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRouter(lab)
-	ds := bitset.New(net.N())
+	var dests []topology.NodeID
 	for p := net.NumSwitches; p < net.N(); p += 3 {
-		ds.Set(p)
+		dests = append(dests, topology.NodeID(p))
+	}
+	ds, err := r.DestSet(dests)
+	if err != nil {
+		t.Fatal(err)
 	}
 	buf := make([]topology.ChannelID, 0, 16)
 	var sink int

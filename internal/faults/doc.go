@@ -18,7 +18,8 @@
 //     masked labeling in place and core.Router.Recompile rebuilds the
 //     candidate tables into their retained arenas — an atomic swap with no
 //     discarded storage, cross-checked bit-identically against a fresh
-//     NewRouter build by the property tests;
+//     NewRouter build by the property tests — and the simulator refills
+//     every live worm's destination set in the new tree order;
 //   - disruption metrics (availability, abort/retry counts, a
 //     latency-disruption histogram) streamed through internal/stats.
 //

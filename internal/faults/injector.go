@@ -317,7 +317,9 @@ func (in *Injector) applyBatch(events Script) error {
 		in.sim.AbortWorms(nil)
 	}
 	// Swap: in-place relabel of the masked topology, in-place table
-	// recompile, atomic with respect to the event loop.
+	// recompile, atomic with respect to the event loop. The relabel
+	// renumbers the processors, so the refresh also refills the
+	// destination set of every worm still alive, launched or not.
 	if err := in.lab.Relabel(in.mask.Down()); err != nil {
 		return fmt.Errorf("faults: relabel after mutation: %w", err)
 	}
@@ -416,7 +418,10 @@ func (in *Injector) recordRetryDone(w *sim.Worm, t int64) {
 	}
 }
 
-// restoreBase relabels back to the fault-free base labeling.
+// restoreBase relabels back to the fault-free base labeling. Like every
+// relabel it ends with RecomputeQueuedLCAs, which refills any live worm's
+// destination set in the new tree order (after a simulator Reset there is
+// none).
 func (in *Injector) restoreBase() error {
 	in.mask.Reset()
 	clear(in.downSince)
@@ -425,6 +430,7 @@ func (in *Injector) restoreBase() error {
 	}
 	in.router.Recompile(in.lab)
 	in.dirty = false
+	in.sim.RecomputeQueuedLCAs()
 	return nil
 }
 

@@ -50,13 +50,32 @@ func labelingsEqual(t *testing.T, ctx string, a, b *updown.Labeling) {
 		if a.Level[v] != b.Level[v] || a.Parent[v] != b.Parent[v] || a.ParentChan[v] != b.ParentChan[v] {
 			t.Fatalf("%s: node %d: level/parent mismatch", ctx, v)
 		}
-		if len(a.ChildChans[v]) != len(b.ChildChans[v]) {
-			t.Fatalf("%s: node %d: child count %d != %d", ctx, v, len(a.ChildChans[v]), len(b.ChildChans[v]))
+		ka, kb := a.Children(topology.NodeID(v)), b.Children(topology.NodeID(v))
+		if len(ka) != len(kb) {
+			t.Fatalf("%s: node %d: child count %d != %d", ctx, v, len(ka), len(kb))
 		}
-		for i := range a.ChildChans[v] {
-			if a.ChildChans[v][i] != b.ChildChans[v][i] {
+		for i := range ka {
+			if ka[i] != kb[i] {
 				t.Fatalf("%s: node %d: child chan %d mismatch", ctx, v, i)
 			}
+		}
+	}
+	for v := 0; v < a.Net.NumSwitches; v++ {
+		sw := topology.NodeID(v)
+		preA, endA := a.Interval(sw)
+		preB, endB := b.Interval(sw)
+		loA, hiA := a.ProcRange(sw)
+		loB, hiB := b.ProcRange(sw)
+		if preA != preB || endA != endB || loA != loB || hiA != hiB {
+			t.Fatalf("%s: switch %d: interval [%d,%d) ranks [%d,%d) != [%d,%d) ranks [%d,%d)",
+				ctx, v, preA, endA, loA, hiA, preB, endB, loB, hiB)
+		}
+	}
+	for i := 0; i < a.Net.NumProcs; i++ {
+		p := topology.NodeID(a.Net.NumSwitches + i)
+		if a.Rank(p) != b.Rank(p) || a.ProcAt(i) != b.ProcAt(i) {
+			t.Fatalf("%s: processor %d: rank %d != %d, or rank %d holds %d != %d",
+				ctx, p, a.Rank(p), b.Rank(p), i, a.ProcAt(i), b.ProcAt(i))
 		}
 	}
 	for c := range a.ClassOf {

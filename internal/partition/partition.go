@@ -106,9 +106,7 @@ func dfsOrder(lab *updown.Labeling) map[topology.NodeID]int {
 	walk = func(v topology.NodeID) {
 		pos[v] = n
 		n++
-		kids := append([]topology.ChannelID(nil), lab.ChildChans[v]...)
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-		for _, c := range kids {
+		for _, c := range lab.Children(v) {
 			walk(lab.Net.Chan(c).Dst)
 		}
 	}

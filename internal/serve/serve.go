@@ -75,9 +75,9 @@ const (
 	maxSwitches = topology.MaxAdmittedSwitches
 	maxSystems  = 8
 	// maxBuildBytes bounds a request-named topology's predicted build peak
-	// (buildBytes). At 2 GiB it admits fattree:16x4 (16384 switches, 1.275
-	// GB predicted) and, at one processor per switch, up to ~22,150
-	// switches; fattree:25x4 (19.7 GB, 15.6 GB of it distance scratch) is
+	// (buildBytes). At 2 GiB it admits fattree:16x4 (16384 switches, 1.107
+	// GB predicted) and up to 22,816 switches whatever their processor
+	// count; fattree:25x4 (16.1 GB, 15.6 GB of it distance scratch) is
 	// refused before anything is built.
 	maxBuildBytes = 2 << 30
 	// workerRunners is how many runners a pool worker keeps: just its most
@@ -377,14 +377,14 @@ var ErrUnknownScenario = errors.New("serve: unknown scenario")
 // than fit.
 var ErrBadTopology = errors.New("serve: bad topology")
 
-// buildBytes predicts the peak bytes one system build needs for s switches
-// and n nodes (switches plus processors): the table compiler's 4·S² bytes of
-// distance scratch and S²/8 of extended-descendant scratch, plus the S·N/8
-// bytes of descendant rows the labeling holds meanwhile. Within the switch
-// and node caps it stays far from int64 overflow.
-func buildBytes(s, n int) int64 {
-	S, N := int64(s), int64(n)
-	return 4*S*S + S*S/8 + S*N/8
+// buildBytes predicts the peak bytes one system build needs for s switches:
+// the table compiler's 4·S² bytes of distance scratch and S²/8 of
+// extended-descendant scratch. What the labeling holds meanwhile is flat in
+// the node and channel counts, so it adds no term. Within the switch cap it
+// stays far from int64 overflow.
+func buildBytes(s int) int64 {
+	S := int64(s)
+	return 4*S*S + S*S/8
 }
 
 // admitTopology parses a request-named topology spec and screens it before
@@ -407,7 +407,7 @@ func admitTopology(spec string) (topology.Spec, error) {
 	if n := sp.Nodes(); n < 1 || n > topology.MaxAdmittedNodes {
 		return sp, fmt.Errorf("%w: %q expands to %d nodes (cap %d)", ErrBadTopology, spec, n, topology.MaxAdmittedNodes)
 	}
-	if b := buildBytes(sp.Switches(), sp.Nodes()); b > maxBuildBytes {
+	if b := buildBytes(sp.Switches()); b > maxBuildBytes {
 		return sp, fmt.Errorf("%w: %q predicts a %d-byte build peak (bound %d)", ErrBadTopology, spec, b, int64(maxBuildBytes))
 	}
 	if sp.Family == "gnm" && sp.Extra > 2*sp.A {

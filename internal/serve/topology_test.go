@@ -111,7 +111,8 @@ func TestRunTopologyRejected(t *testing.T) {
 // TestAdmitTopologyBuildBound pins both sides of the build bound: the
 // largest fat-tree the scale smoke compiles and every benchmark spec are
 // admitted, and the refusal of a spec within both caps names the predicted
-// peak and the bound.
+// peak — 4·S² + S²/8 bytes of compile scratch, with no term for the
+// labeling, which holds no switch×node relation — and the bound.
 func TestAdmitTopologyBuildBound(t *testing.T) {
 	for _, spec := range []string{"fattree:16x4", "fattree:8x4", "lattice:1024", "gnm:1024+256", "hypercube:10", "mesh:32x32", "torus:32x32"} {
 		if _, err := admitTopology(spec); err != nil {
@@ -122,10 +123,13 @@ func TestAdmitTopologyBuildBound(t *testing.T) {
 	if !errors.Is(err, ErrBadTopology) {
 		t.Fatalf("fattree:25x4: got %v, want ErrBadTopology", err)
 	}
-	for _, want := range []string{"19653320312", "2147483648"} {
+	for _, want := range []string{"16113281250", "2147483648"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("fattree:25x4: error %q does not name %s", err, want)
 		}
+	}
+	if _, err := admitTopology("hypercube:16"); !errors.Is(err, ErrBadTopology) {
+		t.Fatalf("hypercube:16: got %v, want ErrBadTopology", err)
 	}
 }
 

@@ -11,7 +11,8 @@ package sim
 //     and reservation instantly (flits already on a wire complete their
 //     flight and are dropped on arrival);
 //   - RecomputeQueuedLCAs re-evaluates the LCA of not-yet-launched worms
-//     under the swapped labeling;
+//     under the swapped labeling and, like SwapRouter, refills the
+//     destination set of every live worm in its tree order;
 //   - a header that finds no legal route after a swap aborts its worm
 //     (fault mode) instead of failing the simulation.
 //
@@ -31,12 +32,14 @@ func (s *Simulator) Router() *core.Router { return s.router }
 // channel IDs are baked into every queue and buffer. Routing decisions from
 // the next event on use the new tables; decisions already taken (segment
 // output sets) are unaffected, which is exactly the hardware semantics of
-// swapping routing tables under traffic.
+// swapping routing tables under traffic. Every live worm's destination set
+// is refilled in the new router's tree order.
 func (s *Simulator) SwapRouter(r *core.Router) {
 	if r.Net != s.net {
 		panic("sim: SwapRouter with a router over a different network")
 	}
 	s.router = r
+	s.rekeyDestSets()
 }
 
 // SetAbortHook installs the per-worm abort callback and enables fault mode.
@@ -60,13 +63,36 @@ func (s *Simulator) SetAbortHook(fn func(*Worm) bool) {
 func (s *Simulator) SetResetHook(fn func()) { s.onReset = fn }
 
 // RecomputeQueuedLCAs re-derives the distribution LCA of every submitted but
-// not yet launched worm from the current router. Must be called after every
-// SwapRouter/Recompile: a queued worm's LCA was computed under the labeling
-// current at Submit time.
+// not yet launched worm from the current router, and refills the
+// destination set of every worm that is neither completed nor aborted,
+// launched or not. Must be called after every SwapRouter/Recompile: a
+// queued worm's LCA was computed under the labeling current at Submit time,
+// and every live worm's set is keyed by the tree order it was filled under,
+// which an in-place relabel renumbers.
 func (s *Simulator) RecomputeQueuedLCAs() {
 	for _, w := range s.worms {
 		if !w.launched && !w.completed && !w.aborted {
 			w.LCA = s.router.LCASwitch(w.Dests)
+		}
+	}
+	s.rekeyDestSets()
+}
+
+// rekeyDestSets refills every live worm's destination set under the
+// current router's labeling: Dests minus PrunedDests, since delivery leaves
+// the set alone and only pruning removes members. It allocates nothing.
+func (s *Simulator) rekeyDestSets() {
+	lab := s.router.Lab
+	for _, w := range s.worms {
+		if w.completed || w.aborted {
+			continue
+		}
+		w.DestSet.Reset()
+		for _, d := range w.Dests {
+			w.DestSet.Add(lab.Rank(d))
+		}
+		for _, d := range w.PrunedDests {
+			w.DestSet.Remove(lab.Rank(d))
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"repro/internal/topology"
 )
 
@@ -38,20 +40,26 @@ func (s *Simulator) pruneBlocked(w *Worm, at topology.NodeID, outs []topology.Ch
 		return outs
 	}
 	free := outs[:k]
+	lab := s.router.Lab
 	for _, b := range blocked {
 		sub := s.net.Chan(b).Dst
 		if s.net.IsProcessor(sub) {
 			s.pruneDest(w, sub)
 			continue
 		}
-		// Every destination in the blocked child's subtree is cut.
-		w.DestSet.ForEach(func(d int) bool {
-			dd := topology.NodeID(d)
-			if s.router.Lab.IsAncestor(sub, dd) {
-				s.pruneDest(w, dd)
-			}
-			return true
-		})
+		// Every destination in the blocked child's subtree is cut: the
+		// members of its rank range, in ascending node ID, the order a
+		// sender resubmits PrunedDests in.
+		lo, hi := lab.ProcRange(sub)
+		cut := s.pruneCut[:0]
+		for r := w.DestSet.Next(lo); r >= 0 && r < hi; r = w.DestSet.Next(r + 1) {
+			cut = append(cut, lab.ProcAt(r))
+		}
+		slices.Sort(cut)
+		for _, d := range cut {
+			s.pruneDest(w, d)
+		}
+		s.pruneCut = cut
 	}
 	if s.cfg.Logf != nil {
 		s.logf("t=%d worm %d: pruned %d branch(es) at switch %d", s.now, w.ID, len(blocked), at)
@@ -62,10 +70,11 @@ func (s *Simulator) pruneBlocked(w *Worm, at topology.NodeID, outs []topology.Ch
 
 // pruneDest removes one destination from a worm's outstanding set.
 func (s *Simulator) pruneDest(w *Worm, d topology.NodeID) {
-	if !w.DestSet.Test(int(d)) {
+	r := s.router.Lab.Rank(d)
+	if !w.DestSet.Has(r) {
 		return
 	}
-	w.DestSet.Clear(int(d))
+	w.DestSet.Remove(r)
 	w.PrunedDests = append(w.PrunedDests, d)
 	w.remaining--
 	if w.remaining == 0 {

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/topology"
 )
@@ -37,8 +36,10 @@ type Simulator struct {
 	callFree []int32
 	// segFree recycles dead segments (and their outs/copied buffers).
 	segFree []*segment
-	// pruneScratch collects blocked channels during pruneBlocked.
+	// pruneScratch collects blocked channels during pruneBlocked, and
+	// pruneCut one blocked branch's destinations.
 	pruneScratch []topology.ChannelID
+	pruneCut     []topology.NodeID
 	// candScratch and extrasScratch receive a routed header's candidate
 	// and extras rows.
 	candScratch   []topology.ChannelID
@@ -202,7 +203,7 @@ func (s *Simulator) takeWorm() *Worm {
 		s.wormPool = s.wormPool[:n-1]
 		return w
 	}
-	return &Worm{DestSet: bitset.New(s.net.N())}
+	return &Worm{DestSet: s.router.Lab.NewTreeSet()}
 }
 
 // recycleWorm clears a worm's per-epoch state and returns it to the pool.

@@ -3,9 +3,9 @@ package sim
 import (
 	"math"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/topology"
+	"repro/internal/updown"
 )
 
 // FlitKind distinguishes the flit types moving through the network.
@@ -52,8 +52,12 @@ type Worm struct {
 	ID    int64
 	Src   topology.NodeID
 	Dests []topology.NodeID
-	// DestSet is the bitset form of Dests.
-	DestSet *bitset.Set
+	// DestSet is the set form of Dests minus PrunedDests, keyed by the
+	// tree order of the labeling the simulator routes with: the
+	// destinations below a switch are one rank range of it. A swap
+	// renumbers the processors, so SwapRouter and RecomputeQueuedLCAs
+	// refill the set of every worm still alive.
+	DestSet *updown.TreeSet
 	// LCA is the switch where the distribution phase begins.
 	LCA topology.NodeID
 	// Flits is the total worm length including header and tail.

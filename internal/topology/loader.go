@@ -26,17 +26,16 @@ import (
 // file-loaded adjacency text both refuse networks larger than this before
 // any proportional allocation happens, so an adjacency upload cannot
 // declare an enormous switch count. It is the range of the routing tables'
-// uint16 class index, not a memory bound: with S switches and N nodes a
-// build transiently needs 4·S² + S²/8 bytes of compile scratch beside the
-// S·N/8 bytes of descendant rows its labeling holds, ~19.7 GB for the
-// 62500-switch fattree:25x4. Serve also refuses a spec whose predicted
-// peak passes 2 GiB, which admits up to ~22,150 switches at one processor
-// per switch.
+// uint16 class index, not a memory bound: with S switches a build
+// transiently needs 4·S² + S²/8 bytes of compile scratch, ~16.1 GB for the
+// 62500-switch fattree:25x4, while its labeling holds only arrays flat in
+// the node and channel counts. Serve also refuses a spec whose predicted
+// peak passes 2 GiB, which admits up to 22,816 switches.
 const MaxAdmittedSwitches = 65536
 
 // MaxAdmittedNodes bounds the same inputs' node count, switches plus
 // processors: a small switch count cannot smuggle in a processor count whose
-// per-node state (N-bit descendant rows, per-processor queues) exhausts
+// per-node state (per-node labeling arrays, per-processor queues) exhausts
 // memory. The largest builtin network, fattree:25x4, has 453,125 nodes.
 const MaxAdmittedNodes = 1 << 20
 

@@ -16,11 +16,16 @@
 // Processors are leaves of the spanning tree: processor→switch channels are
 // up tree channels and switch→processor channels are down tree channels.
 //
-// A built labeling stores no switch×switch relation. Tree ancestry is an
-// interval test: Relabel numbers the tree's switches in preorder, so each
-// subtree is one range [pre, end) and IsAncestor is two comparisons. The
-// distribution phase's subtree test reads Descendants, one row per switch
-// over all nodes, so its words line up with node-indexed destination sets.
+// A built labeling stores no switch×switch or switch×node relation, only
+// flat arrays over nodes, switches and channels; child channels are one CSR
+// read through Children. Tree ancestry is an interval test: Relabel numbers
+// the tree's switches in preorder, so each subtree is one range [pre, end)
+// and IsAncestor is two comparisons. It numbers the processors in the same
+// tree order — each switch's own processors before its children's subtrees
+// — so the processors below a switch are one rank range (ProcRange), and a
+// destination set keyed by rank (TreeSet) answers the distribution phase's
+// subtree test with one range count. A set is keyed by the numbering it was
+// filled under, and a relabel renumbers: holders must refill their sets.
 // Extended ancestry is derived on demand: IsExtendedAncestor walks the
 // down-cross channels for one query, and ExtendedDescendantRows fills the
 // whole switch relation into caller-owned words for the table compiler.

@@ -108,7 +108,7 @@ func TestLCAProperties(t *testing.T) {
 				t.Fatalf("LCA(%d,%d)=%d is not a common ancestor", a, b, lca)
 			}
 			// Deepest: no child of lca is a common ancestor.
-			for _, c := range l.ChildChans[lca] {
+			for _, c := range l.Children(lca) {
 				kid := l.Net.Chan(c).Dst
 				if l.IsAncestor(kid, a) && l.IsAncestor(kid, b) {
 					t.Fatalf("LCA(%d,%d)=%d not deepest: child %d works", a, b, lca, kid)

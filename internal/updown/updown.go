@@ -82,15 +82,16 @@ func ParseRootStrategy(name string) (RootStrategy, error) {
 // in place for a new mask, reusing every internal allocation, which is the
 // hot-reconfiguration path the fault-injection engine drives.
 //
-// A built labeling holds no switch×switch relation. Tree ancestry is an
-// interval test on a preorder numbering of the spanning tree; the
-// distribution phase reads one descendant row per switch (S rows over all
-// N nodes); extended ancestry is a walk over down-cross channels for one
-// query (IsExtendedAncestor) and, for the table compiler, a word matrix
-// that ExtendedDescendantRows fills into caller-owned storage. A processor
-// is a leaf: its (extended) ancestors are itself plus those of its switch,
-// and it is nobody else's, so it adds no information its switch does not
-// hold.
+// A built labeling holds flat arrays over nodes, switches and channels, and
+// no switch×switch or switch×node relation. Tree ancestry is an interval
+// test on a preorder numbering of the spanning tree; the processors below a
+// switch are one range of the tree order (ProcRange), which the
+// distribution phase counts in a rank-keyed TreeSet; extended ancestry is a
+// walk over down-cross channels for one query (IsExtendedAncestor) and, for
+// the table compiler, a word matrix that ExtendedDescendantRows fills into
+// caller-owned storage. A processor is a leaf: its (extended) ancestors are
+// itself plus those of its switch, and it is nobody else's, so it adds no
+// information its switch does not hold.
 type Labeling struct {
 	Net  *topology.Network
 	Root topology.NodeID
@@ -102,8 +103,6 @@ type Labeling struct {
 	Parent []topology.NodeID
 	// ParentChan is the down-tree channel parent→node (None for root).
 	ParentChan []topology.ChannelID
-	// ChildChans lists the down-tree channels node→child per node.
-	ChildChans [][]topology.ChannelID
 	// ClassOf classifies every channel.
 	ClassOf []Class
 	// Down marks failed channels (nil or empty = none). Failed channels
@@ -117,12 +116,19 @@ type Labeling struct {
 	// tree ancestry in two comparisons and 8 bytes per switch.
 	pre []int32
 	end []int32
-	// desc[sw] is every node in the tree subtree rooted at switch sw, sw
-	// itself included (S rows × N columns). desc[sw] ∩ D ≠ ∅ answers "does
-	// the subtree rooted at sw contain a destination?" with a handful of
-	// word-level ANDs against a node-indexed destination set — the
-	// precomputed form of the distribution-phase subtree test.
-	desc []*bitset.Set
+	// rank and proc number the processors in tree order (treeorder.go):
+	// rank[p−S] is processor p's position and proc[r] the processor at
+	// position r. start[k] is the first rank of the switch in preorder slot
+	// k, and start[S] = P, so the processors below switch u are the ranks
+	// [start[pre[u]], start[end[u]]).
+	rank  []int32
+	proc  []topology.NodeID
+	start []int32
+	// childOff/childChans list each switch's down-tree channels to its tree
+	// children in CSR form: switch sw's are
+	// childChans[childOff[sw]:childOff[sw+1]], in ascending channel ID.
+	childOff   []int32
+	childChans []topology.ChannelID
 
 	// liveOff/liveNbrs is the live (non-failed) switch graph in CSR form:
 	// the neighbors of switch sw are liveNbrs[liveOff[sw]:liveOff[sw+1]],
@@ -167,8 +173,9 @@ func NewWithDown(net *topology.Network, root topology.NodeID, down *bitset.Set) 
 }
 
 // Relabel recomputes the entire labeling in place for a new failed-channel
-// mask, reusing every internal allocation (bitsets, child lists, the live
-// adjacency, the BFS queue). After the first call on a given Labeling it
+// mask, reusing every internal allocation (the per-node and per-channel
+// arrays, the child CSR, the tree order, the live adjacency, the BFS
+// queue). After the first call on a given Labeling it
 // performs no heap allocation, which makes it the hot path of live
 // reconfiguration. It fails — leaving the labeling in an unspecified but
 // reusable state — if the mask disconnects the switch graph.
@@ -259,15 +266,14 @@ func (l *Labeling) Relabel(down *bitset.Set) error {
 		}
 	}
 
-	// Parent/child channel indexes.
-	for v := 0; v < total; v++ {
-		l.ChildChans[v] = l.ChildChans[v][:0]
-	}
+	// Parent channels, and each switch's child count summed into
+	// childOff[sw].
+	clear(l.childOff)
 	for i := range net.Channels {
 		ch := &net.Channels[i]
 		if l.ClassOf[i] == DownTree && l.Parent[ch.Dst] == ch.Src {
 			l.ParentChan[ch.Dst] = ch.ID
-			l.ChildChans[ch.Src] = append(l.ChildChans[ch.Src], ch.ID)
+			l.childOff[ch.Src]++
 		}
 	}
 	for v := 0; v < total; v++ {
@@ -275,19 +281,25 @@ func (l *Labeling) Relabel(down *bitset.Set) error {
 			return fmt.Errorf("updown: node %d has no parent channel", v)
 		}
 	}
-
-	// ChildChans must be in ascending channel-ID order: the distribution
-	// fast path emits outputs by scanning them in place of the reference
-	// implementation's sort. Construction above appends in channel-index
-	// order, which is already ascending; the sort (slices.Sort allocates
-	// nothing) is defensive so the fast path's correctness is local to
-	// this file.
-	for _, chans := range l.ChildChans {
-		slices.Sort(chans)
+	// Child CSR: after the inclusive prefix sum childOff[sw] is the end of
+	// sw's block; placing the children in descending channel ID, each one
+	// just below its parent's cursor, leaves every block in ascending ID
+	// and childOff[sw] at the block's start. The distribution fast path
+	// emits outputs by scanning a block in place of the reference
+	// implementation's sort, so the order matters.
+	for sw := 1; sw <= s; sw++ {
+		l.childOff[sw] += l.childOff[sw-1]
+	}
+	for i := len(net.Channels) - 1; i >= 0; i-- {
+		ch := &net.Channels[i]
+		if l.ParentChan[ch.Dst] == ch.ID {
+			l.childOff[ch.Src]--
+			l.childChans[l.childOff[ch.Src]] = ch.ID
+		}
 	}
 
 	l.buildIntervals()
-	l.buildDescendants()
+	l.buildTreeOrder()
 	return nil
 }
 
@@ -302,15 +314,15 @@ func (l *Labeling) ensureStorage() {
 	l.Level = make([]int32, total)
 	l.Parent = make([]topology.NodeID, total)
 	l.ParentChan = make([]topology.ChannelID, total)
-	l.ChildChans = make([][]topology.ChannelID, total)
 	l.ClassOf = make([]Class, len(net.Channels))
 	l.Down = bitset.New(len(net.Channels))
 	l.pre = make([]int32, s)
 	l.end = make([]int32, s)
-	l.desc = make([]*bitset.Set, s)
-	for sw := 0; sw < s; sw++ {
-		l.desc[sw] = bitset.New(total)
-	}
+	l.rank = make([]int32, net.NumProcs)
+	l.proc = make([]topology.NodeID, net.NumProcs)
+	l.start = make([]int32, s+1)
+	l.childOff = make([]int32, s+1)
+	l.childChans = make([]topology.ChannelID, total-1)
 	links := 0
 	for sw := 0; sw < s; sw++ {
 		for _, c := range net.Out(topology.NodeID(sw)) {
@@ -407,21 +419,6 @@ func (l *Labeling) buildIntervals() {
 	}
 }
 
-// buildDescendants fills desc[u] = {v : u is a tree ancestor of v} by
-// walking the Parent chain from every node's switch. Cost is O(N · depth)
-// set bits.
-func (l *Labeling) buildDescendants() {
-	net := l.Net
-	for _, d := range l.desc {
-		d.Reset()
-	}
-	for v := 0; v < net.N(); v++ {
-		for u := net.SwitchOf(topology.NodeID(v)); u >= 0; u = l.Parent[u] {
-			l.desc[u].Set(v)
-		}
-	}
-}
-
 // ExtendedDescendantRows fills rows with the extended-descendant relation
 // over switches: bit w of row u (words rows[u·W : (u+1)·W], W = ⌈S/64⌉) is
 // set when switch u is an extended ancestor of switch w. rows needs S·W
@@ -436,6 +433,18 @@ func (l *Labeling) ExtendedDescendantRows(rows []uint64, order []int32) {
 	net := l.Net
 	s := net.NumSwitches
 	nw := (s + 63) / 64
+	// Subtrees first: with order holding the switch in each preorder slot,
+	// row u's subtree is order[pre[u]:end[u]].
+	for u := 0; u < s; u++ {
+		order[l.pre[u]] = int32(u)
+	}
+	for u := 0; u < s; u++ {
+		row := rows[u*nw : (u+1)*nw]
+		clear(row)
+		for _, w := range order[l.pre[u]:l.end[u]] {
+			row[w>>6] |= 1 << uint(w&63)
+		}
+	}
 	// The BFS order is sorted by level; sorting each level's run by ID
 	// gives ascending (level, id).
 	copy(order, l.queue)
@@ -447,19 +456,9 @@ func (l *Labeling) ExtendedDescendantRows(rows []uint64, order []int32) {
 		slices.Sort(order[i:j])
 		i = j
 	}
-	// The last switch word of a descendant row also holds processor bits.
-	tail := ^uint64(0)
-	if r := s % 64; r != 0 {
-		tail = 1<<uint(r) - 1
-	}
 	for i := s - 1; i >= 0; i-- {
 		u := order[i]
 		row := rows[int(u)*nw : (int(u)+1)*nw]
-		d := l.desc[u]
-		for k := range row {
-			row[k] = d.Word(k)
-		}
-		row[nw-1] &= tail
 		for _, c := range net.Out(topology.NodeID(u)) {
 			if l.ClassOf[c] != DownCross || l.Down.Test(int(c)) {
 				continue
@@ -480,6 +479,15 @@ func (l *Labeling) IsDown(c topology.ChannelID) bool {
 // DownChannels exposes the failed-channel mask (never nil after Relabel).
 // Shared; do not mutate.
 func (l *Labeling) DownChannels() *bitset.Set { return l.Down }
+
+// Children returns the down-tree channels from node v to its tree children,
+// in ascending channel ID; a processor has none. Shared; do not mutate.
+func (l *Labeling) Children(v topology.NodeID) []topology.ChannelID {
+	if !l.Net.IsSwitch(v) {
+		return nil
+	}
+	return l.childChans[l.childOff[v]:l.childOff[v+1]]
+}
 
 // IsAncestor reports whether u is a (reflexive) tree ancestor of v: there is
 // a path of zero or more down-tree channels from u to v. Either node may be
@@ -535,18 +543,6 @@ func (l *Labeling) IsExtendedAncestor(u, v topology.NodeID) bool {
 	return false
 }
 
-// Descendants returns the (reflexive) descendant set of switch v — every
-// node, processors included, in the tree subtree rooted at v. v must be a
-// switch. Shared; do not mutate.
-func (l *Labeling) Descendants(v topology.NodeID) *bitset.Set { return l.desc[v] }
-
-// SubtreeIntersects reports whether the tree subtree rooted at switch v
-// contains any member of set (a set over all nodes). It is the word-level
-// form of "v is an ancestor of some destination" and allocates nothing.
-func (l *Labeling) SubtreeIntersects(v topology.NodeID, set *bitset.Set) bool {
-	return l.desc[v].Intersects(set)
-}
-
 // LCA returns the least (deepest) common tree ancestor of a and b.
 func (l *Labeling) LCA(a, b topology.NodeID) topology.NodeID {
 	for l.Level[a] > l.Level[b] {
@@ -600,8 +596,9 @@ func (l *Labeling) Depth(v topology.NodeID) int32 { return l.Level[v] }
 //  5. the preorder intervals agree with Parent: the root's is [0, S), and
 //     each switch's nests in its parent's, disjoint from its siblings', with
 //     the sizes adding up;
-//  6. every descendant row holds exactly the nodes whose switch lies in its
-//     switch's interval.
+//  6. the tree order numbers the processors: the ranks are a permutation of
+//     [0, P), ProcAt inverts Rank, and processor p's rank lies in switch
+//     u's ProcRange exactly when u is a tree ancestor of p.
 func (l *Labeling) Verify() error {
 	net := l.Net
 	// (2) and (3): topological order by (level, id) with direction checks.
@@ -675,12 +672,18 @@ func (l *Labeling) Verify() error {
 			return fmt.Errorf("updown: switch %d: children's intervals end at %d, its own at %d", v, next[v], l.end[v])
 		}
 	}
-	// (6) desc against interval ancestry (a processor column reading its
-	// switch's interval).
-	for v := 0; v < net.N(); v++ {
-		for u := range l.desc {
-			if l.IsAncestor(topology.NodeID(u), topology.NodeID(v)) != l.desc[u].Test(v) {
-				return fmt.Errorf("updown: descendant row of switch %d disagrees with the tree intervals at node %d", u, v)
+	// (6) The tree order against Rank/ProcAt and interval ancestry.
+	for i, r := range l.rank {
+		if p := topology.NodeID(s + i); r < 0 || int(r) >= net.NumProcs || l.proc[r] != p {
+			return fmt.Errorf("updown: processor %d: rank %d is out of range or not inverted by ProcAt", p, r)
+		}
+	}
+	for u := 0; u < s; u++ {
+		lo, hi := l.ProcRange(topology.NodeID(u))
+		for i, r := range l.rank {
+			p := topology.NodeID(s + i)
+			if l.IsAncestor(topology.NodeID(u), p) != (lo <= int(r) && int(r) < hi) {
+				return fmt.Errorf("updown: switch %d: processor range [%d,%d) disagrees with the tree intervals at processor %d (rank %d)", u, lo, hi, p, r)
 			}
 		}
 	}

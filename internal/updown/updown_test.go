@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/topology"
 )
 
@@ -170,15 +171,31 @@ func TestChildChans(t *testing.T) {
 	l := fig1Labeling(t)
 	// Switch 3 (paper node 4) has tree children 4 and 5 (paper 6 and 7).
 	kids := map[topology.NodeID]bool{}
-	for _, c := range l.ChildChans[3] {
+	for _, c := range l.Children(3) {
 		kids[l.Net.Chan(c).Dst] = true
 	}
 	if !kids[4] || !kids[5] || len(kids) != 2 {
 		t.Fatalf("children of 3: %v", kids)
 	}
 	// Switch 4 (paper 6) has three processor children.
-	if len(l.ChildChans[4]) != 3 {
-		t.Fatalf("switch 4 has %d child channels", len(l.ChildChans[4]))
+	if len(l.Children(4)) != 3 {
+		t.Fatalf("switch 4 has %d child channels", len(l.Children(4)))
+	}
+	// Every node's children come in ascending channel ID, each one's
+	// parent channel; processors have none.
+	for v := 0; v < l.Net.N(); v++ {
+		kids := l.Children(topology.NodeID(v))
+		if l.Net.IsProcessor(topology.NodeID(v)) && len(kids) != 0 {
+			t.Fatalf("processor %d has child channels %v", v, kids)
+		}
+		for i, c := range kids {
+			if i > 0 && kids[i-1] >= c {
+				t.Fatalf("children of %d not in ascending channel ID: %v", v, kids)
+			}
+			if l.ParentChan[l.Net.Chan(c).Dst] != c {
+				t.Fatalf("child channel %d of %d is not its endpoint's parent channel", c, v)
+			}
+		}
 	}
 	// ParentChan inverse consistency.
 	for v := 0; v < l.Net.N(); v++ {
@@ -242,9 +259,10 @@ func TestClassString(t *testing.T) {
 	}
 }
 
-// TestVerifyCatchesCorruption corrupts one preorder interval or one
-// descendant row of a correct labeling and expects Verify to refuse it.
-// Figure 1's tree numbers 0:[0,6) 1:[1,2) 2:[2,6) 3:[3,6) 4:[4,5) 5:[5,6).
+// TestVerifyCatchesCorruption corrupts one preorder interval or the tree
+// order of a correct labeling and expects Verify to refuse it. Figure 1's
+// tree numbers 0:[0,6) 1:[1,2) 2:[2,6) 3:[3,6) 4:[4,5) 5:[5,6), and switch
+// 4, in preorder slot 4, owns three processors.
 func TestVerifyCatchesCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -254,8 +272,8 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 		{"two intervals share a start", func(l *Labeling) { l.pre[5] = 4 }},
 		{"interval ends before its children's", func(l *Labeling) { l.end[3] = 5 }},
 		{"root interval short of every switch", func(l *Labeling) { l.end[0] = 5 }},
-		{"descendant row gains a node outside the subtree", func(l *Labeling) { l.desc[1].Set(7) }},
-		{"descendant row loses a processor", func(l *Labeling) { l.desc[3].Clear(10) }},
+		{"two processors' ranks swapped", func(l *Labeling) { l.rank[0], l.rank[1] = l.rank[1], l.rank[0] }},
+		{"a switch's processor range starts one late", func(l *Labeling) { l.start[4]++ }},
 	} {
 		l := fig1Labeling(t)
 		if err := l.Verify(); err != nil {
@@ -271,21 +289,23 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 }
 
 // TestNewFootprint guards what one labeling build allocates. A built
-// labeling holds no switch×switch relation: its S×N descendant rows, tree
-// intervals and per-node arrays only, and no distance matrix. Storing
+// labeling holds flat arrays only: per-node, per-channel and per-switch
+// arrays, the tree order and the child CSR, with no switch×switch or
+// switch×node relation. The S×N descendant rows it held before the tree
+// order put torus:16x16/64, lattice:1024 and fattree:8x4 at 1.451, 0.409
+// and 1.995 MiB (0.460, 0.087 and 0.305 without them), and storing
 // ancestor, extended-ancestor, extended-descendant and cross-reach rows
 // over all switch pairs put lattice:1024 at ~1.06 MiB and fattree:8x4 at
-// ~4.28 MiB, so the two switch-heavy cases fail with them. torus:16x16/64 —
-// 256 switches, 16,384 processors — guards the processor dimension:
-// relations over all N nodes would allocate ~187 MiB there.
+// ~4.28 MiB, so every case fails with either. torus:16x16/64 — 256
+// switches, 16,384 processors — guards the processor dimension.
 func TestNewFootprint(t *testing.T) {
 	for _, tc := range []struct {
 		spec     string
 		limitMiB float64
 	}{
-		{"torus:16x16/64", 8},
-		{"lattice:1024", 0.6},
-		{"fattree:8x4", 2.5},
+		{"torus:16x16/64", 0.75},
+		{"lattice:1024", 0.2},
+		{"fattree:8x4", 0.5},
 	} {
 		sp, err := topology.ParseSpec(tc.spec)
 		if err != nil {
@@ -309,5 +329,51 @@ func TestNewFootprint(t *testing.T) {
 			t.Errorf("New(%s) allocated %.3f MiB, want < %g MiB", tc.spec, got, tc.limitMiB)
 		}
 		runtime.KeepAlive(l)
+	}
+}
+
+// TestRelabelAllocationFree pins the hot-reconfiguration contract: after
+// its first call on a labeling, Relabel rebuilds the tree order and the
+// child CSR into their arrays, so failing a link and restoring it allocates
+// nothing, and both labelings verify.
+func TestRelabelAllocationFree(t *testing.T) {
+	sp, err := topology.ParseSpec("torus:6x6/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := sp.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := New(net, RootMinID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask := bitset.New(len(net.Channels))
+	c := net.Out(0)[0]
+	mask.Set(int(c))
+	mask.Set(int(net.Chan(c).Reverse))
+	var relabelErr error
+	if n := testing.AllocsPerRun(20, func() {
+		if err := l.Relabel(mask); err != nil {
+			relabelErr = err
+		}
+		if err := l.Relabel(nil); err != nil {
+			relabelErr = err
+		}
+	}); n != 0 {
+		t.Fatalf("Relabel allocated %v times per fail/restore pair, want 0", n)
+	}
+	if relabelErr != nil {
+		t.Fatal(relabelErr)
+	}
+	if err := l.Verify(); err != nil {
+		t.Fatalf("restored: %v", err)
+	}
+	if err := l.Relabel(mask); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Verify(); err != nil {
+		t.Fatalf("masked: %v", err)
 	}
 }
