@@ -12,6 +12,7 @@ package spamnet
 
 import (
 	"flag"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -671,17 +672,21 @@ func BenchmarkFaultStormTrial(b *testing.B) {
 // up*/down* labeling plus compiled-table construction of the network a
 // topology spec names — the network serve admits for that spec. The
 // reported MiB/tables and x/compression metrics are what /healthz and the
-// campaign reports surface for the same network. fattree:16x4 (16384
-// switches, 65536 processors) allocates 1,174,398,336 B in 271 allocations
-// per op and peaks at 1.13 GiB RSS (one op, 45.8 s median of five, on a
-// 2-vCPU Xeon VM): the compiler's transient 4·S² distance scratch (1 GiB)
-// and S²/8 extended-descendant scratch (32 MiB), 8.75 MiB of tables (2120x
-// under the dense layout; 8.49 MiB of it column page vectors), the
-// labeling's flat arrays and the table pools' growth. With S·N/8 bytes of
-// descendant rows (160 MiB) in the labeling it was 1,344,411,040 B in
-// 52,765 allocations and 1.28 GiB. CI's scale smoke fails when its
-// MiB/tables exceeds 12 or its B/op exceeds 1.25e9. The 62500-switch cell is gated behind -benchlarge
-// (its distance scratch alone is ~15 GiB).
+// campaign reports surface for the same network; MiB/network is the
+// network's own retained heap, read after a forced GC around its build.
+// fattree:16x4 (16384 switches, 65536 processors) allocates 1,174,398,336 B
+// in 271 allocations per op and peaks at 1.13 GiB RSS (one op, 45.8 s
+// median of five, on a 2-vCPU Xeon VM): the compiler's transient 4·S²
+// distance scratch (1 GiB) and S²/8 extended-descendant scratch (32 MiB),
+// 8.75 MiB of tables (2120x under the dense layout; 8.49 MiB of it column
+// page vectors), the labeling's flat arrays and the table pools' growth.
+// With S·N/8 bytes of descendant rows (160 MiB) in the labeling it was
+// 1,344,411,040 B in 52,765 allocations and 1.28 GiB. Its network is
+// 6.90 MiB as one flat CSR over paired channels, and was 19.94 MiB with
+// per-node out and in lists and a held switch graph. CI's scale smoke
+// fails when its MiB/tables exceeds 12 or its B/op exceeds 1.25e9. The
+// 62500-switch cell is gated behind -benchlarge (its distance scratch alone
+// is ~15 GiB).
 func BenchmarkLargeFatTreeCompile(b *testing.B) {
 	cases := []string{
 		"fattree:8x4",  // 2048 switches: the pre-PR7 comfort zone
@@ -696,10 +701,16 @@ func BenchmarkLargeFatTreeCompile(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
 			net, err := sp.Build(1)
 			if err != nil {
 				b.Fatal(err)
 			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			netMiB := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (1 << 20)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var ms core.MemStats
@@ -713,6 +724,8 @@ func BenchmarkLargeFatTreeCompile(b *testing.B) {
 			b.ReportMetric(float64(ms.TableBytes)/(1<<20), "MiB/tables")
 			b.ReportMetric(float64(ms.NaiveIndexBytes+4*int64(ms.NaiveChannels))/(1<<20), "MiB/naive")
 			b.ReportMetric(ms.CompressionX, "x/compression")
+			b.ReportMetric(netMiB, "MiB/network")
+			runtime.KeepAlive(net)
 		})
 	}
 }

@@ -39,7 +39,7 @@ func main() {
 			acyclic = "NO: " + err.Error()
 		}
 		fmt.Printf("%-14d %-8d %-10d %-14.2f %-12s\n",
-			failures, sys.Topology().SwitchGraph().M(), depth, lat, acyclic)
+			failures, sys.Topology().Links(), depth, lat, acyclic)
 
 		if failures >= 6 {
 			break

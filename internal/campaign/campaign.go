@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/topology"
@@ -196,9 +197,28 @@ func gridProfiles(g *Grid) []string {
 	return []string{g.Params.FaultProfile}
 }
 
-// NumCells reports how many grid cells the manifest expands to — serving
-// layers use it for admission control before running anything.
-func (m *Manifest) NumCells() int { return len(m.cells()) }
+// NumCells reports how many grid cells the manifest expands to, by
+// arithmetic on the grid axes rather than by expanding them, so serving
+// layers can refuse an oversized manifest before allocating anything. The
+// count saturates at math.MaxInt.
+func (m *Manifest) NumCells() int {
+	total := 0
+	for i := range m.Grids {
+		g := &m.Grids[i]
+		n := 1
+		for _, k := range [...]int{len(g.Topologies), len(g.Scenarios), max(1, len(g.FaultProfiles)), max(1, len(g.Seeds))} {
+			if k != 0 && n > math.MaxInt/k {
+				return math.MaxInt
+			}
+			n *= k
+		}
+		if total > math.MaxInt-n {
+			return math.MaxInt
+		}
+		total += n
+	}
+	return total
+}
 
 // grid returns the named grid.
 func (m *Manifest) grid(name string) *Grid {

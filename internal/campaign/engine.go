@@ -261,10 +261,10 @@ func Run(ctx context.Context, m *Manifest, opts Options) (*Result, error) {
 		}
 	}
 
-	cells := m.cells()
-	if opts.MaxCells > 0 && len(cells) > opts.MaxCells {
-		return nil, fmt.Errorf("campaign: manifest expands to %d cells, limit %d", len(cells), opts.MaxCells)
+	if n := m.NumCells(); opts.MaxCells > 0 && n > opts.MaxCells {
+		return nil, fmt.Errorf("campaign: manifest expands to %d cells, limit %d", n, opts.MaxCells)
 	}
+	cells := m.cells()
 
 	res := &Result{Manifest: m, SVGs: map[string]string{}}
 

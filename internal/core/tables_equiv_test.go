@@ -102,9 +102,10 @@ func randomDestSet(r *rng.Source, net *topology.Network) []topology.NodeID {
 	return dests
 }
 
-// TestDistributionOutputsMatchReference cross-checks the descendant-bitset
-// distribution fast path against the reference per-destination ancestor walk
-// at every switch for random destination sets, on the same ≥50 topologies.
+// TestDistributionOutputsMatchReference cross-checks the distribution fast
+// path, one range count over the tree-ordered destination set per child,
+// against the reference per-destination ancestor walk at every switch for
+// random destination sets, on the same ≥50 topologies.
 func TestDistributionOutputsMatchReference(t *testing.T) {
 	labs := equivTopologies(t)
 	r := rng.New(42)

@@ -97,12 +97,12 @@ func maskableLink(lab *updown.Labeling) (*bitset.Set, bool) {
 	}
 	mask := bitset.New(len(net.Channels))
 	for ci, ch := range net.Channels {
-		if topology.ChannelID(ci) > ch.Reverse || net.IsProcessor(ch.Src) || net.IsProcessor(ch.Dst) {
+		if topology.ChannelID(ci) > topology.ChannelID(ci).Reverse() || net.IsProcessor(ch.Src) || net.IsProcessor(ch.Dst) {
 			continue
 		}
 		mask.Reset()
 		mask.Set(ci)
-		mask.Set(int(ch.Reverse))
+		mask.Set(int(topology.ChannelID(ci).Reverse()))
 		if probe.Relabel(mask) == nil {
 			return mask, true
 		}

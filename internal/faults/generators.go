@@ -136,10 +136,11 @@ func RegionalOutage(net *topology.Network, cfg RegionalConfig) (Script, error) {
 	if cfg.Radius < 0 || cfg.StartNs < 0 || cfg.DurationNs <= 0 {
 		return nil, fmt.Errorf("faults: regional outage needs radius >= 0, start >= 0, duration > 0")
 	}
-	bfs := net.SwitchGraph().BFS(cfg.Center)
+	g := net.SwitchGraph()
+	bfs := g.BFS(cfg.Center)
 	inBall := func(sw int) bool { return bfs.Dist[sw] >= 0 && int(bfs.Dist[sw]) <= cfg.Radius }
 	var out Script
-	for _, l := range net.SwitchGraph().Edges() {
+	for _, l := range g.Edges() {
 		if !inBall(l[0]) || !inBall(l[1]) || len(out)+2 > maxGeneratedEvents {
 			continue
 		}

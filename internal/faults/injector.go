@@ -194,7 +194,7 @@ func (in *Injector) SetErrorSink(fn func(error)) { in.errSink = fn }
 // 1 − Σ link-downtime / (links × elapsed). 1.0 before any time has passed.
 func (in *Injector) Availability() float64 {
 	elapsed := in.sim.Now()
-	links := in.net.SwitchGraph().M()
+	links := in.net.Links()
 	if elapsed <= 0 || links == 0 {
 		return 1.0
 	}

@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"slices"
-
 	"repro/internal/bitset"
 	"repro/internal/topology"
 )
@@ -106,15 +104,13 @@ func (m *Mask) validSwitch(u int32) bool {
 }
 
 // neighborSwitches lists u's neighbor switches in ascending ID order
-// (deterministic SwitchDown/SwitchUp semantics), into retained scratch.
+// (deterministic SwitchDown/SwitchUp semantics, the order of SwitchOut),
+// into retained scratch.
 func (m *Mask) neighborSwitches(u int32) []int32 {
 	m.nbrs = m.nbrs[:0]
-	for _, c := range m.net.Out(topology.NodeID(u)) {
-		if dst := m.net.Chan(c).Dst; m.net.IsSwitch(dst) {
-			m.nbrs = append(m.nbrs, int32(dst))
-		}
+	for _, c := range m.net.SwitchOut(topology.NodeID(u)) {
+		m.nbrs = append(m.nbrs, int32(m.net.Chan(c).Dst))
 	}
-	slices.Sort(m.nbrs)
 	return m.nbrs
 }
 
@@ -126,7 +122,7 @@ func (m *Mask) linkDown(u, v int32) bool {
 	if c == topology.None || m.down.Test(int(c)) {
 		return false
 	}
-	rev := m.net.Chan(c).Reverse
+	rev := c.Reverse()
 	if !m.stillConnected(c, rev) {
 		return false
 	}
@@ -147,7 +143,7 @@ func (m *Mask) linkUp(u, v int32) bool {
 		return false
 	}
 	m.down.Clear(int(c))
-	m.down.Clear(int(m.net.Chan(c).Reverse))
+	m.down.Clear(int(c.Reverse()))
 	m.upped = append(m.upped, [2]int32{u, v})
 	m.downLinks--
 	return true

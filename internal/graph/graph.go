@@ -70,22 +70,8 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// Neighbors returns the adjacency list of u (shared storage; do not mutate).
-func (g *Graph) Neighbors(u int) []int32 { return g.adj[u] }
-
 // Degree returns the degree of u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
-// MaxDegree returns the maximum degree over all vertices (0 for empty graphs).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for u := 0; u < g.n; u++ {
-		if d := len(g.adj[u]); d > max {
-			max = d
-		}
-	}
-	return max
-}
 
 // Edges returns all edges as (u, v) pairs with u < v, sorted.
 func (g *Graph) Edges() [][2]int {
@@ -158,45 +144,10 @@ func (g *Graph) Connected() bool {
 	return len(g.BFS(0).Order) == g.n
 }
 
-// Components returns the vertex sets of the connected components, each
-// sorted, ordered by smallest member.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for u := 0; u < g.n; u++ {
-		if seen[u] {
-			continue
-		}
-		res := g.BFS(u)
-		comp := make([]int, 0, len(res.Order))
-		for _, v := range res.Order {
-			seen[v] = true
-			comp = append(comp, int(v))
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// AllPairsDist returns the hop-distance matrix via repeated BFS; -1 marks
-// unreachable pairs. O(N·(N+M)): fine for the few hundred switches used here.
-func (g *Graph) AllPairsDist() [][]int32 {
-	d := make([][]int32, g.n)
-	for u := 0; u < g.n; u++ {
-		d[u] = g.BFS(u).Dist
-	}
-	return d
-}
-
-// Eccentricity returns the eccentricity of u (max distance to any reachable
-// vertex). It panics if the graph is disconnected.
-func (g *Graph) Eccentricity(u int) int {
-	return g.eccentricity(u, make([]int32, g.n), make([]int32, g.n))
-}
-
-// eccentricity is Eccentricity over caller-owned BFS buffers of length n,
-// so the all-vertex scans of Center and Diameter allocate them once.
+// eccentricity returns the eccentricity of u (max distance to any vertex)
+// over caller-owned BFS buffers of length n, so the all-vertex scans of
+// Center and Diameter allocate them once. It panics if the graph is
+// disconnected.
 func (g *Graph) eccentricity(u int, dist, queue []int32) int {
 	for i := range dist {
 		dist[i] = -1
@@ -247,23 +198,6 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return d
-}
-
-// SpanningTree returns the BFS spanning tree rooted at root as a set of
-// edges (parent, child). It panics if the graph is disconnected.
-func (g *Graph) SpanningTree(root int) [][2]int {
-	res := g.BFS(root)
-	var edges [][2]int
-	for v := 0; v < g.n; v++ {
-		if v == root {
-			continue
-		}
-		if res.Parent[v] == -1 {
-			panic("graph: spanning tree of disconnected graph")
-		}
-		edges = append(edges, [2]int{int(res.Parent[v]), v})
-	}
-	return edges
 }
 
 // DOT renders the graph in Graphviz DOT format with optional per-vertex

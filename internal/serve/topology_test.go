@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -275,6 +278,48 @@ func TestRunCampaignRejects(t *testing.T) {
 		if _, err := svc.RunCampaign(context.Background(), req); !errors.Is(err, ErrBadCampaign) {
 			t.Errorf("case %d: got %v, want ErrBadCampaign", i, err)
 		}
+	}
+}
+
+// TestCampaignCellCapIsArithmetic posts a 2.3 KB manifest whose one grid
+// names 100 topologies × 100 scenarios × 100 seeds: a million cells, refused
+// by the cell cap. The count is arithmetic on the grid axes, so the refusal
+// allocates almost nothing; expanding the cells to count them allocated
+// ~374 MiB for this body, and a body under 7 KB naming 300 per axis would
+// have needed ~10 GiB.
+func TestCampaignCellCapIsArithmetic(t *testing.T) {
+	svc := newService(t, testSystem(t, 16), 1)
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	axis := func(item func(i int) string) string {
+		parts := make([]string, 100)
+		for i := range parts {
+			parts[i] = item(i)
+		}
+		return strings.Join(parts, ",")
+	}
+	body := `{"manifest":{"name":"wide","seed":1,"grids":[{"name":"g",` +
+		`"topologies":[` + axis(func(int) string { return `"torus:3x3"` }) + `],` +
+		`"scenarios":[` + axis(func(int) string { return `"mixed"` }) + `],` +
+		`"seeds":[` + axis(func(i int) string { return strconv.Itoa(i + 1) }) + `]}]}}`
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	resp, err := srv.Client().Post(srv.URL+"/campaign", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 400 || !strings.Contains(string(msg), "manifest expands to 1000000 cells (cap 128)") {
+		t.Fatalf("status %d, body %s; want 400 with the cell cap", resp.StatusCode, msg)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing a %d-byte manifest allocated %d bytes, want < 1 MiB", len(body), got)
 	}
 }
 

@@ -49,12 +49,12 @@ func (s *Simulator) ChannelLoads() []ChannelLoad {
 	return out
 }
 
-// NodeThroughLoad sums payload flits over all channels entering a node —
-// a direct measure of how hot a switch runs.
+// NodeThroughLoad sums payload flits over all channels entering a node (the
+// reverses of its out channels) — a direct measure of how hot a switch runs.
 func (s *Simulator) NodeThroughLoad(n topology.NodeID) uint64 {
 	var total uint64
-	for _, c := range s.net.In(n) {
-		total += s.chans[c].payloadCount
+	for _, c := range s.net.Out(n) {
+		total += s.chans[c.Reverse()].payloadCount
 	}
 	return total
 }

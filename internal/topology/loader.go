@@ -35,8 +35,11 @@ const MaxAdmittedSwitches = 65536
 
 // MaxAdmittedNodes bounds the same inputs' node count, switches plus
 // processors: a small switch count cannot smuggle in a processor count whose
-// per-node state (per-node labeling arrays, per-processor queues) exhausts
-// memory. The largest builtin network, fattree:25x4, has 453,125 nodes.
+// per-node state exhausts memory. Each processor costs the network 32 bytes
+// (its channel pair, two out-list slots, its out offset and its entry among
+// its switch's processors), and the labeling and the simulator add
+// per-node arrays and per-processor queues. The largest builtin network,
+// fattree:25x4, has 453,125 nodes and its network holds 40.2 MiB.
 const MaxAdmittedNodes = 1 << 20
 
 // LoadAdjacency parses the adjacency text format into a validated Network.
@@ -164,13 +167,13 @@ func LoadAdjacency(r io.Reader) (*Network, error) {
 func FormatAdjacency(n *Network) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# spamnet adjacency: %d switches, %d processors, %d links\n",
-		n.NumSwitches, n.NumProcs, n.SwitchGraph().M())
+		n.NumSwitches, n.NumProcs, n.Links())
 	fmt.Fprintf(&sb, "switches %d\n", n.NumSwitches)
-	for _, e := range n.SwitchGraph().Edges() {
-		fmt.Fprintf(&sb, "link %d %d\n", e[0], e[1])
+	for c := 0; c < 2*n.Links(); c += 2 {
+		fmt.Fprintf(&sb, "link %d %d\n", n.Channels[c].Src, n.Channels[c].Dst)
 	}
-	for p := 0; p < n.NumProcs; p++ {
-		fmt.Fprintf(&sb, "proc %d\n", n.attached[p])
+	for p := n.NumSwitches; p < n.N(); p++ {
+		fmt.Fprintf(&sb, "proc %d\n", n.SwitchOf(NodeID(p)))
 	}
 	if n.Coords != nil {
 		for sw, c := range n.Coords {

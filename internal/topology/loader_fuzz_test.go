@@ -1,6 +1,7 @@
 package topology_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 // FuzzLoadAdjacency is the adjacency loader's input contract: LoadAdjacency
 // never panics, every network it accepts stays within the shared admission
 // caps, and FormatAdjacency of an accepted network reloads into a network
-// that formats to the same bytes.
+// that formats to the same bytes and has the same layout: channel
+// endpoints, Out lists and ProcessorsOf.
 func FuzzLoadAdjacency(f *testing.F) {
 	for _, spec := range []string{"lattice:16", "gnm:12+6", "mesh:3x3", "torus:3x3/2", "hypercube:3", "fattree:2x3"} {
 		sp, err := topology.ParseSpec(spec)
@@ -24,6 +26,7 @@ func FuzzLoadAdjacency(f *testing.F) {
 		f.Add(topology.FormatAdjacency(net))
 	}
 	for _, s := range []string{
+		interleavedAdjacency,
 		"switches 2\nlink 0 1\nproc 0 3\nproc 1\n",
 		"# two processors on one switch\nswitches 1 2\nproc 0 2\n",
 		"switches 3 4\nlink 0 1\nlink 1 2\ncoord 0 0 0\ncoord 2 5 -1\nproc 2\n",
@@ -59,6 +62,17 @@ func FuzzLoadAdjacency(f *testing.F) {
 		}
 		if again := topology.FormatAdjacency(back); again != text {
 			t.Fatalf("reloaded network formats differently:\n%s\nvs\n%s", text, again)
+		}
+		if !slices.Equal(back.Channels, net.Channels) {
+			t.Fatalf("reloaded network's channels differ:\n%v\nvs\n%v", back.Channels, net.Channels)
+		}
+		for v := topology.NodeID(0); int(v) < net.N(); v++ {
+			if !slices.Equal(back.Out(v), net.Out(v)) {
+				t.Fatalf("node %d: reloaded Out %v, accepted %v", v, back.Out(v), net.Out(v))
+			}
+			if net.IsSwitch(v) && !slices.Equal(back.ProcessorsOf(v), net.ProcessorsOf(v)) {
+				t.Fatalf("switch %d: reloaded ProcessorsOf %v, accepted %v", v, back.ProcessorsOf(v), net.ProcessorsOf(v))
+			}
 		}
 	})
 }

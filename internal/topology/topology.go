@@ -35,25 +35,41 @@ func (k NodeKind) String() string {
 	return "processor"
 }
 
-// Channel is one unidirectional channel. Bidirectional links are stored as
-// two Channels that reference each other through Reverse.
+// Channel is one unidirectional channel. Channels come in pairs: channels
+// 2k and 2k+1 are the two directions of one link, so a channel's ID is its
+// index in Network.Channels and its reverse is ChannelID.Reverse.
 type Channel struct {
-	ID      ChannelID
-	Src     NodeID
-	Dst     NodeID
-	Reverse ChannelID
+	Src NodeID
+	Dst NodeID
 }
 
-// Network is an immutable switch+processor network.
+// Reverse returns the opposite direction of c's link.
+func (c ChannelID) Reverse() ChannelID { return c ^ 1 }
+
+// Network is an immutable switch+processor network, held as one flat CSR
+// over paired channels. The layout is part of the contract:
+//   - channels 2k and 2k+1 are the two directions of one link;
+//   - switch–switch pairs come first, in sorted edge order, each from its
+//     smaller endpoint first; one pair per processor follows, in processor
+//     order, the switch→processor channel first;
+//   - a switch's Out lists its switch neighbours first, in ascending ID,
+//     then its processors in attach order;
+//   - a processor's Out is its one up channel.
+//
+// Every Out list is in ascending channel ID. The network stores only the
+// channels' endpoints, the out CSR and the processors of each switch;
+// reverses, in-channels (Out(v)[i].Reverse()), the link count, a
+// processor's switch and the switch graph all follow from the numbering.
 type Network struct {
 	NumSwitches int
 	NumProcs    int
 	Channels    []Channel
-	out         [][]ChannelID // outgoing channel IDs per node
-	in          [][]ChannelID
-	attached    []NodeID   // processor -> its switch
-	procsOf     [][]NodeID // switch -> attached processors
-	swGraph     *graph.Graph
+	// Node v's outgoing channels are outIDs[outOff[v]:outOff[v+1]].
+	outOff []int32
+	outIDs []ChannelID
+	// Switch sw's processors are procIDs[procOff[sw]:procOff[sw+1]].
+	procOff []int32
+	procIDs []NodeID
 	// Coords holds optional lattice coordinates per switch (nil if the
 	// builder did not place switches geometrically).
 	Coords [][2]int
@@ -81,34 +97,39 @@ func (n *Network) Kind(id NodeID) NodeKind {
 }
 
 // SwitchOf returns the switch a processor is attached to. For a switch it
-// returns the switch itself.
+// returns the switch itself. Processor p's link is the pair numbered
+// Links() + p − NumSwitches, and its down channel leaves the switch.
 func (n *Network) SwitchOf(id NodeID) NodeID {
 	if n.IsSwitch(id) {
 		return id
 	}
-	return n.attached[int(id)-n.NumSwitches]
+	return n.Channels[2*(n.Links()+int(id)-n.NumSwitches)].Src
 }
 
-// ProcessorsOf returns the processors attached to a switch (shared slice).
+// ProcessorsOf returns the processors attached to a switch, in attach order
+// (shared slice).
 func (n *Network) ProcessorsOf(sw NodeID) []NodeID {
 	if !n.IsSwitch(sw) {
 		panic(fmt.Sprintf("topology: ProcessorsOf(%d): not a switch", sw))
 	}
-	return n.procsOf[sw]
+	return n.procIDs[n.procOff[sw]:n.procOff[sw+1]]
 }
 
 // Out returns the outgoing channels of a node (shared slice).
-func (n *Network) Out(id NodeID) []ChannelID { return n.out[id] }
+func (n *Network) Out(id NodeID) []ChannelID { return n.outIDs[n.outOff[id]:n.outOff[id+1]] }
 
-// In returns the incoming channels of a node (shared slice).
-func (n *Network) In(id NodeID) []ChannelID { return n.in[id] }
+// SwitchOut returns the switch-neighbour prefix of Out(sw): the channels to
+// sw's neighbour switches, in ascending neighbour ID (shared slice).
+func (n *Network) SwitchOut(sw NodeID) []ChannelID {
+	return n.outIDs[n.outOff[sw] : n.outOff[sw+1]-int32(len(n.ProcessorsOf(sw)))]
+}
 
 // Chan returns the channel record for id.
 func (n *Network) Chan(id ChannelID) *Channel { return &n.Channels[id] }
 
 // ChannelBetween returns the channel from src to dst, or None.
 func (n *Network) ChannelBetween(src, dst NodeID) ChannelID {
-	for _, c := range n.out[src] {
+	for _, c := range n.Out(src) {
 		if n.Channels[c].Dst == dst {
 			return c
 		}
@@ -116,8 +137,20 @@ func (n *Network) ChannelBetween(src, dst NodeID) ChannelID {
 	return None
 }
 
-// SwitchGraph returns the undirected graph over switches only.
-func (n *Network) SwitchGraph() *graph.Graph { return n.swGraph }
+// Links returns the number of switch–switch links: the switch pairs that
+// precede the processor pairs in Channels.
+func (n *Network) Links() int { return len(n.Channels)/2 - n.NumProcs }
+
+// SwitchGraph returns the undirected graph over switches only. The network
+// holds no graph: every call builds a fresh copy from the switch pairs, so
+// warm paths read SwitchOut, Ports and Links instead.
+func (n *Network) SwitchGraph() *graph.Graph {
+	g := graph.New(n.NumSwitches)
+	for c := 0; c < 2*n.Links(); c += 2 {
+		g.MustAddEdge(int(n.Channels[c].Src), int(n.Channels[c].Dst))
+	}
+	return g
+}
 
 // Ports returns the number of ports in use at a switch (switch links +
 // attached processors).
@@ -125,7 +158,7 @@ func (n *Network) Ports(sw NodeID) int {
 	if !n.IsSwitch(sw) {
 		panic(fmt.Sprintf("topology: Ports(%d): not a switch", sw))
 	}
-	return n.swGraph.Degree(int(sw)) + len(n.procsOf[sw])
+	return len(n.Out(sw))
 }
 
 // Builder accumulates a network description and validates it into a Network.
@@ -163,12 +196,15 @@ func (b *Builder) SetCoords(coords [][2]int) *Builder {
 }
 
 // Build validates and freezes the network. It checks port budgets, switch
-// graph simplicity and connectivity of the switch graph.
+// graph simplicity and connectivity of the switch graph, then lays the
+// channels out as Network documents.
 func (b *Builder) Build() (*Network, error) {
-	if b.numSwitches <= 0 {
-		return nil, fmt.Errorf("topology: need at least one switch, got %d", b.numSwitches)
+	s := b.numSwitches
+	if s <= 0 {
+		return nil, fmt.Errorf("topology: need at least one switch, got %d", s)
 	}
-	g := graph.New(b.numSwitches)
+	// A transient graph checks the links and sorts them.
+	g := graph.New(s)
 	for _, e := range b.swEdges {
 		if err := g.AddEdge(e[0], e[1]); err != nil {
 			return nil, fmt.Errorf("topology: %w", err)
@@ -177,57 +213,62 @@ func (b *Builder) Build() (*Network, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("topology: switch graph is disconnected")
 	}
-	n := &Network{
-		NumSwitches: b.numSwitches,
-		NumProcs:    len(b.procs),
-		swGraph:     g,
-		Coords:      b.coords,
-		attached:    append([]NodeID(nil), b.procs...),
-		procsOf:     make([][]NodeID, b.numSwitches),
-	}
-	total := n.N()
-	n.out = make([][]ChannelID, total)
-	n.in = make([][]ChannelID, total)
-
-	addPair := func(u, v NodeID) {
-		a := ChannelID(len(n.Channels))
-		bID := a + 1
-		n.Channels = append(n.Channels,
-			Channel{ID: a, Src: u, Dst: v, Reverse: bID},
-			Channel{ID: bID, Src: v, Dst: u, Reverse: a},
-		)
-		n.out[u] = append(n.out[u], a)
-		n.in[v] = append(n.in[v], a)
-		n.out[v] = append(n.out[v], bID)
-		n.in[u] = append(n.in[u], bID)
-	}
-
-	// Switch-switch channels first, in sorted edge order for determinism.
-	edges := g.Edges()
-	for _, e := range edges {
-		addPair(NodeID(e[0]), NodeID(e[1]))
-	}
-	// Processor attachment channels.
 	for pi, sw := range b.procs {
-		if int(sw) < 0 || int(sw) >= b.numSwitches {
+		if int(sw) < 0 || int(sw) >= s {
 			return nil, fmt.Errorf("topology: processor %d attached to invalid switch %d", pi, sw)
 		}
-		pid := NodeID(b.numSwitches + pi)
-		n.procsOf[sw] = append(n.procsOf[sw], pid)
-		addPair(sw, pid)
 	}
+	edges := g.Edges()
+	n := &Network{
+		NumSwitches: s,
+		NumProcs:    len(b.procs),
+		Channels:    make([]Channel, 0, 2*(len(edges)+len(b.procs))),
+		Coords:      b.coords,
+	}
+	for _, e := range edges {
+		u, v := NodeID(e[0]), NodeID(e[1])
+		n.Channels = append(n.Channels, Channel{u, v}, Channel{v, u})
+	}
+	for pi, sw := range b.procs {
+		p := NodeID(s + pi)
+		n.Channels = append(n.Channels, Channel{sw, p}, Channel{p, sw})
+	}
+	n.outOff, n.outIDs = groupCSR(n.N(), len(n.Channels), ChannelID(0), func(c int) NodeID { return n.Channels[c].Src })
+	n.procOff, n.procIDs = groupCSR(s, len(b.procs), NodeID(s), func(pi int) NodeID { return b.procs[pi] })
 	// Port budget check.
 	if b.maxPorts > 0 {
-		for sw := 0; sw < b.numSwitches; sw++ {
+		for sw := 0; sw < s; sw++ {
 			if p := n.Ports(NodeID(sw)); p > b.maxPorts {
 				return nil, fmt.Errorf("topology: switch %d uses %d ports, budget %d", sw, p, b.maxPorts)
 			}
 		}
 	}
-	if b.coords != nil && len(b.coords) != b.numSwitches {
-		return nil, fmt.Errorf("topology: %d coords for %d switches", len(b.coords), b.numSwitches)
+	if b.coords != nil && len(b.coords) != s {
+		return nil, fmt.Errorf("topology: %d coords for %d switches", len(b.coords), s)
 	}
 	return n, nil
+}
+
+// groupCSR lays items 0..n-1 out by group, key(i) naming item i's group:
+// group g's items, numbered base+i, are ids[off[g]:off[g+1]] in ascending
+// order. After the counting pass's inclusive prefix sums off[g] is the end
+// of g's block, and placing the items in descending order, each just below
+// its block's cursor, leaves off[g] at the block's start.
+func groupCSR[T ~int32](groups, n int, base T, key func(i int) NodeID) (off []int32, ids []T) {
+	off = make([]int32, groups+1)
+	for i := 0; i < n; i++ {
+		off[key(i)]++
+	}
+	for g := 1; g <= groups; g++ {
+		off[g] += off[g-1]
+	}
+	ids = make([]T, n)
+	for i := n - 1; i >= 0; i-- {
+		g := key(i)
+		off[g]--
+		ids[off[g]] = base + T(i)
+	}
+	return off, ids
 }
 
 // WithoutLink returns a copy of the network with the bidirectional
@@ -239,18 +280,18 @@ func (n *Network) WithoutLink(u, v int) (*Network, error) {
 	if u < 0 || u >= n.NumSwitches || v < 0 || v >= n.NumSwitches {
 		return nil, fmt.Errorf("topology: link {%d,%d} out of switch range", u, v)
 	}
-	if !n.swGraph.HasEdge(u, v) {
+	gone := n.ChannelBetween(NodeID(u), NodeID(v))
+	if gone == None {
 		return nil, fmt.Errorf("topology: no link {%d,%d}", u, v)
 	}
 	b := NewBuilder(n.NumSwitches, 0)
-	for _, e := range n.swGraph.Edges() {
-		if (e[0] == u && e[1] == v) || (e[0] == v && e[1] == u) {
-			continue
+	for c := 0; c < 2*n.Links(); c += 2 {
+		if ChannelID(c) != gone&^1 { // gone&^1: the link's first channel
+			b.Link(int(n.Channels[c].Src), int(n.Channels[c].Dst))
 		}
-		b.Link(e[0], e[1])
 	}
-	for p := 0; p < n.NumProcs; p++ {
-		b.AttachProcessor(int(n.attached[p]))
+	for p := n.NumSwitches; p < n.N(); p++ {
+		b.AttachProcessor(int(n.SwitchOf(NodeID(p))))
 	}
 	if n.Coords != nil {
 		b.SetCoords(n.Coords)
@@ -573,19 +614,18 @@ type Stats struct {
 
 // ComputeStats derives summary statistics.
 func ComputeStats(n *Network) Stats {
-	g := n.SwitchGraph()
 	s := Stats{
 		Switches:               n.NumSwitches,
 		Processors:             n.NumProcs,
-		SwitchLinks:            g.M(),
+		SwitchLinks:            n.Links(),
 		Channels:               len(n.Channels),
-		MinDeg:                 g.N(),
-		SwitchGraphDiameter:    g.Diameter(),
+		MinDeg:                 n.NumSwitches,
+		SwitchGraphDiameter:    n.SwitchGraph().Diameter(),
 		ProcessorsPerSwitchMin: 1 << 30,
 	}
 	var degSum int
 	for sw := 0; sw < n.NumSwitches; sw++ {
-		d := g.Degree(sw)
+		d := len(n.SwitchOut(NodeID(sw)))
 		degSum += d
 		if d < s.MinDeg {
 			s.MinDeg = d
@@ -596,7 +636,7 @@ func ComputeStats(n *Network) Stats {
 		if p := n.Ports(NodeID(sw)); p > s.MaxPortsUsed {
 			s.MaxPortsUsed = p
 		}
-		np := len(n.procsOf[sw])
+		np := len(n.ProcessorsOf(NodeID(sw)))
 		if np < s.ProcessorsPerSwitchMin {
 			s.ProcessorsPerSwitchMin = np
 		}

@@ -54,10 +54,11 @@ func TestKindsAndIDSpaces(t *testing.T) {
 
 func TestChannelPairing(t *testing.T) {
 	n := mustFig1(t)
-	for _, c := range n.Channels {
-		rev := n.Chan(c.Reverse)
-		if rev.Src != c.Dst || rev.Dst != c.Src || rev.Reverse != c.ID {
-			t.Fatalf("channel %d pairing broken: %+v / %+v", c.ID, c, rev)
+	for i, c := range n.Channels {
+		id := ChannelID(i)
+		rev := n.Chan(id.Reverse())
+		if rev.Src != c.Dst || rev.Dst != c.Src || id.Reverse().Reverse() != id {
+			t.Fatalf("channel %d pairing broken: %+v / %+v", id, c, rev)
 		}
 	}
 }
@@ -70,9 +71,10 @@ func TestOutInConsistency(t *testing.T) {
 				t.Fatalf("out list of %d contains channel with src %d", id, n.Chan(c).Src)
 			}
 		}
-		for _, c := range n.In(id) {
-			if n.Chan(c).Dst != id {
-				t.Fatalf("in list of %d contains channel with dst %d", id, n.Chan(c).Dst)
+		// The reverses of a node's out channels are its in channels.
+		for _, c := range n.Out(id) {
+			if rev := n.Chan(c.Reverse()); rev.Dst != id || rev.Src != n.Chan(c).Dst {
+				t.Fatalf("channel %d out of %d reverses to %+v", c, id, rev)
 			}
 		}
 	}

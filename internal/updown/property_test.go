@@ -122,8 +122,7 @@ func TestLCAProperties(t *testing.T) {
 func TestClassReversePairing(t *testing.T) {
 	for _, l := range randomLabelings(t, 10) {
 		for i := range l.Net.Channels {
-			ch := &l.Net.Channels[i]
-			rev := l.ClassOf[ch.Reverse]
+			rev := l.ClassOf[topology.ChannelID(i).Reverse()]
 			switch l.ClassOf[i] {
 			case Up:
 				if rev != DownTree && rev != DownCross {
@@ -149,7 +148,7 @@ func TestUpPathsReachRoot(t *testing.T) {
 			steps := 0
 			for x != l.Root {
 				p := l.Parent[x]
-				up := l.Net.Chan(l.ParentChan[x]).Reverse
+				up := l.ParentChan[x].Reverse()
 				if l.ClassOf[up] != Up {
 					t.Fatalf("reverse of parent chan of %d is %v", x, l.ClassOf[up])
 				}
@@ -194,12 +193,12 @@ func maskedRelabel(t *testing.T, l *Labeling) {
 	}
 	mask := bitset.New(len(net.Channels))
 	for ci, ch := range net.Channels {
-		if topology.ChannelID(ci) > ch.Reverse || !net.IsSwitch(ch.Src) || !net.IsSwitch(ch.Dst) {
+		if topology.ChannelID(ci) > topology.ChannelID(ci).Reverse() || !net.IsSwitch(ch.Src) || !net.IsSwitch(ch.Dst) {
 			continue
 		}
 		mask.Reset()
 		mask.Set(ci)
-		mask.Set(int(ch.Reverse))
+		mask.Set(int(topology.ChannelID(ci).Reverse()))
 		if probe.Relabel(mask) == nil {
 			if err := l.Relabel(mask); err != nil {
 				t.Fatal(err)

@@ -194,8 +194,8 @@ func (l *Labeling) Relabel(down *bitset.Set) error {
 			if net.IsProcessor(ch.Src) || net.IsProcessor(ch.Dst) {
 				return fmt.Errorf("updown: processor channel %d cannot fail", c)
 			}
-			if !down.Test(int(ch.Reverse)) {
-				return fmt.Errorf("updown: down mask holds channel %d without its reverse %d", c, ch.Reverse)
+			if rev := topology.ChannelID(c).Reverse(); !down.Test(int(rev)) {
+				return fmt.Errorf("updown: down mask holds channel %d without its reverse %d", c, rev)
 			}
 			l.Down.Set(c)
 		}
@@ -203,16 +203,15 @@ func (l *Labeling) Relabel(down *bitset.Set) error {
 	root := l.Root
 
 	// The live switch graph, failed channels left out, so neither BFS
-	// tests the mask per edge.
+	// tests the mask per edge. SwitchOut lists neighbours in ascending ID.
 	l.liveNbrs = l.liveNbrs[:0]
 	for sw := 0; sw < s; sw++ {
 		l.liveOff[sw] = int32(len(l.liveNbrs))
-		for _, c := range net.Out(topology.NodeID(sw)) {
-			if dst := net.Chan(c).Dst; net.IsSwitch(dst) && !l.Down.Test(int(c)) {
-				l.liveNbrs = append(l.liveNbrs, int32(dst))
+		for _, c := range net.SwitchOut(topology.NodeID(sw)) {
+			if !l.Down.Test(int(c)) {
+				l.liveNbrs = append(l.liveNbrs, int32(net.Chan(c).Dst))
 			}
 		}
-		slices.Sort(l.liveNbrs[l.liveOff[sw]:])
 	}
 	l.liveOff[s] = int32(len(l.liveNbrs))
 
@@ -272,7 +271,7 @@ func (l *Labeling) Relabel(down *bitset.Set) error {
 	for i := range net.Channels {
 		ch := &net.Channels[i]
 		if l.ClassOf[i] == DownTree && l.Parent[ch.Dst] == ch.Src {
-			l.ParentChan[ch.Dst] = ch.ID
+			l.ParentChan[ch.Dst] = topology.ChannelID(i)
 			l.childOff[ch.Src]++
 		}
 	}
@@ -292,9 +291,9 @@ func (l *Labeling) Relabel(down *bitset.Set) error {
 	}
 	for i := len(net.Channels) - 1; i >= 0; i-- {
 		ch := &net.Channels[i]
-		if l.ParentChan[ch.Dst] == ch.ID {
+		if c := topology.ChannelID(i); l.ParentChan[ch.Dst] == c {
 			l.childOff[ch.Src]--
-			l.childChans[l.childOff[ch.Src]] = ch.ID
+			l.childChans[l.childOff[ch.Src]] = c
 		}
 	}
 
@@ -323,16 +322,8 @@ func (l *Labeling) ensureStorage() {
 	l.start = make([]int32, s+1)
 	l.childOff = make([]int32, s+1)
 	l.childChans = make([]topology.ChannelID, total-1)
-	links := 0
-	for sw := 0; sw < s; sw++ {
-		for _, c := range net.Out(topology.NodeID(sw)) {
-			if net.IsSwitch(net.Chan(c).Dst) {
-				links++
-			}
-		}
-	}
 	l.liveOff = make([]int32, s+1)
-	l.liveNbrs = make([]int32, 0, links)
+	l.liveNbrs = make([]int32, 0, 2*net.Links())
 	l.queue = make([]int32, s)
 }
 
@@ -376,20 +367,19 @@ func (l *Labeling) bfs(src int32, dist, queue []int32, parent []topology.NodeID)
 }
 
 func pickRoot(net *topology.Network, strategy RootStrategy) (topology.NodeID, error) {
-	g := net.SwitchGraph()
 	switch strategy {
 	case RootMinID:
 		return 0, nil
 	case RootMaxDegree:
 		best, bestDeg := 0, -1
 		for sw := 0; sw < net.NumSwitches; sw++ {
-			if d := g.Degree(sw); d > bestDeg {
+			if d := len(net.SwitchOut(topology.NodeID(sw))); d > bestDeg {
 				best, bestDeg = sw, d
 			}
 		}
 		return topology.NodeID(best), nil
 	case RootCenter:
-		return topology.NodeID(g.Center()), nil
+		return topology.NodeID(net.SwitchGraph().Center()), nil
 	}
 	return 0, fmt.Errorf("updown: unknown root strategy %v", strategy)
 }

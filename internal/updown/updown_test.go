@@ -288,34 +288,47 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestNewFootprint guards what one labeling build allocates. A built
-// labeling holds flat arrays only: per-node, per-channel and per-switch
-// arrays, the tree order and the child CSR, with no switch×switch or
-// switch×node relation. The S×N descendant rows it held before the tree
-// order put torus:16x16/64, lattice:1024 and fattree:8x4 at 1.451, 0.409
-// and 1.995 MiB (0.460, 0.087 and 0.305 without them), and storing
-// ancestor, extended-ancestor, extended-descendant and cross-reach rows
-// over all switch pairs put lattice:1024 at ~1.06 MiB and fattree:8x4 at
-// ~4.28 MiB, so every case fails with either. torus:16x16/64 — 256
-// switches, 16,384 processors — guards the processor dimension.
+// TestNewFootprint guards what one labeling build allocates and what the
+// network it labels retains. A built labeling holds flat arrays only:
+// per-node, per-channel and per-switch arrays, the tree order and the child
+// CSR, with no switch×switch or switch×node relation. The S×N descendant
+// rows it held before the tree order put torus:16x16/64, lattice:1024 and
+// fattree:8x4 at 1.451, 0.409 and 1.995 MiB (0.460, 0.087 and 0.305
+// without them), and storing ancestor, extended-ancestor,
+// extended-descendant and cross-reach rows over all switch pairs put
+// lattice:1024 at ~1.06 MiB and fattree:8x4 at ~4.28 MiB, so every case
+// fails with either. torus:16x16/64 — 256 switches, 16,384 processors —
+// guards the processor dimension. A built network is one flat CSR over
+// paired channels; with per-node out and in lists and a held switch graph
+// the same three networks retained 1.943, 0.359 and 1.386 MiB, past every
+// network bound.
 func TestNewFootprint(t *testing.T) {
 	for _, tc := range []struct {
-		spec     string
-		limitMiB float64
+		spec             string
+		limitMiB, netMiB float64
 	}{
-		{"torus:16x16/64", 0.75},
-		{"lattice:1024", 0.2},
-		{"fattree:8x4", 0.5},
+		{"torus:16x16/64", 0.75, 0.8},
+		{"lattice:1024", 0.2, 0.15},
+		{"fattree:8x4", 0.5, 0.6},
 	} {
 		sp, err := topology.ParseSpec(tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
 		net, err := sp.Build(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		held := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (1 << 20)
+		t.Logf("%s network retains %.3f MiB", tc.spec, held)
+		if held >= tc.netMiB {
+			t.Errorf("%s network retains %.3f MiB, want < %g MiB", tc.spec, held, tc.netMiB)
+		}
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		l, err := New(net, RootMinID)
@@ -352,7 +365,7 @@ func TestRelabelAllocationFree(t *testing.T) {
 	mask := bitset.New(len(net.Channels))
 	c := net.Out(0)[0]
 	mask.Set(int(c))
-	mask.Set(int(net.Chan(c).Reverse))
+	mask.Set(int(c.Reverse()))
 	var relabelErr error
 	if n := testing.AllocsPerRun(20, func() {
 		if err := l.Relabel(mask); err != nil {

@@ -2,7 +2,6 @@ package viz
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/topology"
@@ -48,19 +47,14 @@ func NetworkSVG(net *topology.Network, lab *updown.Labeling) (string, error) {
 	fmt.Fprintf(&sb, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n", w, h, w, h)
 	sb.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
 
-	// Edges first (under the nodes). Classify by the labeling: an edge is
-	// a tree edge when either direction is the child's parent channel.
-	edges := net.SwitchGraph().Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	for _, e := range edges {
-		u, v := topology.NodeID(e[0]), topology.NodeID(e[1])
-		x1, y1 := px(e[0])
-		x2, y2 := px(e[1])
+	// Edges first (under the nodes), in sorted edge order: the switch
+	// pairs that lead the channel numbering. Classify by the labeling: an
+	// edge is a tree edge when either direction is the child's parent
+	// channel.
+	for c := 0; c < 2*net.Links(); c += 2 {
+		u, v := net.Channels[c].Src, net.Channels[c].Dst
+		x1, y1 := px(int(u))
+		x2, y2 := px(int(v))
 		isTree := lab.Parent[u] == v || lab.Parent[v] == u
 		if isTree {
 			fmt.Fprintf(&sb, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black" stroke-width="2"/>`+"\n",
