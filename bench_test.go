@@ -674,12 +674,13 @@ func BenchmarkFaultStormTrial(b *testing.B) {
 // reported MiB/tables and x/compression metrics are what /healthz and the
 // campaign reports surface for the same network; MiB/network is the
 // network's own retained heap, read after a forced GC around its build.
-// fattree:16x4 (16384 switches, 65536 processors) allocates 1,174,398,336 B
-// in 271 allocations per op and peaks at 1.13 GiB RSS (one op, 45.8 s
-// median of five, on a 2-vCPU Xeon VM): the compiler's transient 4·S²
-// distance scratch (1 GiB) and S²/8 extended-descendant scratch (32 MiB),
-// 8.75 MiB of tables (2120x under the dense layout; 8.49 MiB of it column
-// page vectors), the labeling's flat arrays and the table pools' growth.
+// fattree:16x4 (16384 switches, 65536 processors) allocates 1,174,770,272 B
+// in 265 allocations per op and peaks at 1.10 GiB RSS (one op, 29.6 s
+// median of five, on a 2-vCPU Xeon VM; 42.7 s with one distance BFS per
+// switch): the compiler's transient 4·S² distance scratch (1 GiB) and
+// S²/8 extended-descendant scratch (32 MiB), 8.75 MiB of tables (2120x
+// under the dense layout; 8.49 MiB of it column page vectors), the
+// labeling's flat arrays and the table pools' growth.
 // With S·N/8 bytes of descendant rows (160 MiB) in the labeling it was
 // 1,344,411,040 B in 52,765 allocations and 1.28 GiB. Its network is
 // 6.90 MiB as one flat CSR over paired channels, and was 19.94 MiB with
@@ -726,6 +727,49 @@ func BenchmarkLargeFatTreeCompile(b *testing.B) {
 			b.ReportMetric(ms.CompressionX, "x/compression")
 			b.ReportMetric(netMiB, "MiB/network")
 			runtime.KeepAlive(net)
+		})
+	}
+}
+
+// BenchmarkCompileTables measures the table compiler alone: one op compiles
+// the routing tables of a built labeling, for the six large serve-zoo
+// catalog systems with their catalog policy and root at seed 1, and for
+// mesh:2x1024, whose 1,024-hop diameter makes it the long-diameter case of
+// the distance BFS.
+func BenchmarkCompileTables(b *testing.B) {
+	for _, tc := range []struct {
+		spec string
+		pol  core.Policy
+		root updown.RootStrategy
+	}{
+		{"lattice:1024", core.PolicyBaseline, updown.RootMinID},
+		{"gnm:1024+256", core.PolicyMisroute, updown.RootMaxDegree},
+		{"mesh:32x32", core.PolicyMisroute, updown.RootMinID},
+		{"torus:32x32", core.PolicyBaseline, updown.RootMaxDegree},
+		{"hypercube:10", core.PolicyMisroute, updown.RootMinID},
+		{"fattree:8x4", core.PolicyMisroute, updown.RootMaxDegree},
+		{"mesh:2x1024", core.PolicyBaseline, updown.RootMinID},
+	} {
+		b.Run(tc.spec, func(b *testing.B) {
+			sp, err := topology.ParseSpec(tc.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			net, err := sp.Build(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lab, err := updown.New(net, tc.root)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var r *core.Router
+			for i := 0; i < b.N; i++ {
+				r = core.NewRouterPolicy(lab, tc.pol)
+			}
+			runtime.KeepAlive(r)
 		})
 	}
 }

@@ -59,10 +59,13 @@ import (
 // 64 LCAs reads, per channel endpoint, one 64-bit word of the compiler's
 // extended-descendant scratch (S×⌈S/64⌉ words, filled per compile) for a
 // down-cross channel or the endpoint's preorder interval for a down-tree
-// one, plus the endpoint's row of the compiler's distance scratch (S×S hop
-// counts, one BFS per switch, filled per compile). Each LCA's packed
-// legality/distance vector is hashed into a per-switch signature memo, so
-// LCA-equivalent columns pay one row construction for the whole
+// one, plus the endpoint's and the switch's rows of the compiler's distance
+// scratch (S×S hop counts, filled per compile by a BFS from 64 sources at a
+// time). Each LCA gets a code vector of 2 bits per live channel — illegal,
+// or the channel's distance to the LCA relative to the switch's — and LCAs
+// with equal vectors get equal rows. A run of equal vectors takes the
+// first one's class; otherwise the vector is hashed into a per-switch memo,
+// so LCA-equivalent columns pay one row construction for the whole
 // equivalence class — the fast path that makes regular families compile in
 // near-linear time. A switch's class table and column are interned once
 // its column is complete, when its class count fixes the page width.
@@ -139,10 +142,12 @@ const maxClasses = 1 << 16
 type compiler struct {
 	t *Tables
 	// dist is the S×S hop-distance matrix of the labeling being compiled,
-	// row-major: dist[u*S+v] is the live switch-graph distance from u to v.
-	// queue is the BFS frontier that fills it, and then the switch order
-	// that fills ext.
+	// row-major: dist[u*S+v] is the live switch-graph distance from u to v,
+	// filled 64 sources at a time by Labeling.AllSwitchDistances. reach
+	// (3·S words) and queue (2·S) are that BFS's scratch; queue then holds
+	// the switch order that fills ext.
 	dist  []int32
+	reach []uint64
 	queue []int32
 	// ext is the labeling's extended-descendant relation, ⌈S/64⌉ words per
 	// switch (Labeling.ExtendedDescendantRows).
@@ -166,16 +171,15 @@ type compiler struct {
 	// channels of the switch split by class (indexed by the class-0/1/2
 	// scheme below), with endpoints cached.
 	live [numClasses][]liveChan
-	// sigSeen memoizes LCA equivalence per switch: hash of an LCA's packed
-	// legality/distance vector to an index into memo. Cleared per switch
-	// (the live channel set changes).
+	// sigSeen memoizes LCA equivalence per switch: hash of an LCA's code
+	// vector (see compile) to an index into memo. Cleared per switch (the
+	// live channel set changes).
 	sigSeen map[uint64]int32
-	// memo holds the memoized per-LCA results; packArena holds their
-	// packed vectors for collision-safe verification. Both reset per
-	// switch.
+	// memo holds the memoized per-LCA results; packArena holds their code
+	// vectors for collision-safe verification. Both reset per switch.
 	memo      []memoEntry
 	packArena []uint64
-	// packBuf stages one 64-LCA block of packed vectors, LCA-major.
+	// packBuf stages one 64-LCA block of code vectors, LCA-major.
 	packBuf []uint64
 	// col accumulates the current switch's class column, padded to a whole
 	// number of pages (pad entries stay 0).
@@ -209,8 +213,8 @@ type tableRow struct {
 
 // memoEntry is the memoized compile result for one LCA-equivalence class at
 // a switch: its class index, the channel IDs a dense arena would hold for
-// one of its LCAs (for naive-size accounting), and the packed vector's
-// offset in packArena.
+// one of its LCAs (for naive-size accounting), and the code vector's offset
+// in packArena.
 type memoEntry struct {
 	class   uint16
 	naive   uint32
@@ -299,7 +303,8 @@ func newCompiler(t *Tables) *compiler {
 	return &compiler{
 		t:          t,
 		dist:       make([]int32, s*s),
-		queue:      make([]int32, s),
+		reach:      make([]uint64, 3*s),
+		queue:      make([]int32, 2*s),
 		ext:        make([]uint64, s*ppc),
 		rowSeen:    make(map[uint64]tableRow),
 		pageSeen:   make(map[uint64]uint32),
@@ -334,20 +339,27 @@ func (c *compiler) distRow(u topology.NodeID) []int32 {
 
 // compile fills t's pools for lab. The loop is shaped for the live-
 // reconfiguration hot path (a fault event pays one Recompile): the distance
-// scratch is filled by one BFS per switch and the extended-descendant
-// scratch by one pass over the switches; the switch's live channels are
-// split by class once per switch; down-cross legality is read word-at-a-time
-// from that scratch (64 LCAs per load) and down-tree legality from the
-// preorder intervals, with the distance rows walked sequentially; and each
-// LCA's packed legality/distance vector is hashed into a per-switch memo so
-// LCA-equivalent cells pay one row construction per equivalence class
-// instead of one per LCA.
+// scratch is filled by a BFS from 64 sources at a time and the
+// extended-descendant scratch by one pass over the switches; the switch's
+// live channels are split by class once per switch; down-cross legality is
+// read word-at-a-time from that scratch (64 LCAs per load) and down-tree
+// legality from the preorder intervals, with the distance rows walked
+// sequentially.
+//
+// Each LCA gets a code vector, 2 bits per live channel at→end: 0 when the
+// channel is illegal for the LCA, else 2 + d(end, lca) − d(at, lca). A
+// labeling's failed links are failed in both directions and leave the
+// switches connected, so that difference is −1, 0 or +1. A class's rows
+// depend only on which channels are legal and on their order by distance
+// to the LCA, channel ID breaking ties, and subtracting the common
+// d(at, lca) keeps both; so LCAs with equal vectors get the same rows. An
+// LCA whose vector equals the previous LCA's takes its class directly;
+// otherwise the vector is hashed into a per-switch memo, so each
+// equivalence class pays one row construction.
 func (c *compiler) compile(lab *updown.Labeling) {
 	t := c.t
 	s := t.numSwitches
-	for src := 0; src < s; src++ {
-		lab.SwitchDistances(topology.NodeID(src), c.distRow(topology.NodeID(src)), c.queue)
-	}
+	lab.AllSwitchDistances(c.dist, c.reach, c.queue)
 	lab.ExtendedDescendantRows(c.ext, c.queue)
 	ppc := t.pagesPerCol()
 	t.arena = t.arena[:0]
@@ -361,7 +373,6 @@ func (c *compiler) compile(lab *updown.Labeling) {
 	clear(c.pageSeen)
 	clear(c.tableSeen)
 	clear(c.colSeen)
-	var sigHash [pageSize]uint64
 	for at := 0; at < s; at++ {
 		// Split the switch's live inter-switch channels by class
 		// (consumption channels are distribution-only, never candidates).
@@ -388,7 +399,8 @@ func (c *compiler) compile(lab *updown.Labeling) {
 			c.live[k] = append(c.live[k], liveChan{c: ch, end: end, port: uint32(port)})
 		}
 		nLive := len(c.live[0]) + len(c.live[1]) + len(c.live[2])
-		if need := pageSize * nLive; cap(c.packBuf) < need {
+		nw := (2*nLive + 63) / 64
+		if need := pageSize * nw; cap(c.packBuf) < need {
 			c.packBuf = make([]uint64, need)
 		} else {
 			c.packBuf = c.packBuf[:need]
@@ -398,60 +410,53 @@ func (c *compiler) compile(lab *updown.Labeling) {
 		c.memo = c.memo[:0]
 		c.packArena = c.packArena[:0]
 		classBase := len(t.classes)
+		atDist := c.distRow(topology.NodeID(at))
 		for base := 0; base < s; base += pageSize {
-			lim := s - base
-			if lim > pageSize {
-				lim = pageSize
-			}
+			lim := min(pageSize, s-base)
 			wb := base >> pageBits
-			for j := 0; j < lim; j++ {
-				sigHash[j] = fnvBasis
-			}
-			// Stream each live endpoint across the whole block: the
-			// packed value fuses the legality bit with the (symmetric)
-			// endpoint→LCA distance, biased so "illegal" (0) is distinct
-			// from every legal value. Ups are always legal; down-cross
+			pb := c.packBuf[:lim*nw]
+			clear(pb)
+			ar := atDist[base : base+lim]
+			// Stream each live endpoint across the whole block, adding its
+			// code to every LCA's vector. Ups are always legal; down-cross
 			// legality is one word of the extended-descendant transpose;
 			// down-tree legality is the LCA's preorder number falling in
 			// the endpoint's subtree interval.
 			ei := 0
 			for _, lc := range c.live[0] {
 				dr := c.distRow(lc.end)[base : base+lim]
+				w, sh := ei>>5, uint(ei&31)<<1
 				for j := 0; j < lim; j++ {
-					p := (uint64(uint32(dr[j]))+1)<<1 | 1
-					c.packBuf[j*nLive+ei] = p
-					sigHash[j] = (sigHash[j] ^ p) * fnvPrime
+					pb[j*nw+w] |= uint64(2+dr[j]-ar[j]) << sh
 				}
 				ei++
 			}
 			for _, lc := range c.live[1] {
-				w := c.ext[int(lc.end)*ppc+wb]
+				x := c.ext[int(lc.end)*ppc+wb]
 				dr := c.distRow(lc.end)[base : base+lim]
+				w, sh := ei>>5, uint(ei&31)<<1
 				for j := 0; j < lim; j++ {
-					var p uint64
-					if w>>uint(j)&1 != 0 {
-						p = (uint64(uint32(dr[j]))+1)<<1 | 1
-					}
-					c.packBuf[j*nLive+ei] = p
-					sigHash[j] = (sigHash[j] ^ p) * fnvPrime
+					pb[j*nw+w] |= uint64(2+dr[j]-ar[j]) * (x >> uint(j) & 1) << sh
 				}
 				ei++
 			}
 			for _, lc := range c.live[2] {
 				lo, hi := lab.Interval(lc.end)
 				dr := c.distRow(lc.end)[base : base+lim]
+				w, sh := ei>>5, uint(ei&31)<<1
 				for j := 0; j < lim; j++ {
-					var p uint64
 					if pre, _ := lab.Interval(topology.NodeID(base + j)); lo <= pre && pre < hi {
-						p = (uint64(uint32(dr[j]))+1)<<1 | 1
+						pb[j*nw+w] |= uint64(2+dr[j]-ar[j]) << sh
 					}
-					c.packBuf[j*nLive+ei] = p
-					sigHash[j] = (sigHash[j] ^ p) * fnvPrime
 				}
 				ei++
 			}
+			var m memoEntry
 			for j := 0; j < lim; j++ {
-				m := c.resolveClass(sigHash[j], c.packBuf[j*nLive:(j+1)*nLive])
+				pk := pb[j*nw : (j+1)*nw]
+				if j == 0 || !slices.Equal(pk, pb[(j-1)*nw:j*nw]) {
+					m = c.resolveClass(pk)
+				}
 				c.col[base+j] = m.class
 				t.naiveArena += int(m.naive)
 			}
@@ -505,11 +510,11 @@ func (c *compiler) internClassTable(base int) uint32 {
 	return uint32(base)
 }
 
-// resolveClass returns the memo entry for an LCA whose packed
-// legality/distance vector is pk (hash h), building its rows and class on a
-// memo miss. Hash hits are verified against the stored packed vector, so a
-// collision only costs a rebuild, never a wrong row.
-func (c *compiler) resolveClass(h uint64, pk []uint64) memoEntry {
+// resolveClass returns the memo entry for an LCA whose code vector is pk,
+// building its rows and class on a memo miss. Hash hits are verified against
+// the stored vector, so a collision only costs a rebuild, never a wrong row.
+func (c *compiler) resolveClass(pk []uint64) memoEntry {
+	h := hashWords(fnvBasis, pk)
 	if idx, ok := c.sigSeen[h]; ok {
 		m := c.memo[idx]
 		if slices.Equal(c.packArena[m.packOff:int(m.packOff)+len(pk)], pk) {
@@ -525,15 +530,15 @@ func (c *compiler) resolveClass(h uint64, pk []uint64) memoEntry {
 }
 
 // buildClass constructs and interns the class rows of one LCA-equivalence
-// class from its packed vector, then numbers the class at the current
-// switch. The packed values replay the legality tests and distance reads, so
-// no labeling state is touched here.
+// class from its code vector, then numbers the class at the current switch.
+// The codes replay the legality tests and distance reads, so no labeling
+// state is touched here.
 func (c *compiler) buildClass(pk []uint64) memoEntry {
 	row := c.row[:0]
 	off1 := len(c.live[0])
 	off2 := off1 + len(c.live[1])
 	for i, lc := range c.live[1] {
-		if p := pk[off1+i]; p != 0 {
+		if p := code(pk, off1+i); p != 0 {
 			row = append(row, lc.cand(p))
 		}
 	}
@@ -559,7 +564,7 @@ func (c *compiler) buildClass(pk []uint64) memoEntry {
 		refs[numClasses] = c.internRow(row)
 	}
 	for i, lc := range c.live[2] {
-		if p := pk[off2+i]; p != 0 {
+		if p := code(pk, off2+i); p != 0 {
 			row = append(row, lc.cand(p))
 		}
 	}
@@ -571,7 +576,7 @@ func (c *compiler) buildClass(pk []uint64) memoEntry {
 	refs[1] = c.internRow(row[:downAny])
 	// Class 0 (up/injection arrival): everything plus the ups.
 	for i, lc := range c.live[0] {
-		row = append(row, lc.cand(pk[i]))
+		row = append(row, lc.cand(code(pk, i)))
 	}
 	c.row = row
 	refs[0] = c.internRow(row)
@@ -581,10 +586,16 @@ func (c *compiler) buildClass(pk []uint64) memoEntry {
 	return memoEntry{class: c.internClass(refs), naive: naive}
 }
 
-// cand unpacks a live channel's packed legality/distance value into a row
-// candidate.
-func (lc liveChan) cand(p uint64) portCand {
-	return portCand{Candidate{Channel: lc.c, DistToLCA: int32(uint32(p>>1) - 1)}, lc.port}
+// code returns live channel i's 2-bit code in the code vector pk.
+func code(pk []uint64, i int) uint64 {
+	return pk[i>>5] >> (uint(i&31) << 1) & 3
+}
+
+// cand turns a legal live channel's code k into a row candidate. The code
+// stands in for the distance to the LCA: it differs from it by the same
+// offset on every channel of the switch, so it sorts the row alike.
+func (lc liveChan) cand(k uint64) portCand {
+	return portCand{Candidate{Channel: lc.c, DistToLCA: int32(k)}, lc.port}
 }
 
 // internClass returns the current switch's class index for a row-reference
@@ -646,14 +657,7 @@ func (c *compiler) internPage(pg []uint16, b uint8) uint32 {
 		bit := j * int(b)
 		words[bit>>6] |= uint64(v) << (bit & 63)
 	}
-	// Each word enters the hash as two 32-bit halves: a whole 64-bit step
-	// would leave its high bits unmixed, so pages that differ only in
-	// their top entries would collide.
-	h := (fnvBasis ^ uint64(b)) * fnvPrime
-	for _, w := range words {
-		h = (h ^ w&0xffffffff) * fnvPrime
-		h = (h ^ w>>32) * fnvPrime
-	}
+	h := hashWords((fnvBasis^uint64(b))*fnvPrime, words)
 	if off, ok := c.pageSeen[h]; ok && slices.Equal(t.pages[off:int(off)+len(words)], words) {
 		return off
 	}
@@ -662,6 +666,17 @@ func (c *compiler) internPage(pg []uint16, b uint8) uint32 {
 	c.pageSeen[h] = off
 	t.numPages++
 	return off
+}
+
+// hashWords folds words into the FNV-1a hash h. Each word enters as two
+// 32-bit halves: a whole 64-bit step would leave its high bits unmixed, so
+// words that differ only in their top bits would collide.
+func hashWords(h uint64, words []uint64) uint64 {
+	for _, w := range words {
+		h = (h ^ w&0xffffffff) * fnvPrime
+		h = (h ^ w>>32) * fnvPrime
+	}
+	return h
 }
 
 // internCol returns the colPages-pool offset of a column's page-offset

@@ -32,5 +32,6 @@
 // A processor's (extended) ancestors are itself plus those of its switch,
 // so both predicates answer for any two nodes. Switch-graph distances are
 // not stored either: SwitchDistances computes one BFS row into caller
-// buffers.
+// buffers, and AllSwitchDistances fills the whole S×S matrix for the table
+// compiler, by a BFS from 64 sources at a time.
 package updown

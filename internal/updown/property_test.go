@@ -181,32 +181,35 @@ func TestExtendedSupersetProperty(t *testing.T) {
 	}
 }
 
-// maskedRelabel fails one switch link of l whose loss keeps the switch graph
-// connected, found by trial relabel on a scratch labeling, and relabels l
-// under it.
-func maskedRelabel(t *testing.T, l *Labeling) {
+// failLinks relabels l under a mask of k failed links, added greedily in
+// channel order, each kept only if the switches stay connected.
+func failLinks(t *testing.T, l *Labeling, k int) {
 	t.Helper()
 	net := l.Net
-	probe, err := NewWithRoot(net, l.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mask := bitset.New(len(net.Channels))
 	for ci, ch := range net.Channels {
-		if topology.ChannelID(ci) > topology.ChannelID(ci).Reverse() || !net.IsSwitch(ch.Src) || !net.IsSwitch(ch.Dst) {
+		if k == 0 {
+			break
+		}
+		c := topology.ChannelID(ci)
+		if c > c.Reverse() || !net.IsSwitch(ch.Src) || !net.IsSwitch(ch.Dst) {
 			continue
 		}
-		mask.Reset()
 		mask.Set(ci)
-		mask.Set(int(topology.ChannelID(ci).Reverse()))
-		if probe.Relabel(mask) == nil {
-			if err := l.Relabel(mask); err != nil {
-				t.Fatal(err)
-			}
-			return
+		mask.Set(int(c.Reverse()))
+		if l.Relabel(mask) == nil {
+			k--
+			continue
 		}
+		mask.Clear(ci)
+		mask.Clear(int(c.Reverse()))
 	}
-	t.Fatal("no link can fail without disconnecting the switches")
+	if k > 0 {
+		t.Fatalf("%d links short: no more can fail without disconnecting the switches", k)
+	}
+	if err := l.Relabel(mask); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // checkExtendedDescendantRows compares every bit of the bulk extended-
@@ -258,8 +261,89 @@ func TestExtendedDescendantRowsMatchWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkExtendedDescendantRows(t, label, l)
-			maskedRelabel(t, l)
+			failLinks(t, l, 1)
 			checkExtendedDescendantRows(t, label+"/masked", l)
+		}
+	}
+}
+
+// checkAllSwitchDistances compares AllSwitchDistances with one
+// SwitchDistances row per switch, checks that a live channel's two ends lie
+// within one hop of each other from every switch, and that the call
+// allocates nothing once the caller owns the scratch.
+func checkAllSwitchDistances(t *testing.T, label string, l *Labeling) {
+	t.Helper()
+	net := l.Net
+	s := net.NumSwitches
+	dist := make([]int32, s*s)
+	words := make([]uint64, 3*s)
+	frontier := make([]int32, 2*s)
+	for i := range dist {
+		dist[i] = 12345 // stale entries must be overwritten
+	}
+	for i := range words {
+		words[i] = ^uint64(0)
+	}
+	l.AllSwitchDistances(dist, words, frontier)
+	want := make([]int32, s)
+	queue := make([]int32, s)
+	for u := 0; u < s; u++ {
+		l.SwitchDistances(topology.NodeID(u), want, queue)
+		for v, d := range want {
+			if got := dist[u*s+v]; got != d {
+				t.Fatalf("%s: d(%d, %d) = %d, SwitchDistances says %d", label, u, v, got, d)
+			}
+		}
+	}
+	for ci, ch := range net.Channels {
+		if !net.IsSwitch(ch.Src) || !net.IsSwitch(ch.Dst) || l.IsDown(topology.ChannelID(ci)) {
+			continue
+		}
+		for lca := 0; lca < s; lca++ {
+			if d := dist[int(ch.Dst)*s+lca] - dist[int(ch.Src)*s+lca]; d < -1 || d > 1 {
+				t.Fatalf("%s: live channel %d→%d: d(end, %d) − d(at, %d) = %d", label, ch.Src, ch.Dst, lca, lca, d)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, func() { l.AllSwitchDistances(dist, words, frontier) }); allocs != 0 {
+		t.Fatalf("%s: AllSwitchDistances allocates %.0f times per call", label, allocs)
+	}
+}
+
+// Property: the 64-source BFS fills the same distance matrix as one
+// single-source BFS per switch — on lattices of 2, 63, 64, 65 and 130
+// switches (part of a batch, just under, exactly and just over one, and
+// three batches), on every zoo family, on a long-diameter mesh, and under
+// one and three failed links.
+func TestAllSwitchDistancesMatchSingleSource(t *testing.T) {
+	for _, n := range []int{2, 63, 64, 65, 130} {
+		net, err := topology.RandomLattice(topology.DefaultLattice(n, uint64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := New(net, RootMinID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAllSwitchDistances(t, fmt.Sprintf("lattice of %d", n), l)
+	}
+	for _, spec := range []string{"lattice:100", "gnm:70+30", "mesh:9x8", "torus:8x8", "hypercube:7", "fattree:4x3", "mesh:2x512"} {
+		sp, err := topology.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := sp.Build(1998)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := New(net, RootMaxDegree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAllSwitchDistances(t, spec, l)
+		for _, k := range []int{1, 3} {
+			failLinks(t, l, k)
+			checkAllSwitchDistances(t, fmt.Sprintf("%s with %d failed links", spec, k), l)
 		}
 	}
 }

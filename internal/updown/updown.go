@@ -2,6 +2,7 @@ package updown
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/bitset"
@@ -134,7 +135,7 @@ type Labeling struct {
 	// the neighbors of switch sw are liveNbrs[liveOff[sw]:liveOff[sw+1]],
 	// in ascending switch ID — the exploration order of graph.BFS, so an
 	// empty mask reproduces the base labeling bit-for-bit. Relabel rebuilds
-	// it; the tree BFS and SwitchDistances walk it.
+	// it; the tree BFS, SwitchDistances and AllSwitchDistances walk it.
 	liveOff  []int32
 	liveNbrs []int32
 	// queue is Relabel's BFS frontier. After Relabel it lists every switch
@@ -335,6 +336,66 @@ func (l *Labeling) ensureStorage() {
 // distance is symmetric: dist is also every switch's distance to src.
 func (l *Labeling) SwitchDistances(src topology.NodeID, dist, queue []int32) {
 	l.bfs(int32(src), dist, queue, nil)
+}
+
+// AllSwitchDistances fills dist with the hop distance between every pair of
+// switches of the live switch graph, row-major: dist[u·S+v] is the value
+// SwitchDistances(u) writes at v. Relabel refuses a mask that disconnects
+// the switches, so every entry is a distance. The BFS runs from 64 sources
+// at once (Then et al., "The More the Merrier", VLDB 2014): bit i of a
+// switch's word stands for source i of the batch, and a level expands only
+// the switches on its frontier, so a batch expands no more switches than the
+// 64 single-source runs it replaces. Distance is symmetric, so a batch writes
+// each switch's distances to its sources into that switch's own row, 64
+// contiguous entries. dist needs S·S entries, words 3·S and frontier 2·S;
+// all belong to the caller, so the call allocates nothing.
+func (l *Labeling) AllSwitchDistances(dist []int32, words []uint64, frontier []int32) {
+	s := l.Net.NumSwitches
+	w := words[:3*s]
+	clear(w)
+	off, nbrs := l.liveOff, l.liveNbrs
+	for b0 := 0; b0 < s; b0 += 64 {
+		k := min(64, s-b0)
+		// w[v] holds the sources that have reached switch v, w[vis+v] those
+		// that reached it at the current level, whose frontier is
+		// frontier[cur:cur+n]. The next level collects into w[nxt+v] and
+		// frontier[fut:]; the two halves swap every level.
+		vis, nxt, cur, fut := s, 2*s, 0, s
+		for i := 0; i < k; i++ {
+			src := b0 + i
+			w[src] = 1 << uint(i)
+			w[vis+src] = 1 << uint(i)
+			dist[src*s+src] = 0
+			frontier[cur+i] = int32(src)
+		}
+		n := k
+		for lvl := int32(1); n > 0; lvl++ {
+			m := 0
+			for _, u := range frontier[cur : cur+n] {
+				x := w[vis+int(u)]
+				w[vis+int(u)] = 0
+				for _, v := range nbrs[off[u]:off[u+1]] {
+					nv := x &^ w[v]
+					if nv == 0 {
+						continue
+					}
+					if w[nxt+int(v)] == 0 {
+						frontier[fut+m] = v
+						m++
+					}
+					w[nxt+int(v)] |= nv
+					w[v] |= nv
+					for row := int(v)*s + b0; nv != 0; nv &= nv - 1 {
+						dist[row+bits.TrailingZeros64(nv)] = lvl
+					}
+				}
+			}
+			vis, nxt = nxt, vis
+			cur, fut = fut, cur
+			n = m
+		}
+		clear(w[:s])
+	}
 }
 
 // bfs runs a breadth-first search of the live switch graph from src,
