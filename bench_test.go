@@ -653,7 +653,7 @@ func BenchmarkFaultStormTrial(b *testing.B) {
 			Profile: faults.ProfilePoisson, Seed: 9,
 			HorizonNs: 400_000, MTBFNs: 6_000_000, MTTRNs: 100_000,
 		},
-		Policy: faults.Policy{Drain: faults.DrainAll, MaxRetries: 3},
+		Policy: faults.Policy{MaxRetries: 3},
 	}
 	if err := runner.Trial(w, 7); err != nil {
 		b.Fatal(err)

@@ -90,7 +90,6 @@ func main() {
 		faultMTBF    = flag.Float64("fault-mtbf", 0, "per-link mean time between failures (us, poisson; 0 = default)")
 		faultMTTR    = flag.Float64("fault-mttr", 0, "per-link mean time to repair (us, poisson; 0 = default)")
 		faultHorizon = flag.Float64("fault-horizon", 0, "generated-timeline horizon (us; 0 = default)")
-		faultDrain   = flag.String("fault-drain", "", "drain policy on mutation: all (default) | crossing")
 		faultRetries = flag.Int("fault-retries", 0, "per-message retry cap (0 = default 3, -1 = none)")
 	)
 	flag.Parse()
@@ -161,7 +160,6 @@ func main() {
 			FaultMTBFUs:       *faultMTBF,
 			FaultMTTRUs:       *faultMTTR,
 			FaultHorizonUs:    *faultHorizon,
-			FaultDrain:        *faultDrain,
 			FaultRetries:      *faultRetries,
 		}
 		if err := runScenario(*scenario, params, simCfg, *nodes, *trials, *warmup, *seed, *csv, *traceOut); err != nil {

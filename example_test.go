@@ -71,8 +71,8 @@ func ExampleWithLatencyParams() {
 }
 
 // Live fault injection: a scripted outage fires mid-traffic, the session
-// drains affected messages, relabels and hot-swaps its routing tables, and
-// sources retry. Deterministic: the same script and seed always produce
+// drains every message in flight, relabels and hot-swaps its routing
+// tables, and sources retry. Deterministic: the same script and seed always produce
 // these numbers.
 func ExampleSession_InstallFaults() {
 	sys, err := spamnet.NewLattice(32, spamnet.WithSeed(42))
@@ -85,7 +85,7 @@ func ExampleSession_InstallFaults() {
 	}
 	inj, err := sess.InstallFaults(
 		spamnet.FaultSpec{DSL: "40us down 0-1; 90us up 0-1"},
-		spamnet.FaultPolicy{Drain: spamnet.FaultDrainAll, MaxRetries: 3, RetryDelayNs: 10_000},
+		spamnet.FaultPolicy{MaxRetries: 3, RetryDelayNs: 10_000},
 	)
 	if err != nil {
 		panic(err)

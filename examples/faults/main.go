@@ -33,7 +33,6 @@ func main() {
 	//	Seed: 7, HorizonNs: 900_000, MTBFNs: 8_000_000, MTTRNs: 120_000}
 
 	inj, err := sess.InstallFaults(scripted, spamnet.FaultPolicy{
-		Drain:        spamnet.FaultDrainAll,
 		MaxRetries:   3,
 		RetryDelayNs: 10_000,
 	})
@@ -77,8 +76,8 @@ func main() {
 		len(msgs), direct, met.DisruptHist.Count(), met.MessagesLost)
 	fmt.Printf("faults:   %d events applied (%d rejected), %d table swaps, %d links failed / %d repaired\n",
 		met.EventsApplied, met.EventsRejected, met.Swaps, met.LinkDowns, met.LinkUps)
-	fmt.Printf("drain:    %d worms aborted (%d lost route after a swap), %d retries issued, %d exhausted\n",
-		met.WormsAborted, met.RouteLostAborts, met.WormsRetried, met.RetriesExhausted)
+	fmt.Printf("drain:    %d worms aborted, %d retries issued, %d exhausted\n",
+		met.WormsAborted, met.WormsRetried, met.RetriesExhausted)
 	fmt.Printf("latency:  worst delivered %.1f us; availability %.4f\n",
 		float64(worst)/1000, inj.Availability())
 	if met.DisruptHist.Count() > 0 {

@@ -223,9 +223,9 @@ func TestCellSpecClamps(t *testing.T) {
 	if len(cs) != 1 || cs[0].Fault != "poisson" {
 		t.Errorf("params-level profile not promoted to cell coordinate: %+v", cs)
 	}
-	m.Grids[0].Params.FaultDrain = "sideways"
+	m.Grids[0].Params.FaultScript = "x"
 	if err := m.Validate(false); err == nil {
-		t.Error("invalid params-level fault configuration escaped validation")
+		t.Error("malformed params-level fault script escaped validation")
 	}
 }
 

@@ -32,8 +32,7 @@ type FaultSweepConfig struct {
 	MTTRUs float64
 	// Trials is the number of replications per point.
 	Trials int
-	// Drain/Retries select the drain policy and source retry cap.
-	Drain   faults.DrainPolicy
+	// Retries is the source retry cap.
 	Retries int
 	Seed    uint64
 	Root    updown.RootStrategy
@@ -53,7 +52,6 @@ func DefaultFaultSweep(messages int) FaultSweepConfig {
 		MTBFUs:           []float64{0, 100_000, 50_000, 20_000, 10_000, 5_000, 2_000},
 		MTTRUs:           150,
 		Trials:           5,
-		Drain:            faults.DrainAll,
 		Retries:          3,
 		Seed:             1998,
 		Sim:              sim.DefaultConfig(),
@@ -112,7 +110,7 @@ func RunFaultSweep(cfg FaultSweepConfig) ([]Series, error) {
 					MTBFNs:    int64(mtbfUs * 1000),
 					MTTRNs:    int64(cfg.MTTRUs * 1000),
 				},
-				Policy: faults.Policy{Drain: cfg.Drain, MaxRetries: cfg.Retries},
+				Policy: faults.Policy{MaxRetries: cfg.Retries},
 			}
 		}
 		pointSeed := cfg.Seed ^ uint64(i)<<24 ^ 0x9d2c

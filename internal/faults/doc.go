@@ -12,14 +12,18 @@
 //     correlated regional outages);
 //   - an Injector that owns a private mutable labeling + router for one
 //     simulator and applies script events inside the simulation's event
-//     loop, with defined drain semantics (see sim.AbortWorms) and an
-//     optional source retry policy;
+//     loop. Every applied mutation drains every launched worm (see
+//     sim.AbortWorms), as Autonet discards every packet in flight when it
+//     reconfigures, so no two worms ever hold channels under different
+//     labelings and the paper's single-labeling deadlock-freedom theorem
+//     covers every fault trial. An optional source retry policy resubmits
+//     the drained messages;
 //   - the live reconfiguration path: updown.Labeling.Relabel recomputes the
 //     masked labeling in place and core.Router.Recompile rebuilds the
 //     candidate tables into their retained arenas — an atomic swap with no
 //     discarded storage, cross-checked bit-identically against a fresh
 //     NewRouter build by the property tests — and the simulator refills
-//     every live worm's destination set in the new tree order;
+//     every unlaunched worm's destination set in the new tree order;
 //   - disruption metrics (availability, abort/retry counts, a
 //     latency-disruption histogram) streamed through internal/stats.
 //

@@ -11,34 +11,8 @@ import (
 	"repro/internal/updown"
 )
 
-// DrainPolicy selects which in-flight worms a topology mutation aborts.
-type DrainPolicy uint8
-
-const (
-	// DrainAll aborts every launched worm on any applied mutation — the
-	// Autonet-faithful semantics (a reconfiguration discards all packets in
-	// flight) and the only mode in which deadlock freedom is inherited
-	// from the single-labeling Theorem 1: no two worms ever hold channels
-	// under different labelings.
-	DrainAll DrainPolicy = iota
-	// DrainCrossing aborts only worms with a presence on a failed channel;
-	// other in-flight worms keep routing, now under the swapped tables.
-	// Optimistic: a survivor whose position became illegal is aborted on
-	// route loss, and the deadlock watchdog backstops the (theoretically
-	// possible) mixed-labeling cycles. Still fully deterministic.
-	DrainCrossing
-)
-
-func (d DrainPolicy) String() string {
-	if d == DrainCrossing {
-		return "crossing"
-	}
-	return "all"
-}
-
 // Policy is the source-side reaction to drained messages.
 type Policy struct {
-	Drain DrainPolicy
 	// MaxRetries is how many times an aborted message is resubmitted from
 	// its source (0 = aborted messages are lost).
 	MaxRetries int
@@ -63,10 +37,8 @@ type Metrics struct {
 	Swaps int
 	// WormsAborted counts drained in-flight messages; WormsRetried the
 	// resubmissions issued for them; RetriesExhausted retries abandoned at
-	// the cap; RouteLostAborts drains caused by a swap removing a worm's
-	// last legal route; MessagesLost originals abandoned without (further)
-	// retry.
-	WormsAborted, WormsRetried, RetriesExhausted, RouteLostAborts, MessagesLost uint64
+	// the cap; MessagesLost originals abandoned without (further) retry.
+	WormsAborted, WormsRetried, RetriesExhausted, MessagesLost uint64
 	// DownLinkNs integrates link-downtime over closed intervals
 	// (Σ per-link down duration, simulated ns).
 	DownLinkNs int64
@@ -115,10 +87,6 @@ type Injector struct {
 	origin map[int64]int64
 	// downSince maps a failed link key to its failure time.
 	downSince map[uint64]int64
-
-	// affected collects the channels failed by the current batch (the
-	// DrainCrossing abort set).
-	affected []topology.ChannelID
 
 	// spec cache: equal Specs reuse the resolved script across trials.
 	haveSpec     bool
@@ -291,7 +259,6 @@ func (in *Injector) Apply(ev Event) (bool, error) {
 
 // applyBatch runs the mutation pipeline for a batch of same-time events.
 func (in *Injector) applyBatch(events Script) error {
-	in.affected = in.affected[:0]
 	changed := false
 	for _, ev := range events {
 		if in.applyEvent(ev) {
@@ -304,22 +271,17 @@ func (in *Injector) applyBatch(events Script) error {
 	if !changed {
 		return nil
 	}
-	// Drain first: the worms die with the link, at the mutation instant,
-	// under the labeling they were routed with. Retries submitted by the
-	// abort hook are still unlaunched, so the LCA refresh below re-derives
-	// them under the new labeling.
-	switch in.pol.Drain {
-	case DrainCrossing:
-		if len(in.affected) > 0 {
-			in.sim.AbortWorms(in.affected)
-		}
-	default:
-		in.sim.AbortWorms(nil)
-	}
+	// Drain first: every launched worm dies at the mutation instant, under
+	// the labeling it was routed with, the way Autonet discards every
+	// packet in flight when it reconfigures. No worm then holds a channel
+	// under the old labeling, so Theorem 1 covers the new one alone.
+	// Retries submitted by the abort hook are still unlaunched, so the LCA
+	// refresh below re-derives them under the new labeling.
+	in.sim.AbortWorms()
 	// Swap: in-place relabel of the masked topology, in-place table
 	// recompile, atomic with respect to the event loop. The relabel
 	// renumbers the processors, so the refresh also refills the
-	// destination set of every worm still alive, launched or not.
+	// destination set of every unlaunched worm.
 	if err := in.lab.Relabel(in.mask.Down()); err != nil {
 		return fmt.Errorf("faults: relabel after mutation: %w", err)
 	}
@@ -337,7 +299,6 @@ func (in *Injector) applyEvent(ev Event) bool {
 		return false
 	}
 	now := in.sim.Now()
-	in.affected = append(in.affected, in.mask.Downed()...)
 	for _, l := range in.mask.Failed() {
 		in.downSince[linkKey(l[0], l[1])] = now
 		in.met.LinkDowns++
@@ -419,10 +380,11 @@ func (in *Injector) recordRetryDone(w *sim.Worm, t int64) {
 }
 
 // restoreBase relabels back to the fault-free base labeling. Like every
-// relabel it ends with RecomputeQueuedLCAs, which refills any live worm's
-// destination set in the new tree order (after a simulator Reset there is
-// none).
+// relabel it drains the launched worms first and ends with
+// RecomputeQueuedLCAs (after a simulator Reset there are no worms; an
+// Install without one can find some in flight).
 func (in *Injector) restoreBase() error {
+	in.sim.AbortWorms()
 	in.mask.Reset()
 	clear(in.downSince)
 	if err := in.lab.Relabel(in.mask.Down()); err != nil {

@@ -103,65 +103,118 @@ func runFaultTrial(t *testing.T, s *sim.Simulator, inj *Injector, net *topology.
 // whole run replays bit-identically — including across a Reset and on a
 // completely fresh simulator (arena-reuse equivalence).
 func TestDrainSemanticsDeterministic(t *testing.T) {
-	for _, drain := range []DrainPolicy{DrainAll, DrainCrossing} {
-		for _, retries := range []int{0, 3} {
-			net, _, s := testRig(t, 36, 11)
-			inj, err := NewInjector(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			script, err := Parse("40us down 0-1; 70us switch-down 3; 130us switch-up 3; 160us up 0-1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			pol := Policy{Drain: drain, MaxRetries: retries, RetryDelayNs: 5_000}
+	for _, retries := range []int{0, 3} {
+		net, _, s := testRig(t, 36, 11)
+		inj, err := NewInjector(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		script, err := Parse("40us down 0-1; 70us switch-down 3; 130us switch-up 3; 160us up 0-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol := Policy{MaxRetries: retries, RetryDelayNs: 5_000}
 
-			first := runFaultTrial(t, s, inj, net, script, pol, 120, 77)
-			if first.met.EventsApplied == 0 {
-				t.Fatal("no fault events applied")
-			}
-			if drain == DrainAll && first.met.WormsAborted == 0 {
-				t.Fatal("drain-all applied mutations but aborted nothing")
-			}
-			if retries > 0 && first.met.WormsAborted > 0 && first.met.WormsRetried == 0 {
-				t.Fatal("retry policy issued no retries")
-			}
-			if retries == 0 && first.met.WormsRetried != 0 {
-				t.Fatal("retries issued with retry disabled")
-			}
-			if first.met.WormsAborted != first.met.WormsRetried+first.met.MessagesLost {
-				t.Fatalf("abort accounting: aborted=%d != retried=%d + lost=%d",
-					first.met.WormsAborted, first.met.WormsRetried, first.met.MessagesLost)
-			}
+		first := runFaultTrial(t, s, inj, net, script, pol, 120, 77)
+		if first.met.EventsApplied == 0 {
+			t.Fatal("no fault events applied")
+		}
+		if first.met.WormsAborted == 0 {
+			t.Fatal("applied mutations aborted nothing")
+		}
+		if retries > 0 && first.met.WormsRetried == 0 {
+			t.Fatal("retry policy issued no retries")
+		}
+		if retries == 0 && first.met.WormsRetried != 0 {
+			t.Fatal("retries issued with retry disabled")
+		}
+		if first.met.WormsAborted != first.met.WormsRetried+first.met.MessagesLost {
+			t.Fatalf("abort accounting: aborted=%d != retried=%d + lost=%d",
+				first.met.WormsAborted, first.met.WormsRetried, first.met.MessagesLost)
+		}
 
-			// Replay on the same (Reset) simulator and on a fresh one.
-			replay := runFaultTrial(t, s, inj, net, script, pol, 120, 77)
-			_, _, s2 := testRig(t, 36, 11)
-			inj2, err := NewInjector(s2)
-			if err != nil {
-				t.Fatal(err)
+		// Replay on the same (Reset) simulator and on a fresh one.
+		replay := runFaultTrial(t, s, inj, net, script, pol, 120, 77)
+		_, _, s2 := testRig(t, 36, 11)
+		inj2, err := NewInjector(s2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := runFaultTrial(t, s2, inj2, net, script, pol, 120, 77)
+		for name, other := range map[string]runResult{"reset-replay": replay, "fresh": fresh} {
+			if other.completed != first.completed || other.aborted != first.aborted {
+				t.Fatalf("%s (retries=%d): outcome drift: %d/%d vs %d/%d",
+					name, retries, other.completed, other.aborted, first.completed, first.aborted)
 			}
-			fresh := runFaultTrial(t, s2, inj2, net, script, pol, 120, 77)
-			for name, other := range map[string]runResult{"reset-replay": replay, "fresh": fresh} {
-				if other.completed != first.completed || other.aborted != first.aborted {
-					t.Fatalf("%s (drain=%v retries=%d): outcome drift: %d/%d vs %d/%d",
-						name, drain, retries, other.completed, other.aborted, first.completed, first.aborted)
+			if other.counters != first.counters {
+				t.Fatalf("%s (retries=%d): counters drift:\n%+v\n%+v", name, retries, other.counters, first.counters)
+			}
+			if other.met != first.met {
+				t.Fatalf("%s (retries=%d): metrics drift:\n%+v\n%+v", name, retries, other.met, first.met)
+			}
+			if other.avail != first.avail {
+				t.Fatalf("%s: availability drift %v vs %v", name, other.avail, first.avail)
+			}
+			for i := range first.latencies {
+				if other.latencies[i] != first.latencies[i] {
+					t.Fatalf("%s (retries=%d): latency[%d] %d != %d",
+						name, retries, i, other.latencies[i], first.latencies[i])
 				}
-				if other.counters != first.counters {
-					t.Fatalf("%s (drain=%v retries=%d): counters drift:\n%+v\n%+v", name, drain, retries, other.counters, first.counters)
-				}
-				if other.met != first.met {
-					t.Fatalf("%s (drain=%v retries=%d): metrics drift:\n%+v\n%+v", name, drain, retries, other.met, first.met)
-				}
-				if other.avail != first.avail {
-					t.Fatalf("%s: availability drift %v vs %v", name, other.avail, first.avail)
-				}
-				for i := range first.latencies {
-					if other.latencies[i] != first.latencies[i] {
-						t.Fatalf("%s (drain=%v retries=%d): latency[%d] %d != %d",
-							name, drain, retries, i, other.latencies[i], first.latencies[i])
-					}
-				}
+			}
+		}
+	}
+}
+
+// TestInstallMidRunDrains: an Install without a Reset, after an outage
+// that never healed, restores the base labeling under a running simulator.
+// Like every swap it first drains the launched worms, so no worm routes on
+// under a labeling other than the one it holds channels under: the run
+// ends without an engine error, and every completed worm reached each of
+// its own destinations.
+func TestInstallMidRunDrains(t *testing.T) {
+	net, _, s := testRig(t, 36, 11)
+	inj, err := NewInjector(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := Parse("20us down 0-1; 25us switch-down 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inj.Install(script, Policy{}); err != nil {
+		t.Fatal(err)
+	}
+	worms := submitStream(t, s, net, 200, 5)
+	if err := s.Run(60_000); err != nil {
+		t.Fatal(err)
+	}
+	var inFlight []*sim.Worm
+	for _, w := range worms {
+		if w.Launched() && !w.Completed() && !w.Aborted() {
+			inFlight = append(inFlight, w)
+		}
+	}
+	if len(inFlight) == 0 {
+		t.Fatal("no worm in flight at the mid-run Install")
+	}
+	if err := inj.Install(nil, Policy{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range inFlight {
+		if !w.Aborted() {
+			t.Fatalf("worm %d still in flight across the restoring swap", w.ID)
+		}
+	}
+	if err := s.RunUntilIdle(1e14); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, w := range worms {
+		if !w.Completed() {
+			continue
+		}
+		for i, at := range w.ArrivalNs {
+			if at == 0 {
+				t.Fatalf("worm %d completed without reaching destination %d", w.ID, w.Dests[i])
 			}
 		}
 	}
@@ -181,7 +234,7 @@ func TestResetRestoresBaseRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runFaultTrial(t, s, inj, net, script, Policy{Drain: DrainAll, MaxRetries: 2}, 80, 3)
+	runFaultTrial(t, s, inj, net, script, Policy{MaxRetries: 2}, 80, 3)
 	if inj.DownLinks() == 0 {
 		t.Fatal("expected the trial to end mid-outage")
 	}
@@ -280,7 +333,7 @@ func TestRetryCompletionAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	script := Script{{AtNs: 45_000, Kind: SwitchDown, U: 1}, {AtNs: 200_000, Kind: SwitchUp, U: 1}}
-	if err := inj.Install(script, Policy{Drain: DrainAll, MaxRetries: 5, RetryDelayNs: 8_000}); err != nil {
+	if err := inj.Install(script, Policy{MaxRetries: 5, RetryDelayNs: 8_000}); err != nil {
 		t.Fatal(err)
 	}
 	worms := submitStream(t, s, net, 60, 1234)

@@ -22,7 +22,6 @@ type Mask struct {
 	visited []bool
 	queue   []int32
 	nbrs    []int32
-	downed  []topology.ChannelID
 	upped   [][2]int32
 	failed  [][2]int32
 }
@@ -50,22 +49,18 @@ func (m *Mask) Reset() {
 	m.downLinks = 0
 }
 
-// Downed lists the channels failed by the last successful Apply; Upped and
-// Failed list the links restored/failed by it as (u,v) pairs. All are
-// scratch, valid until the next Apply.
-func (m *Mask) Downed() []topology.ChannelID { return m.downed }
-
-// Upped lists the links restored by the last successful Apply.
+// Upped lists the links restored by the last successful Apply as (u,v)
+// pairs; scratch, valid until the next Apply.
 func (m *Mask) Upped() [][2]int32 { return m.upped }
 
-// Failed lists the links failed by the last successful Apply.
+// Failed lists the links failed by the last successful Apply as (u,v)
+// pairs; scratch, valid until the next Apply.
 func (m *Mask) Failed() [][2]int32 { return m.failed }
 
 // Apply attempts one mutation and reports whether it changed the mask
 // (false = rejected: wrong state, unknown link, or a failure that would
 // disconnect the live switch graph).
 func (m *Mask) Apply(ev Event) bool {
-	m.downed = m.downed[:0]
 	m.upped = m.upped[:0]
 	m.failed = m.failed[:0]
 	switch ev.Kind {
@@ -128,7 +123,6 @@ func (m *Mask) linkDown(u, v int32) bool {
 	}
 	m.down.Set(int(c))
 	m.down.Set(int(rev))
-	m.downed = append(m.downed, c, rev)
 	m.failed = append(m.failed, [2]int32{u, v})
 	m.downLinks++
 	return true

@@ -1,9 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -127,5 +133,71 @@ func TestFaultParamsValidation(t *testing.T) {
 	}
 	if resp.Count == 0 {
 		t.Fatal("scripted-fault request measured nothing")
+	}
+}
+
+// TestRunInputSweepNo500 posts every registered scenario over six small
+// zoo topologies, with no faults and under each fault profile, rotating
+// the three root strategies, and requires a client error or a result for
+// each: replay without a trace is the only 400, everything else answers
+// 200, and nothing answers 500. A body naming a field /run does not take,
+// such as the removed fault_drain, is a 400 naming that field, at /run and
+// inside a /campaign manifest.
+func TestRunInputSweepNo500(t *testing.T) {
+	svc := newService(t, testSystem(t, 16), 2)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	// post returns the status and the head of the reply, which holds the
+	// whole of any error body.
+	post := func(path string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(io.LimitReader(resp.Body, 300))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+
+	roots := []string{"min-id", "max-degree", "center"}
+	n := 0
+	for _, sc := range workload.Scenarios() {
+		for _, topo := range []string{"lattice:64", "gnm:48+24", "mesh:6x6", "torus:6x6", "hypercube:5", "fattree:4x2"} {
+			for _, fault := range []string{"", "poisson", "maintenance", "regional"} {
+				req := RunRequest{Scenario: sc.Name, Trials: 1, Seed: 1, Params: workload.Params{
+					Topology: topo, Root: roots[n%len(roots)], Messages: 150, FaultProfile: fault,
+				}}
+				n++
+				body, err := json.Marshal(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := http.StatusOK
+				if sc.Name == "replay" {
+					want = http.StatusBadRequest
+				}
+				if code, reply := post("/run", body); code != want {
+					t.Errorf("%s on %s (root %s, faults %q): %d, want %d: %s",
+						sc.Name, topo, req.Params.Root, fault, code, want, reply)
+				}
+			}
+		}
+	}
+
+	for _, drain := range []string{"all", "crossing"} {
+		body := `{"scenario":"maintenance","trials":3,"seed":1,"params":{"topology":"lattice:64","messages":800,` +
+			`"multicast_fraction":0.3,"multicast_dests":8,"fault_drain":"` + drain + `"}}`
+		if code, reply := post("/run", []byte(body)); code != http.StatusBadRequest || !strings.Contains(reply, "fault_drain") {
+			t.Errorf("/run naming fault_drain %q: %d %s, want a 400 naming the field", drain, code, reply)
+		}
+		body = `{"manifest":{"name":"m","grids":[{"name":"g","topologies":["torus:4x4"],"scenarios":["mixed"],` +
+			`"params":{"messages":50,"fault_drain":"` + drain + `"}}]}}`
+		if code, reply := post("/campaign", []byte(body)); code != http.StatusBadRequest || !strings.Contains(reply, "fault_drain") {
+			t.Errorf("manifest naming fault_drain %q: %d %s, want a 400 naming the field", drain, code, reply)
+		}
 	}
 }

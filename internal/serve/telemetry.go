@@ -53,7 +53,6 @@ type serveMetrics struct {
 	simBubbleHops  *telemetry.Counter
 	simHeaderWait  *telemetry.Counter
 	simAborted     *telemetry.Counter
-	simRouteLost   *telemetry.Counter
 	simDropped     *telemetry.Counter
 
 	// Resilience counters, shared with the fleet retry loop.
@@ -109,7 +108,6 @@ func newServeMetrics(reg *telemetry.Registry, s *Service) *serveMetrics {
 	m.simBubbleHops = reg.NewCounter("spamserve_sim_bubble_flit_hops_total", "", "bubble flit hops across all trials")
 	m.simHeaderWait = reg.NewCounter("spamserve_sim_header_acquire_wait_total", "", "header acquisition attempts that had to wait")
 	m.simAborted = reg.NewCounter("spamserve_sim_worms_aborted_total", "", "worms aborted by fault injection")
-	m.simRouteLost = reg.NewCounter("spamserve_sim_route_lost_aborts_total", "", "aborts from losing every legal route")
 	m.simDropped = reg.NewCounter("spamserve_sim_flits_dropped_total", "", "flits dropped by fault drains")
 
 	m.resilience = resilience.Metrics{
@@ -143,7 +141,6 @@ func (m *serveMetrics) observeTrialCounters(c sim.Counters) {
 	m.simBubbleHops.Add(int64(c.BubbleFlitHops))
 	m.simHeaderWait.Add(int64(c.HeaderAcquireWait))
 	m.simAborted.Add(int64(c.WormsAborted))
-	m.simRouteLost.Add(int64(c.RouteLostAborts))
 	m.simDropped.Add(int64(c.FlitsDropped))
 }
 

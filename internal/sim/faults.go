@@ -6,23 +6,23 @@ package sim
 // The simulator itself knows nothing about fault scripts or relabeling —
 // that lives in internal/faults. What it provides here is the mechanism:
 //
+//   - AbortWorms drains every launched worm from every buffer, queue and
+//     reservation instantly (flits already on a wire complete their flight
+//     and are dropped on arrival);
 //   - SwapRouter points the engine at a reconfigured router between events;
-//   - AbortWorms drains a set of in-flight worms from every buffer, queue
-//     and reservation instantly (flits already on a wire complete their
-//     flight and are dropped on arrival);
 //   - RecomputeQueuedLCAs re-evaluates the LCA of not-yet-launched worms
-//     under the swapped labeling and, like SwapRouter, refills the
-//     destination set of every live worm in its tree order;
-//   - a header that finds no legal route after a swap aborts its worm
-//     (fault mode) instead of failing the simulation.
+//     under the swapped labeling and, like SwapRouter, refills their
+//     destination sets in its tree order.
+//
+// The fault engine drains before every swap, so no worm ever holds a
+// channel under one labeling while it waits under another: every wait-for
+// graph is one labeling's, which Theorem 1 makes acyclic. A header that
+// finds no legal route is therefore an engine failure, as without faults.
 //
 // All of it is allocation-free in steady state: the sweeps reuse retained
 // scratch, and dropped flits recycle through the existing free lists.
 
-import (
-	"repro/internal/core"
-	"repro/internal/topology"
-)
+import "repro/internal/core"
 
 // Router returns the router the simulator currently routes with.
 func (s *Simulator) Router() *core.Router { return s.router }
@@ -30,10 +30,9 @@ func (s *Simulator) Router() *core.Router { return s.router }
 // SwapRouter atomically (with respect to the event loop) replaces the
 // simulator's router. The new router must be built over the same network:
 // channel IDs are baked into every queue and buffer. Routing decisions from
-// the next event on use the new tables; decisions already taken (segment
-// output sets) are unaffected, which is exactly the hardware semantics of
-// swapping routing tables under traffic. Every live worm's destination set
-// is refilled in the new router's tree order.
+// the next event on use the new tables. Only unlaunched worms' destination
+// sets are refilled in the new router's tree order, so a router over a
+// different labeling needs every launched worm drained first (AbortWorms).
 func (s *Simulator) SwapRouter(r *core.Router) {
 	if r.Net != s.net {
 		panic("sim: SwapRouter with a router over a different network")
@@ -42,20 +41,13 @@ func (s *Simulator) SwapRouter(r *core.Router) {
 	s.rekeyDestSets()
 }
 
-// SetAbortHook installs the per-worm abort callback and enables fault mode.
-// The hook fires once for every worm AbortWorms (or a route loss) drains,
-// inside the event loop; it returns true if it takes responsibility for the
-// message (e.g. schedules a retry), in which case the worm's OnComplete is
-// NOT invoked. With a nil or false-returning hook, OnComplete fires at abort
-// time so closed-loop workloads keep flowing.
-//
-// In fault mode a header with no legal candidate channels aborts its worm
-// instead of failing the simulation: after a labeling swap, a worm routed
-// under the old labeling can legitimately find itself without a route.
-func (s *Simulator) SetAbortHook(fn func(*Worm) bool) {
-	s.onAbort = fn
-	s.faultMode = true
-}
+// SetAbortHook installs the per-worm abort callback. The hook fires once
+// for every worm AbortWorms drains, inside the event loop; it returns true
+// if it takes responsibility for the message (e.g. schedules a retry), in
+// which case the worm's OnComplete is NOT invoked. With a nil or
+// false-returning hook, OnComplete fires at abort time so closed-loop
+// workloads keep flowing.
+func (s *Simulator) SetAbortHook(fn func(*Worm) bool) { s.onAbort = fn }
 
 // SetResetHook installs a callback invoked at the end of every Reset — the
 // fault engine uses it to restore the base (no-faults) labeling so a reset
@@ -63,47 +55,40 @@ func (s *Simulator) SetAbortHook(fn func(*Worm) bool) {
 func (s *Simulator) SetResetHook(fn func()) { s.onReset = fn }
 
 // RecomputeQueuedLCAs re-derives the distribution LCA of every submitted but
-// not yet launched worm from the current router, and refills the
-// destination set of every worm that is neither completed nor aborted,
-// launched or not. Must be called after every SwapRouter/Recompile: a
-// queued worm's LCA was computed under the labeling current at Submit time,
-// and every live worm's set is keyed by the tree order it was filled under,
-// which an in-place relabel renumbers.
+// not yet launched worm from the current router and refills its
+// destination set. Must be called after every in-place Recompile: a queued
+// worm's LCA was computed under the labeling current at Submit time, and
+// its set is keyed by the tree order it was filled under, which an
+// in-place relabel renumbers.
 func (s *Simulator) RecomputeQueuedLCAs() {
 	for _, w := range s.worms {
-		if !w.launched && !w.completed && !w.aborted {
+		if !w.launched {
 			w.LCA = s.router.LCASwitch(w.Dests)
 		}
 	}
 	s.rekeyDestSets()
 }
 
-// rekeyDestSets refills every live worm's destination set under the
-// current router's labeling: Dests minus PrunedDests, since delivery leaves
-// the set alone and only pruning removes members. It allocates nothing.
+// rekeyDestSets refills every unlaunched worm's destination set under the
+// current router's labeling. Only routing prunes or completes a worm, so
+// an unlaunched worm's set is all of its Dests. It allocates nothing.
 func (s *Simulator) rekeyDestSets() {
 	lab := s.router.Lab
 	for _, w := range s.worms {
-		if w.completed || w.aborted {
+		if w.launched {
 			continue
 		}
 		w.DestSet.Reset()
 		for _, d := range w.Dests {
 			w.DestSet.Add(lab.Rank(d))
 		}
-		for _, d := range w.PrunedDests {
-			w.DestSet.Remove(lab.Rank(d))
-		}
 	}
 }
 
-// AbortWorms drains in-flight worms from the network at the current
-// simulated time and returns how many were aborted. With a nil channel list
-// every launched, incomplete worm is drained (the Autonet-faithful reaction
-// to any topology change: packets in flight during a reconfiguration are
-// discarded). With a non-nil list, only worms with a presence on one of the
-// given channels — a flit in a buffer or on the wire, a reservation, or a
-// queued request — are drained.
+// AbortWorms drains every launched, incomplete worm from the network at the
+// current simulated time and returns how many were aborted: the
+// Autonet-faithful reaction to any topology change, where packets in
+// flight during a reconfiguration are discarded.
 //
 // Drain semantics, precisely:
 //
@@ -122,31 +107,10 @@ func (s *Simulator) rekeyDestSets() {
 //
 // For each drained worm the abort hook decides retry responsibility; see
 // SetAbortHook.
-func (s *Simulator) AbortWorms(channels []topology.ChannelID) int {
+func (s *Simulator) AbortWorms() int {
 	s.abortScratch = s.abortScratch[:0]
-	if channels == nil {
-		for _, w := range s.worms {
-			s.markAborted(w)
-		}
-	} else {
-		for _, c := range channels {
-			cs := &s.chans[c]
-			if cs.outOcc {
-				s.markAborted(cs.outBuf.w)
-			}
-			for _, fl := range cs.inBuf {
-				s.markAborted(fl.w)
-			}
-			if cs.reserved != nil {
-				s.markAborted(cs.reserved.worm)
-			}
-			for _, seg := range cs.ocrq {
-				s.markAborted(seg.worm)
-			}
-			if seg := s.segAtInput[c]; seg != nil {
-				s.markAborted(seg.worm)
-			}
-		}
+	for _, w := range s.worms {
+		s.markAborted(w)
 	}
 	if len(s.abortScratch) == 0 {
 		return 0
@@ -155,9 +119,9 @@ func (s *Simulator) AbortWorms(channels []topology.ChannelID) int {
 	return s.finishAborts()
 }
 
-// markAborted flags a worm for draining (idempotent; nil-safe).
+// markAborted flags a launched, live worm for draining.
 func (s *Simulator) markAborted(w *Worm) {
-	if w == nil || !w.launched || w.completed || w.aborted {
+	if !w.launched || w.completed || w.aborted {
 		return
 	}
 	w.aborted = true
@@ -166,13 +130,14 @@ func (s *Simulator) markAborted(w *Worm) {
 }
 
 // drainAborted removes every trace of the marked worms from the engine
-// state. The order of the sweeps matters; see the inline comments.
+// state. Every launched worm is marked, so no live flit, request or
+// reservation survives the sweeps. The order of the sweeps matters; see the
+// inline comments.
 func (s *Simulator) drainAborted() {
 	// 1. Input buffers, while segAtInput still reflects pre-drain state:
 	// a header flit removed from the head of a channel whose segment does
 	// not exist yet had a route event scheduled but not fired — that event
 	// is now stale and must be swallowed when it pops.
-	s.dispatchScratch = s.dispatchScratch[:0]
 	for c := range s.chans {
 		cs := &s.chans[c]
 		if len(cs.inBuf) == 0 {
@@ -197,15 +162,8 @@ func (s *Simulator) drainAborted() {
 		cs.inBuf = cs.inBuf[:k]
 		cs.credits += removed
 		s.counters.FlitsDropped += uint64(removed)
-		if head.w != nil && head.w.aborted {
-			if head.kind == Header && s.segAtInput[c] == nil {
-				s.staleRoutes[c]++
-			}
-			if k > 0 {
-				// A live worm's header surfaced: route it once the
-				// segment sweeps below have cleared the channel.
-				s.dispatchScratch = append(s.dispatchScratch, topology.ChannelID(c))
-			}
+		if head.w.aborted && head.kind == Header && s.segAtInput[c] == nil {
+			s.staleRoutes[c]++
 		}
 	}
 
@@ -245,7 +203,9 @@ func (s *Simulator) drainAborted() {
 	}
 
 	// 3. Parked output-buffer flits (not on the wire) vanish; in-flight
-	// flits finish their propagation and are dropped by onArrive.
+	// flits finish their propagation and are dropped by onArrive. No live
+	// flit is left to use the freed credits, and no live request to take
+	// the freed channels, so there is nothing to wake.
 	for c := range s.chans {
 		cs := &s.chans[c]
 		if cs.outOcc && !cs.inFlight && cs.outBuf.w != nil && cs.outBuf.w.aborted {
@@ -254,22 +214,6 @@ func (s *Simulator) drainAborted() {
 			s.counters.FlitsDropped++
 		}
 	}
-
-	// 4. Wake-up: freed credits let upstream senders fire, freed channels
-	// let waiting OCRQ heads acquire, surfaced headers get routed.
-	for c := range s.chans {
-		cs := &s.chans[c]
-		s.trySend(topology.ChannelID(c))
-		if cs.reserved == nil && !cs.outOcc && len(cs.ocrq) > 0 {
-			s.tryAcquire(cs.ocrq[0])
-		}
-	}
-	for _, c := range s.dispatchScratch {
-		if len(s.chans[c].inBuf) > 0 {
-			s.dispatchHead(c)
-		}
-	}
-	s.dispatchScratch = s.dispatchScratch[:0]
 }
 
 // releaseSource frees an aborted source segment and restarts injection at
@@ -306,25 +250,4 @@ func (s *Simulator) finishAborts() int {
 	}
 	s.abortScratch = s.abortScratch[:0]
 	return n
-}
-
-// abortRouteLost drains a single worm whose header at the head of channel c
-// found no legal continuation after a routing-table swap (fault mode only).
-func (s *Simulator) abortRouteLost(w *Worm, c topology.ChannelID) {
-	s.abortScratch = s.abortScratch[:0]
-	s.markAborted(w)
-	if len(s.abortScratch) == 0 {
-		return
-	}
-	s.counters.RouteLostAborts++
-	s.drainAborted()
-	// The sweep saw this worm's header at the head of c with no segment and
-	// assumed a pending route event — but that event is the one executing
-	// right now. Undo the stale mark for exactly this channel (headers of
-	// the same worm at other switches, distribution phase, really do have
-	// pending events).
-	if s.staleRoutes[c] > 0 {
-		s.staleRoutes[c]--
-	}
-	s.finishAborts()
 }

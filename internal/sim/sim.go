@@ -51,15 +51,12 @@ type Simulator struct {
 	wormPool []*Worm
 
 	// Fault-injection state (see faults.go). staleRoutes[c] counts route
-	// events whose header was drained before they fired; abortScratch and
-	// dispatchScratch are drain-sweep scratch; onAbort/onReset are the
-	// fault engine's hooks; faultMode turns route loss into an abort.
-	staleRoutes     []int32
-	abortScratch    []*Worm
-	dispatchScratch []topology.ChannelID
-	onAbort         func(*Worm) bool
-	onReset         func()
-	faultMode       bool
+	// events whose header was drained before they fired; abortScratch is
+	// drain-sweep scratch; onAbort/onReset are the fault engine's hooks.
+	staleRoutes  []int32
+	abortScratch []*Worm
+	onAbort      func(*Worm) bool
+	onReset      func()
 
 	nextWormID  int64
 	outstanding int
@@ -351,7 +348,6 @@ func (s *Simulator) Reset() {
 	s.err = nil
 	clear(s.staleRoutes)
 	s.abortScratch = s.abortScratch[:0]
-	s.dispatchScratch = s.dispatchScratch[:0]
 	if s.onReset != nil {
 		// The fault engine restores the base labeling and tables so a
 		// reset simulator routes bit-identically to a fresh one.
@@ -763,12 +759,6 @@ func (s *Simulator) onRoute(c topology.ChannelID) {
 		seg.outs = s.router.AppendDistributionOutputs(seg.outs, at, w.DestSet)
 		if len(seg.outs) == 0 {
 			s.freeSegment(seg)
-			if s.faultMode {
-				// A labeling swap moved the remaining destinations out
-				// of this switch's subtree: the worm lost its route.
-				s.abortRouteLost(w, c)
-				return
-			}
 			s.fail("worm %d: no distribution outputs at switch %d", w.ID, at)
 			return
 		}
@@ -784,12 +774,6 @@ func (s *Simulator) onRoute(c topology.ChannelID) {
 		cands := s.candScratch
 		if len(cands) == 0 {
 			s.freeSegment(seg)
-			if s.faultMode {
-				// Legal under the labeling the worm started with, routeless
-				// under the swapped one: drain it instead of failing.
-				s.abortRouteLost(w, c)
-				return
-			}
 			s.fail("worm %d: no route at switch %d toward LCA %d", w.ID, at, w.LCA)
 			return
 		}

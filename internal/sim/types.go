@@ -56,7 +56,8 @@ type Worm struct {
 	// tree order of the labeling the simulator routes with: the
 	// destinations below a switch are one rank range of it. A swap
 	// renumbers the processors, so SwapRouter and RecomputeQueuedLCAs
-	// refill the set of every worm still alive.
+	// refill the set of every unlaunched worm (a swap follows a drain of
+	// every launched one).
 	DestSet *updown.TreeSet
 	// LCA is the switch where the distribution phase begins.
 	LCA topology.NodeID
@@ -203,12 +204,10 @@ type Counters struct {
 	BubbleFlitHops    uint64 `json:"bubble_flit_hops"`
 	HeaderAcquireWait uint64 `json:"header_acquire_wait"` // acquisition attempts that had to wait
 	// WormsAborted counts worms drained by topology mutations (fault
-	// injection); RouteLostAborts is the subset that lost all legal routes
-	// after a routing-table swap rather than being drained at mutation
-	// time. FlitsDropped counts their flits removed from buffers and wires.
-	WormsAborted    uint64 `json:"worms_aborted"`
-	RouteLostAborts uint64 `json:"route_lost_aborts"`
-	FlitsDropped    uint64 `json:"flits_dropped"`
+	// injection); FlitsDropped counts their flits removed from buffers and
+	// wires.
+	WormsAborted uint64 `json:"worms_aborted"`
+	FlitsDropped uint64 `json:"flits_dropped"`
 	// MisrouteHops counts header hops taken on deroute (non-minimal)
 	// channels under PolicyMisroute, whatever the budget. It stays 0 under
 	// the baseline policy (part of the misroute-0 ≡ baseline differential).
@@ -225,7 +224,6 @@ func (c *Counters) Add(o Counters) {
 	c.BubbleFlitHops += o.BubbleFlitHops
 	c.HeaderAcquireWait += o.HeaderAcquireWait
 	c.WormsAborted += o.WormsAborted
-	c.RouteLostAborts += o.RouteLostAborts
 	c.FlitsDropped += o.FlitsDropped
 	c.MisrouteHops += o.MisrouteHops
 }

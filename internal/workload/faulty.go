@@ -11,9 +11,9 @@ import (
 	"repro/internal/faults"
 )
 
-// Faulty wraps a traffic workload with a declarative fault Spec and a drain/
-// retry Policy. The spec resolves against the runner's network on first use
-// and is cached across trials.
+// Faulty wraps a traffic workload with a declarative fault Spec and a retry
+// Policy. The spec resolves against the runner's network on first use and
+// is cached across trials.
 type Faulty struct {
 	Inner  Workload
 	Spec   faults.Spec
@@ -63,7 +63,6 @@ var (
 	faultsDefaultMaintenance = faults.Spec{
 		Profile: faults.ProfileMaintenance, StartNs: 50_000, WindowNs: 80_000, GapNs: 40_000,
 	}
-	faultsDefaultPolicy = faults.Policy{Drain: faults.DrainAll, MaxRetries: 3, RetryDelayNs: 10_000}
 )
 
 // HasFaults reports whether the parameters request fault injection.
@@ -106,40 +105,32 @@ func FaultSpec(p Params) (faults.Spec, error) {
 	return sp, nil
 }
 
-// FaultPolicy maps wire parameters onto the drain/retry policy. Defaults:
-// drain-all (the Autonet-faithful mode), 3 retries, 10 µs retry delay;
-// FaultRetries = -1 disables retries.
-func FaultPolicy(p Params) (faults.Policy, error) {
-	pol := faults.Policy{
-		MaxRetries:   orI(p.FaultRetries, 3),
+// FaultPolicy maps wire parameters onto the retry policy. Defaults: 3
+// retries, 10 µs retry delay; FaultRetries = -1 disables retries.
+func FaultPolicy(p Params) faults.Policy {
+	return faults.Policy{
+		MaxRetries:   max(orI(p.FaultRetries, 3), 0),
 		RetryDelayNs: int64(orF(p.FaultRetryDelayUs, 10) * 1000),
 	}
-	if pol.MaxRetries < 0 {
-		pol.MaxRetries = 0
-	}
-	switch p.FaultDrain {
-	case "", "all":
-		pol.Drain = faults.DrainAll
-	case "crossing":
-		pol.Drain = faults.DrainCrossing
-	default:
-		return pol, fmt.Errorf("workload: unknown fault drain %q (all|crossing)", p.FaultDrain)
-	}
-	return pol, nil
 }
 
 // ValidateFaultParams rejects malformed fault strings up front — including
 // for the pre-wired fault scenarios, whose constructors cannot return
 // errors and would otherwise fall back to defaults silently. Serving layers
-// and CLIs call this before building the workload so a typoed fault_drain
-// or fault_profile is a client error, never a silently different
-// experiment.
+// and CLIs call this before building the workload, and it parses the
+// script, so a typoed fault_profile or a malformed fault_script is a client
+// error before any trial runs, never a silently different experiment or a
+// campaign that fails after its earlier cells have run.
 func ValidateFaultParams(p Params) error {
 	if _, err := FaultSpec(p); err != nil {
 		return err
 	}
-	_, err := FaultPolicy(p)
-	return err
+	if p.FaultScript != "" {
+		if _, err := faults.Parse(p.FaultScript); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ApplyFaults wraps w with the fault behaviour the parameters request, if
@@ -153,6 +144,5 @@ func ApplyFaults(w Workload, p Params) (Workload, error) {
 		return w, nil
 	}
 	spec, _ := FaultSpec(p)
-	pol, _ := FaultPolicy(p)
-	return Faulty{Inner: w, Spec: spec, Policy: pol}, nil
+	return Faulty{Inner: w, Spec: spec, Policy: FaultPolicy(p)}, nil
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -37,7 +38,7 @@ func stormWorkload(messages int) Faulty {
 			MTBFNs:    4_000_000,
 			MTTRNs:    80_000,
 		},
-		Policy: faults.Policy{Drain: faults.DrainAll, MaxRetries: 3, RetryDelayNs: 10_000},
+		Policy: faults.Policy{MaxRetries: 3, RetryDelayNs: 10_000},
 	}
 }
 
@@ -134,6 +135,61 @@ func TestFaultTrialSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestFaultSweepSmallZoo runs the two pre-wired fault scenarios over five
+// small zoo topologies: fault-storm at fault seeds 1–3 and maintenance
+// (which takes no seed), each at multicast fractions 0.1 and 0.3 with 8
+// destinations, one 400-message trial per configuration. Every mutation
+// drains every launched worm before the swap, so no worm ever waits under
+// a labeling other than the one it holds channels under: every trial must
+// finish without an engine error (no route loss, stall or wait cycle), and
+// every abort is either retried or lost. Maintenance windows drain busy
+// switches, so each of its configurations must abort something.
+func TestFaultSweepSmallZoo(t *testing.T) {
+	const seed = 1998
+	for _, topo := range []string{"lattice:64", "gnm:48+24", "torus:6x6", "fattree:4x2", "mesh:6x6"} {
+		sp, err := topology.ParseSpec(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := sp.Build(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lab, err := updown.New(net, updown.RootMinID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(core.NewRouter(lab), sim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			scenario string
+			seeds    []uint64
+		}{{"fault-storm", []uint64{1, 2, 3}}, {"maintenance", []uint64{0}}} {
+			sc, _ := Lookup(c.scenario)
+			for _, fs := range c.seeds {
+				for _, mf := range []float64{0.1, 0.3} {
+					p := Params{Messages: 400, MulticastFraction: mf, MulticastDests: 8, FaultSeed: fs}
+					name := fmt.Sprintf("%s/%s/seed=%d/mcast=%v", topo, c.scenario, fs, mf)
+					if err := r.Trial(sc.New(p), seed); err != nil {
+						t.Errorf("%s: %v", name, err)
+						continue
+					}
+					met := r.FaultInjector().Metrics()
+					if met.WormsAborted != met.WormsRetried+met.MessagesLost {
+						t.Errorf("%s: aborted=%d != retried=%d + lost=%d",
+							name, met.WormsAborted, met.WormsRetried, met.MessagesLost)
+					}
+					if c.scenario == "maintenance" && met.WormsAborted == 0 {
+						t.Errorf("%s: maintenance windows aborted nothing", name)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFaultScenarioRegistry pins the registered fault scenarios and the
 // parameter plumbing.
 func TestFaultScenarioRegistry(t *testing.T) {
@@ -162,7 +218,7 @@ func TestFaultScenarioRegistry(t *testing.T) {
 	// Generic composition: any scenario + fault params.
 	sc, _ := Lookup("hotspot")
 	w, err := ApplyFaults(sc.New(Params{Messages: 120}), Params{
-		Messages: 120, FaultScript: "30us down 0-1; 90us up 0-1", FaultDrain: "crossing", FaultRetries: -1,
+		Messages: 120, FaultScript: "30us down 0-1; 90us up 0-1", FaultRetries: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +227,7 @@ func TestFaultScenarioRegistry(t *testing.T) {
 	if !ok {
 		t.Fatal("ApplyFaults did not wrap")
 	}
-	if f.Policy.Drain != faults.DrainCrossing || f.Policy.MaxRetries != 0 {
+	if f.Policy.MaxRetries != 0 {
 		t.Fatalf("policy mapping: %+v", f.Policy)
 	}
 	r := faultyTestRunner(t, 24, 2)
@@ -183,7 +239,7 @@ func TestFaultScenarioRegistry(t *testing.T) {
 	if _, err := ApplyFaults(sc.New(Params{}), Params{FaultProfile: "nope"}); err == nil {
 		t.Fatal("bad profile accepted")
 	}
-	if _, err := ApplyFaults(sc.New(Params{}), Params{FaultScript: "x", FaultDrain: "sideways"}); err == nil {
-		t.Fatal("bad drain accepted")
+	if _, err := ApplyFaults(sc.New(Params{}), Params{FaultScript: "x"}); err == nil {
+		t.Fatal("malformed script accepted")
 	}
 }

@@ -77,12 +77,9 @@ type Params struct {
 	// FaultCenter/FaultRadius select the regional outage ball.
 	FaultCenter int `json:"fault_center,omitempty"`
 	FaultRadius int `json:"fault_radius,omitempty"`
-	// FaultDrain is "all" (default: every in-flight message drains on any
-	// mutation, Autonet-style) or "crossing" (only messages crossing a
-	// failed link drain).
-	FaultDrain string `json:"fault_drain,omitempty"`
-	// FaultRetries caps per-message source resubmissions (0 = 3, -1 =
-	// none); FaultRetryDelayUs is the resubmission backoff.
+	// Every applied mutation drains every in-flight message, Autonet-style.
+	// FaultRetries caps each drained message's source resubmissions (0 = 3,
+	// -1 = none); FaultRetryDelayUs is the resubmission backoff.
 	FaultRetries      int     `json:"fault_retries,omitempty"`
 	FaultRetryDelayUs float64 `json:"fault_retry_delay_us,omitempty"`
 }
@@ -221,10 +218,11 @@ func init() {
 		},
 	})
 	// faultyMixed builds the pre-wired fault scenarios: paper mixed traffic
-	// under a forced fault profile. Constructors cannot return errors, so
-	// malformed fault strings fall back to the profile's defaults here —
-	// serving layers and CLIs reject them first via ValidateFaultParams, so
-	// the fallback is unreachable from the wire.
+	// under a forced fault profile. Constructors cannot return errors, so a
+	// malformed fault profile falls back to the profile's defaults here and
+	// a malformed script fails when the trial resolves it. Serving layers,
+	// campaign validation and CLIs reject both first via
+	// ValidateFaultParams, so neither is reachable from the wire.
 	faultyMixed := func(profile string, fallback faults.Spec) func(Params) Workload {
 		return func(p Params) Workload {
 			if p.FaultProfile == "" {
@@ -234,10 +232,6 @@ func init() {
 			if err != nil {
 				spec = fallback
 			}
-			pol, err := FaultPolicy(p)
-			if err != nil {
-				pol = faultsDefaultPolicy
-			}
 			return Faulty{
 				Inner: Mixed{
 					RatePerProcPerUs:  orF(p.RatePerProcPerUs, 0.02),
@@ -246,7 +240,7 @@ func init() {
 					Messages:          orI(p.Messages, 2000),
 				},
 				Spec:   spec,
-				Policy: pol,
+				Policy: FaultPolicy(p),
 			}
 		}
 	}

@@ -397,20 +397,18 @@ type FaultScript = faults.Script
 // maintenance, regional outage).
 type FaultSpec = faults.Spec
 
-// FaultPolicy selects the drain semantics and source retry behaviour of
-// fault injection.
+// FaultPolicy selects the source retry behaviour of fault injection (every
+// applied mutation drains every message in flight).
 type FaultPolicy = faults.Policy
 
 // FaultInjector is the live fault-injection engine attached to a Session.
 type FaultInjector = faults.Injector
 
-// Fault profiles and drain policies re-exported for option construction.
+// Fault profiles re-exported for option construction.
 const (
 	FaultProfilePoisson     = faults.ProfilePoisson
 	FaultProfileMaintenance = faults.ProfileMaintenance
 	FaultProfileRegional    = faults.ProfileRegional
-	FaultDrainAll           = faults.DrainAll
-	FaultDrainCrossing      = faults.DrainCrossing
 )
 
 // ParseFaultScript parses the fault DSL.
@@ -475,8 +473,8 @@ func (s *Session) Reset() {
 
 // InstallFaults attaches a fault timeline to this Session: the described
 // topology mutations fire at their simulated times while traffic runs,
-// draining affected messages, re-deriving the up*/down* labeling on the
-// mutated topology and hot-swapping the routing tables in place (the
+// draining every message in flight, re-deriving the up*/down* labeling on
+// the mutated topology and hot-swapping the routing tables in place (the
 // Session routes on a private router from the first InstallFaults on; the
 // System stays immutable and shared). Call after Reset for each new trial;
 // the returned injector exposes disruption metrics and is valid for the
