@@ -562,9 +562,9 @@ func BenchmarkRecompileSwap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	l := net.SwitchGraph().Edges()[0]
-	down := faults.Event{Kind: faults.LinkDown, U: int32(l[0]), V: int32(l[1])}
-	up := faults.Event{Kind: faults.LinkUp, U: int32(l[0]), V: int32(l[1])}
+	u, v := net.Link(0)
+	down := faults.Event{Kind: faults.LinkDown, U: int32(u), V: int32(v)}
+	up := faults.Event{Kind: faults.LinkUp, U: int32(u), V: int32(v)}
 	// Warm the arenas (first swap grows the masked-labeling scratch).
 	if _, err := inj.Apply(down); err != nil {
 		b.Fatal(err)
@@ -598,8 +598,8 @@ func BenchmarkFullRebuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	mask := faults.NewMask(net)
-	l := net.SwitchGraph().Edges()[0]
-	mask.Apply(faults.Event{Kind: faults.LinkDown, U: int32(l[0]), V: int32(l[1])})
+	u, v := net.Link(0)
+	mask.Apply(faults.Event{Kind: faults.LinkDown, U: int32(u), V: int32(v)})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -620,7 +620,7 @@ func BenchmarkFullReconfigure(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	l := sys.Topology().SwitchGraph().Edges()[0]
+	l := switchLinks(sys.Topology())[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -61,13 +61,7 @@ func main() {
 	case "adj":
 		fmt.Print(topology.FormatAdjacency(net))
 	case "dot":
-		fmt.Print(net.SwitchGraph().DOT("spamnet", func(v int) string {
-			if net.Coords != nil {
-				c := net.Coords[v]
-				return fmt.Sprintf("s%d (%d,%d)", v, c[0], c[1])
-			}
-			return fmt.Sprintf("s%d", v)
-		}))
+		fmt.Print(viz.NetworkDOT(net))
 	case "svg":
 		lab, err := labelingFor(net, *root)
 		if err != nil {

@@ -45,11 +45,16 @@ func main() {
 			break
 		}
 		// Kill a random removable link.
-		edges := sys.Topology().SwitchGraph().Edges()
+		net := sys.Topology()
+		edges := make([][2]int, net.Links())
+		for k := range edges {
+			u, v := net.Link(k)
+			edges[k] = [2]int{int(u), int(v)}
+		}
 		r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 		next, found := [2]int{}, false
 		for _, e := range edges {
-			if _, err := sys.Topology().WithoutLink(e[0], e[1]); err == nil {
+			if _, err := net.WithoutLink(e[0], e[1]); err == nil {
 				next, found = e, true
 				break
 			}

@@ -42,12 +42,12 @@ func Poisson(net *topology.Network, cfg PoissonConfig) (Script, error) {
 	if max <= 0 || max > maxGeneratedEvents {
 		max = maxGeneratedEvents
 	}
-	links := net.SwitchGraph().Edges() // sorted: deterministic link order
 	r := rng.New(cfg.Seed)
 	// next[i] is link i's next transition time; down[i] its current state.
-	next := make([]int64, len(links))
-	down := make([]bool, len(links))
-	for i := range links {
+	// Links are numbered in ascending (u, v) order: a deterministic order.
+	next := make([]int64, net.Links())
+	down := make([]bool, net.Links())
+	for i := range next {
 		next[i] = int64(r.Exp(float64(cfg.MTBFNs)))
 	}
 	var out Script
@@ -67,13 +67,13 @@ func Poisson(net *topology.Network, cfg PoissonConfig) (Script, error) {
 			break
 		}
 		t := next[best]
-		l := links[best]
+		u, v := net.Link(best)
 		if down[best] {
-			out = append(out, Event{AtNs: t, Kind: LinkUp, U: int32(l[0]), V: int32(l[1])})
+			out = append(out, Event{AtNs: t, Kind: LinkUp, U: int32(u), V: int32(v)})
 			down[best] = false
 			next[best] = t + int64(r.Exp(float64(cfg.MTBFNs)))
 		} else {
-			out = append(out, Event{AtNs: t, Kind: LinkDown, U: int32(l[0]), V: int32(l[1])})
+			out = append(out, Event{AtNs: t, Kind: LinkDown, U: int32(u), V: int32(v)})
 			down[best] = true
 			next[best] = t + int64(r.Exp(float64(cfg.MTTRNs)))
 		}
@@ -136,17 +136,19 @@ func RegionalOutage(net *topology.Network, cfg RegionalConfig) (Script, error) {
 	if cfg.Radius < 0 || cfg.StartNs < 0 || cfg.DurationNs <= 0 {
 		return nil, fmt.Errorf("faults: regional outage needs radius >= 0, start >= 0, duration > 0")
 	}
-	g := net.SwitchGraph()
-	bfs := g.BFS(cfg.Center)
-	inBall := func(sw int) bool { return bfs.Dist[sw] >= 0 && int(bfs.Dist[sw]) <= cfg.Radius }
+	dist := make([]int32, net.NumSwitches)
+	net.SwitchDistances(topology.NodeID(cfg.Center), nil, dist, make([]int32, net.NumSwitches))
+	// A built network is connected: every switch has a distance.
+	inBall := func(sw topology.NodeID) bool { return int(dist[sw]) <= cfg.Radius }
 	var out Script
-	for _, l := range g.Edges() {
-		if !inBall(l[0]) || !inBall(l[1]) || len(out)+2 > maxGeneratedEvents {
+	for k := 0; k < net.Links(); k++ {
+		u, v := net.Link(k)
+		if !inBall(u) || !inBall(v) || len(out)+2 > maxGeneratedEvents {
 			continue
 		}
 		out = append(out,
-			Event{AtNs: cfg.StartNs, Kind: LinkDown, U: int32(l[0]), V: int32(l[1])},
-			Event{AtNs: cfg.StartNs + cfg.DurationNs, Kind: LinkUp, U: int32(l[0]), V: int32(l[1])},
+			Event{AtNs: cfg.StartNs, Kind: LinkDown, U: int32(u), V: int32(v)},
+			Event{AtNs: cfg.StartNs + cfg.DurationNs, Kind: LinkUp, U: int32(u), V: int32(v)},
 		)
 	}
 	sortScript(out)

@@ -17,22 +17,22 @@ type Mask struct {
 	down      *bitset.Set
 	downLinks int
 
-	// Scratch (retained): connectivity BFS, neighbor ordering, and the
+	// Scratch (retained): connectivity search, neighbor ordering, and the
 	// per-Apply transition lists.
-	visited []bool
-	queue   []int32
-	nbrs    []int32
-	upped   [][2]int32
-	failed  [][2]int32
+	dist   []int32
+	queue  []int32
+	nbrs   []int32
+	upped  [][2]int32
+	failed [][2]int32
 }
 
 // NewMask builds an all-live mask for a network.
 func NewMask(net *topology.Network) *Mask {
 	return &Mask{
-		net:     net,
-		down:    bitset.New(len(net.Channels)),
-		visited: make([]bool, net.NumSwitches),
-		queue:   make([]int32, 0, net.NumSwitches),
+		net:   net,
+		down:  bitset.New(len(net.Channels)),
+		dist:  make([]int32, net.NumSwitches),
+		queue: make([]int32, net.NumSwitches),
 	}
 }
 
@@ -117,12 +117,14 @@ func (m *Mask) linkDown(u, v int32) bool {
 	if c == topology.None || m.down.Test(int(c)) {
 		return false
 	}
-	rev := c.Reverse()
-	if !m.stillConnected(c, rev) {
+	// Fail the link, and restore it if the live switch graph splits.
+	m.down.Set(int(c))
+	m.down.Set(int(c.Reverse()))
+	if m.net.SwitchDistances(0, m.down, m.dist, m.queue) < m.net.NumSwitches {
+		m.down.Clear(int(c))
+		m.down.Clear(int(c.Reverse()))
 		return false
 	}
-	m.down.Set(int(c))
-	m.down.Set(int(rev))
 	m.failed = append(m.failed, [2]int32{u, v})
 	m.downLinks++
 	return true
@@ -141,37 +143,4 @@ func (m *Mask) linkUp(u, v int32) bool {
 	m.upped = append(m.upped, [2]int32{u, v})
 	m.downLinks--
 	return true
-}
-
-// stillConnected reports whether the live switch graph stays connected with
-// channels skipA/skipB additionally removed.
-func (m *Mask) stillConnected(skipA, skipB topology.ChannelID) bool {
-	n := m.net.NumSwitches
-	if n <= 1 {
-		return true
-	}
-	for i := range m.visited {
-		m.visited[i] = false
-	}
-	queue := m.queue[:0]
-	m.visited[0] = true
-	queue = append(queue, 0)
-	seen := 1
-	for head := 0; head < len(queue); head++ {
-		u := topology.NodeID(queue[head])
-		for _, c := range m.net.Out(u) {
-			if c == skipA || c == skipB || m.down.Test(int(c)) {
-				continue
-			}
-			dst := m.net.Chan(c).Dst
-			if !m.net.IsSwitch(dst) || m.visited[dst] {
-				continue
-			}
-			m.visited[dst] = true
-			queue = append(queue, int32(dst))
-			seen++
-		}
-	}
-	m.queue = queue
-	return seen == n
 }

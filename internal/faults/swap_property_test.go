@@ -129,20 +129,23 @@ func TestHotSwapMatchesFreshRouter(t *testing.T) {
 			}
 
 			r := rng.New(uint64(900 + i))
-			links := net.SwitchGraph().Edges()
+			link := func() (int32, int32) {
+				u, v := net.Link(r.Intn(net.Links()))
+				return int32(u), int32(v)
+			}
 			for batch := 0; batch < 4; batch++ {
 				// A batch of random downs plus, from batch 1 on, random
 				// repair attempts — multi-link mutations in one step.
 				n := 1 + r.Intn(3)
 				for k := 0; k < n; k++ {
-					l := links[r.Intn(len(links))]
-					if _, err := inj.Apply(Event{Kind: LinkDown, U: int32(l[0]), V: int32(l[1])}); err != nil {
+					u, v := link()
+					if _, err := inj.Apply(Event{Kind: LinkDown, U: u, V: v}); err != nil {
 						t.Fatal(err)
 					}
 				}
 				if batch > 0 {
-					l := links[r.Intn(len(links))]
-					if _, err := inj.Apply(Event{Kind: LinkUp, U: int32(l[0]), V: int32(l[1])}); err != nil {
+					u, v := link()
+					if _, err := inj.Apply(Event{Kind: LinkUp, U: u, V: v}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -187,8 +190,9 @@ func TestHotSwapMatchesFreshRouter(t *testing.T) {
 
 			// Full restore: repairing every failed link must reproduce the
 			// base tables bit-identically.
-			for _, l := range links {
-				if _, err := inj.Apply(Event{Kind: LinkUp, U: int32(l[0]), V: int32(l[1])}); err != nil {
+			for k := 0; k < net.Links(); k++ {
+				u, v := net.Link(k)
+				if _, err := inj.Apply(Event{Kind: LinkUp, U: int32(u), V: int32(v)}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -237,7 +237,6 @@ func (s *Simulator) finishAborts() int {
 			s.logf("t=%d worm %d: aborted by topology mutation (%d of %d dests delivered)",
 				s.now, w.ID, len(w.Dests)-w.remaining, len(w.Dests))
 		}
-		s.emit(TraceEvent{Kind: TraceAborted, Worm: w.ID, Node: w.Src, Remaining: w.remaining})
 		retried := false
 		if s.onAbort != nil {
 			retried = s.onAbort(w)

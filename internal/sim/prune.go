@@ -64,7 +64,6 @@ func (s *Simulator) pruneBlocked(w *Worm, at topology.NodeID, outs []topology.Ch
 	if s.cfg.Logf != nil {
 		s.logf("t=%d worm %d: pruned %d branch(es) at switch %d", s.now, w.ID, len(blocked), at)
 	}
-	s.emit(TraceEvent{Kind: TracePruned, Worm: w.ID, Node: at, Channels: blocked, Remaining: w.remaining})
 	return free
 }
 
@@ -82,7 +81,6 @@ func (s *Simulator) pruneDest(w *Worm, d topology.NodeID) {
 		w.completed = true
 		s.outstanding--
 		s.counters.WormsCompleted++
-		s.emit(TraceEvent{Kind: TraceCompleted, Worm: w.ID, Node: d})
 		if w.OnComplete != nil {
 			s.completing = w
 			w.OnComplete(w, s.now)

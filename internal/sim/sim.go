@@ -78,7 +78,6 @@ type Simulator struct {
 	// happen again (hard deadlock).
 	pendingWork int64
 	activity    uint64 // non-watchdog events processed
-	tracer      func(TraceEvent)
 	err         error
 }
 
@@ -465,7 +464,6 @@ func (s *Simulator) onStartup(pi int32) {
 	if s.cfg.Logf != nil {
 		s.logf("t=%d worm %d: startup done at proc %d, requesting injection channel", s.now, w.ID, src)
 	}
-	s.emit(TraceEvent{Kind: TraceStartup, Worm: w.ID, Node: src})
 	s.enqueueRequests(seg)
 }
 
@@ -528,7 +526,6 @@ func (s *Simulator) tryAcquire(seg *segment) {
 	if s.cfg.Logf != nil {
 		s.logf("t=%d worm %d: acquired %d channel(s) at switch %d", s.now, seg.worm.ID, len(seg.outs), seg.router)
 	}
-	s.emit(TraceEvent{Kind: TraceAcquired, Worm: seg.worm.ID, Node: seg.router, Channels: seg.outs})
 	s.popInput(seg.in)
 }
 
@@ -678,7 +675,6 @@ func (s *Simulator) consume(proc topology.NodeID, fl flit) {
 	if s.cfg.Logf != nil {
 		s.logf("t=%d worm %d: tail delivered at proc %d (%d remaining)", s.now, w.ID, proc, w.remaining)
 	}
-	s.emit(TraceEvent{Kind: TraceDelivered, Worm: w.ID, Node: proc, Remaining: w.remaining})
 	if w.OnDelivered != nil {
 		w.OnDelivered(w, proc, s.now)
 	}
@@ -687,7 +683,6 @@ func (s *Simulator) consume(proc topology.NodeID, fl flit) {
 		w.completed = true
 		s.outstanding--
 		s.counters.WormsCompleted++
-		s.emit(TraceEvent{Kind: TraceCompleted, Worm: w.ID, Node: proc})
 		if w.OnComplete != nil {
 			s.completing = w
 			w.OnComplete(w, s.now)
@@ -820,7 +815,6 @@ func (s *Simulator) onRoute(c topology.ChannelID) {
 	if s.cfg.Logf != nil {
 		s.logf("t=%d worm %d: header at switch %d (dist=%v) requests %v", s.now, w.ID, at, dist, seg.outs)
 	}
-	s.emit(TraceEvent{Kind: TraceRouted, Worm: w.ID, Node: at, Dist: dist, Channels: seg.outs})
 	s.enqueueRequests(seg)
 }
 

@@ -207,72 +207,3 @@ func (s *Sample) Mean() float64 {
 	}
 	return sum / float64(len(s.xs))
 }
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi); out-of-range
-// observations land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Buckets   []int64
-	Underflow int64
-	Overflow  int64
-	width     float64
-}
-
-// NewHistogram builds a histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 || hi <= lo {
-		return nil, fmt.Errorf("stats: invalid histogram [%v,%v) x%d", lo, hi, n)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int64, n), width: (hi - lo) / float64(n)}, nil
-}
-
-// Add inserts an observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		h.Buckets[int((x-h.Lo)/h.width)]++
-	}
-}
-
-// Total returns the number of observations, including out-of-range ones.
-func (h *Histogram) Total() int64 {
-	t := h.Underflow + h.Overflow
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
-}
-
-// Autocorr returns the lag-k sample autocorrelation of a series — the
-// diagnostic that justifies batch-means confidence intervals for
-// steady-state simulation output (consecutive message latencies are
-// positively correlated under load).
-func Autocorr(series []float64, lag int) (float64, error) {
-	if lag < 1 {
-		return 0, fmt.Errorf("stats: autocorrelation lag %d must be >= 1", lag)
-	}
-	if len(series) <= lag+1 {
-		return 0, fmt.Errorf("stats: series of %d too short for lag %d", len(series), lag)
-	}
-	mean := 0.0
-	for _, x := range series {
-		mean += x
-	}
-	mean /= float64(len(series))
-	var num, den float64
-	for i := 0; i < len(series); i++ {
-		d := series[i] - mean
-		den += d * d
-		if i+lag < len(series) {
-			num += d * (series[i+lag] - mean)
-		}
-	}
-	if den == 0 {
-		return 0, fmt.Errorf("stats: zero-variance series")
-	}
-	return num / den, nil
-}

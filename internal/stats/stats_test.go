@@ -169,31 +169,6 @@ func TestSampleSingleElement(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Underflow != 1 || h.Overflow != 2 {
-		t.Fatalf("under=%d over=%d", h.Underflow, h.Overflow)
-	}
-	if h.Buckets[0] != 2 || h.Buckets[1] != 1 || h.Buckets[4] != 1 {
-		t.Fatalf("buckets=%v", h.Buckets)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total=%d", h.Total())
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("degenerate histogram accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Fatal("zero buckets accepted")
-	}
-}
-
 // TestBatchStreamCyclicSeries is the cyclic-series sanity the array-based
 // BatchMeans (superseded by the streaming BatchStream) used to cover: once
 // the doubling batch size reaches a multiple of the cycle length, every
@@ -211,58 +186,6 @@ func TestBatchStreamCyclicSeries(t *testing.T) {
 	s := b.Stream()
 	if s.Mean() != 3.5 || s.Variance() != 0 {
 		t.Fatalf("batch means %v var %v", s.Mean(), s.Variance())
-	}
-}
-
-func TestAutocorr(t *testing.T) {
-	// A strongly trending series has high positive lag-1 autocorrelation.
-	trend := make([]float64, 200)
-	for i := range trend {
-		trend[i] = float64(i)
-	}
-	ac, err := Autocorr(trend, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ac < 0.9 {
-		t.Fatalf("trend autocorr %v want > 0.9", ac)
-	}
-	// IID noise is near zero.
-	r := rng.New(3)
-	noise := make([]float64, 5000)
-	for i := range noise {
-		noise[i] = r.Float64()
-	}
-	ac, err = Autocorr(noise, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ac > 0.1 || ac < -0.1 {
-		t.Fatalf("noise autocorr %v want ~0", ac)
-	}
-	// Alternating series is strongly negative.
-	alt := make([]float64, 100)
-	for i := range alt {
-		alt[i] = float64(i % 2)
-	}
-	ac, err = Autocorr(alt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ac > -0.9 {
-		t.Fatalf("alternating autocorr %v want < -0.9", ac)
-	}
-}
-
-func TestAutocorrErrors(t *testing.T) {
-	if _, err := Autocorr([]float64{1, 2, 3}, 0); err == nil {
-		t.Fatal("lag 0 accepted")
-	}
-	if _, err := Autocorr([]float64{1, 2}, 1); err == nil {
-		t.Fatal("too-short series accepted")
-	}
-	if _, err := Autocorr([]float64{5, 5, 5, 5}, 1); err == nil {
-		t.Fatal("zero-variance series accepted")
 	}
 }
 

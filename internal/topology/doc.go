@@ -4,6 +4,14 @@
 // channel. Every bidirectional channel is a pair of opposed unidirectional
 // channels, which are the unit the wormhole simulator schedules.
 //
+// A Network is one flat CSR over those channel pairs, and it is the only
+// switch graph: the Builder checks the links (range, self-loops, repeated
+// pairs), the processors, the port budgets and connectivity on the CSR it
+// lays out. Link(k) names link k's endpoints in ascending pair order, and
+// SwitchDistances is the one breadth-first search of the switch graph,
+// optionally under a failed-channel mask, into caller-owned scratch; Center
+// and Diameter run one per switch.
+//
 // Following the paper's experimental setup, the default generator places
 // switches on an integer lattice (physical proximity), connects adjacent
 // lattice points (at most 4 inter-switch links per switch), gives every

@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestRandomIrregularConnectedAndSized(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
@@ -9,14 +12,14 @@ func TestRandomIrregularConnectedAndSized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !n.SwitchGraph().Connected() {
+		if !reachesAll(n) {
 			t.Fatalf("seed %d: disconnected", seed)
 		}
 		if n.NumProcs != 40 {
 			t.Fatalf("seed %d: %d procs", seed, n.NumProcs)
 		}
 		wantLinks := 40 - 1 + 25
-		if got := n.SwitchGraph().M(); got != wantLinks {
+		if got := n.Links(); got != wantLinks {
 			t.Fatalf("seed %d: %d links want %d", seed, got, wantLinks)
 		}
 	}
@@ -31,7 +34,7 @@ func TestRandomIrregularDegreeCapMostlyRespected(t *testing.T) {
 	}
 	over := 0
 	for sw := 0; sw < 64; sw++ {
-		if n.SwitchGraph().Degree(sw) > 7 {
+		if len(n.SwitchOut(NodeID(sw))) > 7 {
 			over++
 		}
 	}
@@ -46,8 +49,8 @@ func TestRandomIrregularExtrasSaturate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.SwitchGraph().M() > 6 { // complete graph on 4 vertices
-		t.Fatalf("%d links in K4-bounded graph", n.SwitchGraph().M())
+	if n.Links() > 6 { // complete graph on 4 vertices
+		t.Fatalf("%d links in K4-bounded graph", n.Links())
 	}
 }
 
@@ -82,13 +85,7 @@ func TestRandomIrregularDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ea, eb := a.SwitchGraph().Edges(), b.SwitchGraph().Edges()
-	if len(ea) != len(eb) {
-		t.Fatal("nondeterministic link count")
-	}
-	for i := range ea {
-		if ea[i] != eb[i] {
-			t.Fatal("nondeterministic edges")
-		}
+	if !slices.Equal(a.Channels, b.Channels) {
+		t.Fatal("nondeterministic links")
 	}
 }

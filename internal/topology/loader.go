@@ -169,8 +169,9 @@ func FormatAdjacency(n *Network) string {
 	fmt.Fprintf(&sb, "# spamnet adjacency: %d switches, %d processors, %d links\n",
 		n.NumSwitches, n.NumProcs, n.Links())
 	fmt.Fprintf(&sb, "switches %d\n", n.NumSwitches)
-	for c := 0; c < 2*n.Links(); c += 2 {
-		fmt.Fprintf(&sb, "link %d %d\n", n.Channels[c].Src, n.Channels[c].Dst)
+	for k := 0; k < n.Links(); k++ {
+		u, v := n.Link(k)
+		fmt.Fprintf(&sb, "link %d %d\n", u, v)
 	}
 	for p := n.NumSwitches; p < n.N(); p++ {
 		fmt.Fprintf(&sb, "proc %d\n", n.SwitchOf(NodeID(p)))

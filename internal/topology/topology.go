@@ -2,9 +2,10 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"repro/internal/graph"
+	"repro/internal/bitset"
 	"repro/internal/rng"
 )
 
@@ -121,7 +122,7 @@ func (n *Network) Out(id NodeID) []ChannelID { return n.outIDs[n.outOff[id]:n.ou
 // SwitchOut returns the switch-neighbour prefix of Out(sw): the channels to
 // sw's neighbour switches, in ascending neighbour ID (shared slice).
 func (n *Network) SwitchOut(sw NodeID) []ChannelID {
-	return n.outIDs[n.outOff[sw] : n.outOff[sw+1]-int32(len(n.ProcessorsOf(sw)))]
+	return n.outIDs[n.outOff[sw] : n.outOff[sw+1]-(n.procOff[sw+1]-n.procOff[sw])]
 }
 
 // Chan returns the channel record for id.
@@ -141,16 +142,67 @@ func (n *Network) ChannelBetween(src, dst NodeID) ChannelID {
 // precede the processor pairs in Channels.
 func (n *Network) Links() int { return len(n.Channels)/2 - n.NumProcs }
 
-// SwitchGraph returns the undirected graph over switches only. The network
-// holds no graph: every call builds a fresh copy from the switch pairs, so
-// warm paths read SwitchOut, Ports and Links instead.
-func (n *Network) SwitchGraph() *graph.Graph {
-	g := graph.New(n.NumSwitches)
-	for c := 0; c < 2*n.Links(); c += 2 {
-		g.MustAddEdge(int(n.Channels[c].Src), int(n.Channels[c].Dst))
-	}
-	return g
+// Link returns the endpoints of switch–switch link k, the pair 2k, smaller
+// endpoint first. Links are numbered in ascending (u, v) order.
+func (n *Network) Link(k int) (u, v NodeID) {
+	c := n.Channels[2*k]
+	return c.Src, c.Dst
 }
+
+// SwitchDistances runs one breadth-first search of the switch graph from
+// switch src, skipping the channels set in down (nil: every link is live).
+// It writes each switch's hop distance into dist, −1 for a switch src does
+// not reach, and returns how many switches it reached; queue[:reached] is
+// the visit order, neighbours in ascending ID. dist and queue are
+// caller-owned scratch of at least NumSwitches entries, so the call
+// allocates nothing.
+func (n *Network) SwitchDistances(src NodeID, down *bitset.Set, dist, queue []int32) (reached int) {
+	dist, queue = dist[:n.NumSwitches], queue[:n.NumSwitches]
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue[0] = int32(src)
+	reached = 1
+	for head := 0; head < reached; head++ {
+		u := queue[head]
+		next := dist[u] + 1
+		for _, c := range n.SwitchOut(NodeID(u)) {
+			if down != nil && down.Test(int(c)) {
+				continue
+			}
+			if v := n.Channels[c].Dst; dist[v] < 0 {
+				dist[v] = next
+				queue[reached] = int32(v)
+				reached++
+			}
+		}
+	}
+	return reached
+}
+
+// eccentricities returns every switch's largest hop distance to another
+// switch, one search per switch. A built network is connected, so the last
+// switch each search visits is the farthest.
+func (n *Network) eccentricities() []int32 {
+	s := n.NumSwitches
+	ecc, dist, queue := make([]int32, s), make([]int32, s), make([]int32, s)
+	for sw := range ecc {
+		reached := n.SwitchDistances(NodeID(sw), nil, dist, queue)
+		ecc[sw] = dist[queue[reached-1]]
+	}
+	return ecc
+}
+
+// Center returns the switch of least eccentricity, the smallest ID among
+// ties.
+func (n *Network) Center() NodeID {
+	ecc := n.eccentricities()
+	return NodeID(slices.Index(ecc, slices.Min(ecc)))
+}
+
+// Diameter returns the switch graph's largest eccentricity.
+func (n *Network) Diameter() int { return int(slices.Max(n.eccentricities())) }
 
 // Ports returns the number of ports in use at a switch (switch links +
 // attached processors).
@@ -195,39 +247,55 @@ func (b *Builder) SetCoords(coords [][2]int) *Builder {
 	return b
 }
 
-// Build validates and freezes the network. It checks port budgets, switch
-// graph simplicity and connectivity of the switch graph, then lays the
+// Build validates and freezes the network. It checks the links (endpoints
+// in range, no self-loop, no pair twice), the processors' switches, the
+// port budgets and the connectivity of the switch graph, then lays the
 // channels out as Network documents.
 func (b *Builder) Build() (*Network, error) {
 	s := b.numSwitches
 	if s <= 0 {
 		return nil, fmt.Errorf("topology: need at least one switch, got %d", s)
 	}
-	// A transient graph checks the links and sorts them.
-	g := graph.New(s)
 	for _, e := range b.swEdges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("topology: %w", err)
+		if u, v := e[0], e[1]; u < 0 || u >= s || v < 0 || v >= s {
+			return nil, fmt.Errorf("topology: link {%d,%d} out of range [0,%d)", u, v, s)
+		} else if u == v {
+			return nil, fmt.Errorf("topology: self-loop at switch %d", u)
 		}
 	}
-	if !g.Connected() {
-		return nil, fmt.Errorf("topology: switch graph is disconnected")
+	// Bucket the links by smaller endpoint and sort each bucket's larger
+	// endpoints: the switch pairs in ascending (u, v) order, with a
+	// repeated pair side by side.
+	lo := func(i int) NodeID { return NodeID(min(b.swEdges[i][0], b.swEdges[i][1])) }
+	off, order := groupCSR(s, len(b.swEdges), int32(0), lo)
+	hi := make([]NodeID, len(order))
+	for i, e := range order {
+		hi[i] = NodeID(max(b.swEdges[e][0], b.swEdges[e][1]))
+	}
+	for u := 0; u < s; u++ {
+		bucket := hi[off[u]:off[u+1]]
+		slices.Sort(bucket)
+		for i := 1; i < len(bucket); i++ {
+			if bucket[i] == bucket[i-1] {
+				return nil, fmt.Errorf("topology: duplicate link {%d,%d}", u, bucket[i])
+			}
+		}
 	}
 	for pi, sw := range b.procs {
 		if int(sw) < 0 || int(sw) >= s {
 			return nil, fmt.Errorf("topology: processor %d attached to invalid switch %d", pi, sw)
 		}
 	}
-	edges := g.Edges()
 	n := &Network{
 		NumSwitches: s,
 		NumProcs:    len(b.procs),
-		Channels:    make([]Channel, 0, 2*(len(edges)+len(b.procs))),
+		Channels:    make([]Channel, 0, 2*(len(hi)+len(b.procs))),
 		Coords:      b.coords,
 	}
-	for _, e := range edges {
-		u, v := NodeID(e[0]), NodeID(e[1])
-		n.Channels = append(n.Channels, Channel{u, v}, Channel{v, u})
+	for u := 0; u < s; u++ {
+		for _, v := range hi[off[u]:off[u+1]] {
+			n.Channels = append(n.Channels, Channel{NodeID(u), v}, Channel{v, NodeID(u)})
+		}
 	}
 	for pi, sw := range b.procs {
 		p := NodeID(s + pi)
@@ -235,6 +303,10 @@ func (b *Builder) Build() (*Network, error) {
 	}
 	n.outOff, n.outIDs = groupCSR(n.N(), len(n.Channels), ChannelID(0), func(c int) NodeID { return n.Channels[c].Src })
 	n.procOff, n.procIDs = groupCSR(s, len(b.procs), NodeID(s), func(pi int) NodeID { return b.procs[pi] })
+	dist := make([]int32, s)
+	if n.SwitchDistances(0, nil, dist, make([]int32, s)) < s {
+		return nil, fmt.Errorf("topology: switch graph is disconnected: switch %d is unreachable from switch 0", slices.Index(dist, -1))
+	}
 	// Port budget check.
 	if b.maxPorts > 0 {
 		for sw := 0; sw < s; sw++ {
@@ -285,9 +357,10 @@ func (n *Network) WithoutLink(u, v int) (*Network, error) {
 		return nil, fmt.Errorf("topology: no link {%d,%d}", u, v)
 	}
 	b := NewBuilder(n.NumSwitches, 0)
-	for c := 0; c < 2*n.Links(); c += 2 {
-		if ChannelID(c) != gone&^1 { // gone&^1: the link's first channel
-			b.Link(int(n.Channels[c].Src), int(n.Channels[c].Dst))
+	for k := 0; k < n.Links(); k++ {
+		if ChannelID(2*k) != gone&^1 { // gone&^1: the link's first channel
+			u, v := n.Link(k)
+			b.Link(int(u), int(v))
 		}
 	}
 	for p := n.NumSwitches; p < n.N(); p++ {
@@ -487,22 +560,17 @@ func RandomIrregular(cfg GNMConfig) (*Network, error) {
 	return b.Build()
 }
 
-// Figure1 builds the example network from Figure 1 of the paper: switches
-// 0..6 correspond to the paper's switch vertices 1..7 and processors 7..10
-// correspond to the paper's leaf vertices 8..11. Tree edges (solid):
-// 1-2, 1-3, 3-4 is NOT a tree edge in the paper; the figure shows tree edges
-// 1-2, 1-4(?), ... — the figure's exact tree is induced by up*/down* labeling
-// in package updown; here we only build the connectivity:
+// Figure1 builds the example network from Figure 1 of the paper. The
+// paper's switches 1, 2, 3, 4, 6 and 7 are switches 0–5 here, and its
+// leaves 5, 8, 9, 10 and 11 are processors 6–10:
 //
-//	switches: 1,2,3,4,6,7 and processor-bearing leaves 5,8,9,10,11.
+//	paper vertex  1  2  3  4  6  7 |  5  8  9  10  11
+//	our ID        0  1  2  3  4  5 |  6  7  8   9  10
 //
-// Paper vertex -> our ID: 1->0, 2->1, 3->2, 4->3, 6->4, 7->5; processors
-// 5->6(proc on switch 2), 8,9,10->7,8,9 (procs on switch 6), 11->10 (proc on
-// switch 7). Vertex 5 in the paper is a processor attached to switch 2.
-//
-// Connectivity (from the figure): 1-2, 1-3, 2-3 (cross), 3-4 (cross), 4-6,
-// 4-7, 6-8, 6-9, 6-10, 7-11, 2-5. Switch 6 hosts three processors and switch
-// 7 hosts one, matching the figure's leaves.
+// The links are the figure's 1-2, 1-3, 2-3, 3-4, 4-6 and 4-7. Leaf 5 hangs
+// off switch 2, leaves 8, 9 and 10 off switch 6, and leaf 11 off switch 7.
+// The builder lays out only the connectivity: which links are tree links
+// is the up*/down* labeling's choice (package updown), not the builder's.
 func Figure1() (*Network, error) {
 	// Our switch IDs: s1=0 s2=1 s3=2 s4=3 s6=4 s7=5.
 	b := NewBuilder(6, 8)
@@ -620,7 +688,7 @@ func ComputeStats(n *Network) Stats {
 		SwitchLinks:            n.Links(),
 		Channels:               len(n.Channels),
 		MinDeg:                 n.NumSwitches,
-		SwitchGraphDiameter:    n.SwitchGraph().Diameter(),
+		SwitchGraphDiameter:    n.Diameter(),
 		ProcessorsPerSwitchMin: 1 << 30,
 	}
 	var degSum int

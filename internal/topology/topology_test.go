@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -170,12 +171,12 @@ func TestRandomLatticeProperties(t *testing.T) {
 			if n.NumSwitches != nsw || n.NumProcs != nsw {
 				t.Fatalf("n=%d seed=%d: got %d/%d", nsw, seed, n.NumSwitches, n.NumProcs)
 			}
-			if !n.SwitchGraph().Connected() {
+			if !reachesAll(n) {
 				t.Fatalf("n=%d seed=%d: disconnected", nsw, seed)
 			}
 			// Lattice adjacency: at most 4 switch links per switch.
 			for sw := 0; sw < nsw; sw++ {
-				if d := n.SwitchGraph().Degree(sw); d > 4 {
+				if d := len(n.SwitchOut(NodeID(sw))); d > 4 {
 					t.Fatalf("switch %d degree %d > 4", sw, d)
 				}
 				if p := n.Ports(NodeID(sw)); p > 8 {
@@ -183,11 +184,12 @@ func TestRandomLatticeProperties(t *testing.T) {
 				}
 			}
 			// Edges only between lattice-adjacent coordinates.
-			for _, e := range n.SwitchGraph().Edges() {
-				a, b := n.Coords[e[0]], n.Coords[e[1]]
+			for k := 0; k < n.Links(); k++ {
+				u, v := n.Link(k)
+				a, b := n.Coords[u], n.Coords[v]
 				dx, dy := a[0]-b[0], a[1]-b[1]
 				if dx*dx+dy*dy != 1 {
-					t.Fatalf("edge %v not lattice-adjacent: %v %v", e, a, b)
+					t.Fatalf("link {%d,%d} not lattice-adjacent: %v %v", u, v, a, b)
 				}
 			}
 		}
@@ -203,32 +205,16 @@ func TestRandomLatticeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ea, eb := a.SwitchGraph().Edges(), b.SwitchGraph().Edges()
-	if len(ea) != len(eb) {
-		t.Fatalf("edge counts differ: %d vs %d", len(ea), len(eb))
-	}
-	for i := range ea {
-		if ea[i] != eb[i] {
-			t.Fatalf("edge %d differs: %v vs %v", i, ea[i], eb[i])
-		}
+	if !slices.Equal(a.Channels, b.Channels) {
+		t.Fatalf("links differ:\n%v\nvs\n%v", a.Channels, b.Channels)
 	}
 }
 
 func TestRandomLatticeSeedsDiffer(t *testing.T) {
 	a, _ := RandomLattice(DefaultLattice(64, 1))
 	b, _ := RandomLattice(DefaultLattice(64, 2))
-	ea, eb := a.SwitchGraph().Edges(), b.SwitchGraph().Edges()
-	if len(ea) == len(eb) {
-		same := true
-		for i := range ea {
-			if ea[i] != eb[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatal("different seeds produced identical lattices")
-		}
+	if slices.Equal(a.Channels, b.Channels) {
+		t.Fatal("different seeds produced identical lattices")
 	}
 }
 
@@ -252,10 +238,10 @@ func TestMesh(t *testing.T) {
 		t.Fatalf("mesh counts: %d/%d", n.NumSwitches, n.NumProcs)
 	}
 	// Corner has degree 2, interior 4.
-	if d := n.SwitchGraph().Degree(0); d != 2 {
+	if d := len(n.SwitchOut(0)); d != 2 {
 		t.Fatalf("corner degree %d", d)
 	}
-	if d := n.SwitchGraph().Degree(5); d != 4 {
+	if d := len(n.SwitchOut(5)); d != 4 {
 		t.Fatalf("interior degree %d", d)
 	}
 	if _, err := Mesh(0, 3, 1); err == nil {
@@ -269,7 +255,7 @@ func TestTorus(t *testing.T) {
 		t.Fatal(err)
 	}
 	for sw := 0; sw < 12; sw++ {
-		if d := n.SwitchGraph().Degree(sw); d != 4 {
+		if d := len(n.SwitchOut(NodeID(sw))); d != 4 {
 			t.Fatalf("torus switch %d degree %d", sw, d)
 		}
 	}
@@ -287,7 +273,7 @@ func TestHypercube(t *testing.T) {
 		t.Fatalf("hypercube switches %d", n.NumSwitches)
 	}
 	for sw := 0; sw < 16; sw++ {
-		if d := n.SwitchGraph().Degree(sw); d != 4 {
+		if d := len(n.SwitchOut(NodeID(sw))); d != 4 {
 			t.Fatalf("hypercube degree %d", d)
 		}
 	}

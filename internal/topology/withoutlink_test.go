@@ -12,10 +12,10 @@ func TestWithoutLinkBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n2.SwitchGraph().HasEdge(1, 2) {
+	if n2.ChannelBetween(1, 2) != None {
 		t.Fatal("link still present")
 	}
-	if n2.SwitchGraph().M() != n.SwitchGraph().M()-1 {
+	if n2.Links() != n.Links()-1 {
 		t.Fatal("edge count wrong")
 	}
 	// Processors unchanged, attachments preserved.
@@ -28,7 +28,7 @@ func TestWithoutLinkBasic(t *testing.T) {
 		}
 	}
 	// Original untouched.
-	if !n.SwitchGraph().HasEdge(1, 2) {
+	if n.ChannelBetween(1, 2) == None {
 		t.Fatal("original network mutated")
 	}
 }
@@ -67,12 +67,11 @@ func TestWithoutLinkPreservesCoords(t *testing.T) {
 	}
 	var removable [2]int
 	found := false
-	for _, e := range n.SwitchGraph().Edges() {
-		if _, err := n.WithoutLink(e[0], e[1]); err == nil {
-			removable = e
-			found = true
-			break
-		}
+	for k := 0; k < n.Links() && !found; k++ {
+		u, v := n.Link(k)
+		removable = [2]int{int(u), int(v)}
+		_, err := n.WithoutLink(removable[0], removable[1])
+		found = err == nil
 	}
 	if !found {
 		t.Skip("tree lattice")

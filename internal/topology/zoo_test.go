@@ -34,7 +34,7 @@ func TestFatTreeStructure(t *testing.T) {
 				st.Switches, st.SwitchLinks, st.Processors,
 				c.wantSwitches, c.wantLinks, c.wantProcs)
 		}
-		if !net.SwitchGraph().Connected() {
+		if !reachesAll(net) {
 			t.Errorf("FatTree(%d,%d): disconnected", c.k, c.levels)
 		}
 		if net.Coords == nil {
@@ -47,7 +47,6 @@ func TestFatTreeStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := net.SwitchGraph()
 	perLevel := 4
 	for sw := 0; sw < net.NumSwitches; sw++ {
 		stage := sw / perLevel // 0 = top
@@ -55,8 +54,8 @@ func TestFatTreeStructure(t *testing.T) {
 		if stage == 0 || stage == 2 {
 			want = 2 // top and leaf: k
 		}
-		if g.Degree(sw) != want {
-			t.Errorf("switch %d (stage %d): degree %d, want %d", sw, stage, g.Degree(sw), want)
+		if d := len(net.SwitchOut(topology.NodeID(sw))); d != want {
+			t.Errorf("switch %d (stage %d): degree %d, want %d", sw, stage, d, want)
 		}
 	}
 
@@ -128,7 +127,7 @@ func TestSpecBuildMatchesPrediction(t *testing.T) {
 		if want := sp.Switches(); net.NumSwitches != want {
 			t.Errorf("%s: built %d switches, Switches() predicts %d", s, net.NumSwitches, want)
 		}
-		if !net.SwitchGraph().Connected() {
+		if !reachesAll(net) {
 			t.Errorf("%s: disconnected", s)
 		}
 	}
@@ -258,4 +257,10 @@ func TestZooDeadlockFree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reachesAll reports whether one search from switch 0 reaches every switch.
+func reachesAll(net *topology.Network) bool {
+	dist, queue := make([]int32, net.NumSwitches), make([]int32, net.NumSwitches)
+	return net.SwitchDistances(0, nil, dist, queue) == net.NumSwitches
 }

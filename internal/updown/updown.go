@@ -133,8 +133,8 @@ type Labeling struct {
 
 	// liveOff/liveNbrs is the live (non-failed) switch graph in CSR form:
 	// the neighbors of switch sw are liveNbrs[liveOff[sw]:liveOff[sw+1]],
-	// in ascending switch ID — the exploration order of graph.BFS, so an
-	// empty mask reproduces the base labeling bit-for-bit. Relabel rebuilds
+	// in ascending switch ID, the order of Network.SwitchOut, so an empty
+	// mask reproduces the base labeling bit-for-bit. Relabel rebuilds
 	// it; the tree BFS, SwitchDistances and AllSwitchDistances walk it.
 	liveOff  []int32
 	liveNbrs []int32
@@ -440,7 +440,7 @@ func pickRoot(net *topology.Network, strategy RootStrategy) (topology.NodeID, er
 		}
 		return topology.NodeID(best), nil
 	case RootCenter:
-		return topology.NodeID(net.SwitchGraph().Center()), nil
+		return net.Center(), nil
 	}
 	return 0, fmt.Errorf("updown: unknown root strategy %v", strategy)
 }

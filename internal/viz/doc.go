@@ -10,5 +10,6 @@
 //   - NetworkSVG: the paper's Figure-1 visual language for
 //     coordinate-bearing topologies (lattices, meshes, fat-trees):
 //     switches as squares, processors as circles, spanning-tree channels
-//     solid, cross channels dashed, root highlighted.
+//     solid, cross channels dashed, root highlighted;
+//   - NetworkDOT: the switch graph in Graphviz DOT, for any topology.
 package viz

@@ -83,7 +83,7 @@ func TestNetworkSVGTreeVsCrossCounts(t *testing.T) {
 	}
 	dashed := strings.Count(svg, "stroke-dasharray")
 	// Switch links = tree (n-1) + cross; cross lines are dashed.
-	wantCross := net.SwitchGraph().M() - (net.NumSwitches - 1)
+	wantCross := net.Links() - (net.NumSwitches - 1)
 	if dashed != wantCross {
 		t.Fatalf("%d dashed lines want %d cross edges", dashed, wantCross)
 	}

@@ -23,19 +23,9 @@ type Faulty struct {
 // Name labels the composition.
 func (f Faulty) Name() string { return f.Inner.Name() + "+faults" }
 
-// MessageBudget passes the inner workload's submission budget through (the
-// serving layer's clamp and warmup defaulting must see it).
-func (f Faulty) MessageBudget() int {
-	type budgeted interface{ MessageBudget() int }
-	if b, ok := f.Inner.(budgeted); ok {
-		return b.MessageBudget()
-	}
-	return 0
-}
-
-// MessageBudgetFor passes the processor-count-aware budget through (see
-// Budget), so size-dependent inner workloads keep their warmup sizing when
-// wrapped with faults.
+// MessageBudgetFor passes the inner workload's budget through (see Budget),
+// so the serving layer's clamp and warmup sizing see it through the fault
+// wrapper.
 func (f Faulty) MessageBudgetFor(procs int) int { return Budget(f.Inner, procs) }
 
 // Generate installs the fault timeline on the trial's simulator, then

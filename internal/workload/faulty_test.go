@@ -203,8 +203,8 @@ func TestFaultScenarioRegistry(t *testing.T) {
 		if !ok {
 			t.Fatalf("%q did not build a Faulty workload", name)
 		}
-		if f.MessageBudget() != 150 {
-			t.Fatalf("%q budget %d", name, f.MessageBudget())
+		if got := Budget(f, 24); got != 150 {
+			t.Fatalf("%q budget %d", name, got)
 		}
 		r := faultyTestRunner(t, 24, 1)
 		if err := r.Trial(w, 3); err != nil {

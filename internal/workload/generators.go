@@ -43,8 +43,9 @@ type Mixed struct {
 // Name implements Workload.
 func (m Mixed) Name() string { return "mixed" }
 
-// MessageBudget reports the per-trial submission count (for warmup sizing).
-func (m Mixed) MessageBudget() int { return m.Messages }
+// MessageBudgetFor reports the per-trial submission count (for warmup
+// sizing); it does not depend on the network size.
+func (m Mixed) MessageBudgetFor(int) int { return m.Messages }
 
 func (m Mixed) validate(n int) error {
 	if m.RatePerProcPerUs <= 0 {
@@ -125,8 +126,9 @@ type HotSpot struct {
 // Name implements Workload.
 func (h HotSpot) Name() string { return "hotspot" }
 
-// MessageBudget reports the per-trial submission count (for warmup sizing).
-func (h HotSpot) MessageBudget() int { return h.Messages }
+// MessageBudgetFor reports the per-trial submission count (for warmup
+// sizing); it does not depend on the network size.
+func (h HotSpot) MessageBudgetFor(int) int { return h.Messages }
 
 // Generate implements Workload.
 func (h HotSpot) Generate(g *Gen) error {
@@ -357,8 +359,9 @@ type Bursty struct {
 // Name implements Workload.
 func (bw Bursty) Name() string { return "bursty" }
 
-// MessageBudget reports the per-trial submission count (for warmup sizing).
-func (bw Bursty) MessageBudget() int { return bw.Messages }
+// MessageBudgetFor reports the per-trial submission count (for warmup
+// sizing); it does not depend on the network size.
+func (bw Bursty) MessageBudgetFor(int) int { return bw.Messages }
 
 // Generate implements Workload.
 func (bw Bursty) Generate(g *Gen) error {
@@ -430,8 +433,9 @@ type ClosedLoop struct {
 // Name implements Workload.
 func (cl ClosedLoop) Name() string { return "closed-loop" }
 
-// MessageBudget reports the per-trial submission count (for warmup sizing).
-func (cl ClosedLoop) MessageBudget() int { return cl.Messages }
+// MessageBudgetFor reports the per-trial submission count (for warmup
+// sizing); it does not depend on the network size.
+func (cl ClosedLoop) MessageBudgetFor(int) int { return cl.Messages }
 
 // Generate implements Workload.
 func (cl ClosedLoop) Generate(g *Gen) error {

@@ -158,19 +158,13 @@ func (g *Gen) submitArrivals(pick func(a arrival) []topology.NodeID) error {
 }
 
 // Budget reports a workload's per-trial submission count for warmup sizing
-// and admission clamps, resolving defaults against the processor count.
-// Workloads whose budget depends on the network size (permutations,
-// broadcast storms, pipelines) implement MessageBudgetFor; fixed-budget ones
-// keep the legacy MessageBudget. Returns 0 when the workload reports
-// neither (unknown budget).
+// and admission clamps, resolving defaults against the processor count:
+// the workload's MessageBudgetFor, which fixed-budget workloads implement
+// by ignoring procs. Returns 0 when the workload has none (unknown budget).
 func Budget(w Workload, procs int) int {
-	type budgetedFor interface{ MessageBudgetFor(procs int) int }
-	if b, ok := w.(budgetedFor); ok {
-		return b.MessageBudgetFor(procs)
-	}
-	type budgeted interface{ MessageBudget() int }
+	type budgeted interface{ MessageBudgetFor(procs int) int }
 	if b, ok := w.(budgeted); ok {
-		return b.MessageBudget()
+		return b.MessageBudgetFor(procs)
 	}
 	return 0
 }

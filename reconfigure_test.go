@@ -4,7 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/deadlock"
+	"repro/internal/topology"
 )
+
+// switchLinks lists a network's switch–switch links in link order.
+func switchLinks(net *topology.Network) [][2]int {
+	out := make([][2]int, net.Links())
+	for k := range out {
+		u, v := net.Link(k)
+		out[k] = [2]int{int(u), int(v)}
+	}
+	return out
+}
 
 func TestReconfigureAfterLinkFailure(t *testing.T) {
 	sys, err := NewLattice(32, WithSeed(12))
@@ -16,7 +27,7 @@ func TestReconfigureAfterLinkFailure(t *testing.T) {
 	// link. Find a removable link by trial.
 	var failed [2]int
 	found := false
-	for _, e := range sys.Topology().SwitchGraph().Edges() {
+	for _, e := range switchLinks(sys.Topology()) {
 		if _, err := sys.Topology().WithoutLink(e[0], e[1]); err == nil {
 			failed = e
 			found = true
@@ -30,7 +41,7 @@ func TestReconfigureAfterLinkFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys2.Topology().SwitchGraph().M() != sys.Topology().SwitchGraph().M()-1 {
+	if sys2.Topology().Links() != sys.Topology().Links()-1 {
 		t.Fatal("link not removed")
 	}
 	// The relabeled network must pass the full static battery.
@@ -61,8 +72,7 @@ func TestReconfigureRejectsDisconnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find a bridge: removing it must be rejected.
-	g := sys.Topology().SwitchGraph()
-	for _, e := range g.Edges() {
+	for _, e := range switchLinks(sys.Topology()) {
 		if _, err := sys.Topology().WithoutLink(e[0], e[1]); err != nil {
 			// Confirmed rejection path.
 			if _, err := sys.Reconfigure([][2]int{e}); err == nil {
@@ -97,7 +107,7 @@ func TestReconfigureSequence(t *testing.T) {
 	for removed < 4 {
 		var next [2]int
 		found := false
-		for _, e := range sys.Topology().SwitchGraph().Edges() {
+		for _, e := range switchLinks(sys.Topology()) {
 			if _, err := sys.Topology().WithoutLink(e[0], e[1]); err == nil {
 				next = e
 				found = true
@@ -142,7 +152,7 @@ func removableLinks(t *testing.T, sys *System, max int) [][2]int {
 	net := sys.Topology()
 	for len(out) < max {
 		found := false
-		for _, e := range net.SwitchGraph().Edges() {
+		for _, e := range switchLinks(net) {
 			if next, err := net.WithoutLink(e[0], e[1]); err == nil {
 				out = append(out, e)
 				net = next
@@ -170,7 +180,7 @@ func TestReconfigureMultipleFailedLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sys2.Topology().SwitchGraph().M(), sys.Topology().SwitchGraph().M()-3; got != want {
+	if got, want := sys2.Topology().Links(), sys.Topology().Links()-3; got != want {
 		t.Fatalf("%d links after batch removal, want %d", got, want)
 	}
 	if err := sys2.Validate(); err != nil {
@@ -219,7 +229,7 @@ func TestReconfigureMultiLinkBatchWithDisconnectingLink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bridge := survivor.SwitchGraph().Edges()[0]
+	bridge := switchLinks(survivor)[0]
 	batch := append(append([][2]int{}, all...), bridge)
 	if _, err := sys.Reconfigure(batch); err == nil {
 		t.Fatal("batch ending in a disconnecting link accepted")

@@ -249,8 +249,7 @@ func TestWithMaxSimTime(t *testing.T) {
 		t.Fatal("1 us horizon did not abort a 10 us-startup message")
 	}
 	// The horizon survives Reconfigure.
-	g := sys.Topology().SwitchGraph()
-	for _, e := range g.Edges() {
+	for _, e := range switchLinks(sys.Topology()) {
 		if _, err := sys.Topology().WithoutLink(e[0], e[1]); err == nil {
 			sys2, err := sys.Reconfigure([][2]int{e})
 			if err != nil {
