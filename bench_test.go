@@ -13,6 +13,9 @@ package spamnet
 import (
 	"flag"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -29,53 +32,62 @@ import (
 // sized. scripts/bench.sh passes it when recording the headline numbers.
 var benchLarge = flag.Bool("benchlarge", false, "run the multi-GiB large-network benchmark cells")
 
-// benchSim returns the paper's simulator configuration.
-func benchSim() sim.Config { return sim.DefaultConfig() }
+// benchDriver runs a registered figure driver b.N times at the paper's seed
+// and logs its table.
+func benchDriver(b *testing.B, name string, o experiment.DriverOpts) *experiment.DriverResult {
+	b.Helper()
+	o.Seed = 1998
+	var res *experiment.DriverResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = experiment.RunDriver(name, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Log("\n" + res.Table.Format())
+	return res
+}
+
+// rowValue parses the cell under header of the first table row whose
+// leading cells equal key (a trailing "x" is dropped). The column is found
+// by its header, so a change of column layout fails here instead of
+// reporting another column's value.
+func rowValue(b *testing.B, t *experiment.Table, header string, key ...string) float64 {
+	b.Helper()
+	col := slices.Index(t.Headers, header)
+	if col < 0 || slices.Index(t.Headers[col+1:], header) >= 0 {
+		b.Fatalf("%s: want one %q column in %q", t.Title, header, t.Headers)
+	}
+	for _, row := range t.Rows {
+		if slices.Equal(row[:len(key)], key) {
+			v, err := strconv.ParseFloat(strings.TrimSuffix(row[col], "x"), 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return v
+		}
+	}
+	b.Fatalf("%s: no row %v", t.Title, key)
+	return 0
+}
 
 // BenchmarkFig2_SingleMulticast regenerates Figure 2: latency versus number
 // of destinations for a single multicast in 128- and 256-node networks.
 func BenchmarkFig2_SingleMulticast(b *testing.B) {
-	var series []experiment.Series
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.Fig2Config{
-			Nodes:      []int{128, 256},
-			Trials:     6,
-			Topologies: 2,
-			Seed:       1998,
-			Sim:        benchSim(),
-		}
-		var err error
-		series, err = experiment.RunFig2(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + experiment.SeriesTable("Figure 2: latency vs destinations (single multicast)", "destinations", series).Format())
+	series := benchDriver(b, "fig2", experiment.DriverOpts{Trials: 6}).Series
 	// Headline metric: broadcast latency in the 256-node network.
 	last := series[1].Points[len(series[1].Points)-1]
 	b.ReportMetric(last.Mean, "us/broadcast-256")
-	first := series[0].Points[0]
-	b.ReportMetric(first.Mean, "us/unicast-128")
+	b.ReportMetric(series[0].Points[0].Mean, "us/unicast-128")
 }
 
 // BenchmarkFig3_MixedTraffic regenerates Figure 3: latency versus average
 // arrival rate under 90% unicast / 10% multicast traffic (128-node network,
 // multicasts of 8/16/32/64 destinations, negative-binomial arrivals).
 func BenchmarkFig3_MixedTraffic(b *testing.B) {
-	var series []experiment.Series
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.DefaultFig3(400)
-		cfg.Rates = []float64{0.005, 0.02, 0.04}
-		cfg.Sim = benchSim()
-		var err error
-		series, err = experiment.RunFig3(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + experiment.SeriesTable("Figure 3: latency vs arrival rate (90% unicast / 10% multicast)", "rate(msg/us/proc)", series).Format())
-	// Headline metric: 64-destination latency at the lowest swept rate.
-	for _, s := range series {
+	// Headline metric: 64-destination latency at the lowest and highest
+	// swept rates.
+	for _, s := range benchDriver(b, "fig3", experiment.DriverOpts{Messages: 400}).Series {
 		if s.Label == "64 destinations" {
 			b.ReportMetric(s.Points[0].Mean, "us/msg-64dest-low")
 			b.ReportMetric(s.Points[len(s.Points)-1].Mean, "us/msg-64dest-high")
@@ -87,143 +99,60 @@ func BenchmarkFig3_MixedTraffic(b *testing.B) {
 // SPAM broadcast versus unicast-based multicast (the paper reports <14 µs
 // versus a 90 µs lower bound for a 256-node broadcast — more than 6×).
 func BenchmarkTextComparison(b *testing.B) {
-	var rows []experiment.ComparisonRow
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.ComparisonConfig{
-			Nodes:  []int{128, 256},
-			Trials: 3,
-			Seed:   1998,
-			Sim:    benchSim(),
-		}
-		var err error
-		rows, err = experiment.RunComparison(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + experiment.ComparisonTable(rows).Format())
-	for _, r := range rows {
-		if r.Nodes == 256 && r.Scheme == "SPAM" {
-			b.ReportMetric(r.MeanUs, "us/spam-bcast-256")
-		}
-		if r.Nodes == 256 && r.Scheme == "unicast-binomial" {
-			b.ReportMetric(r.Speedup, "x/spam-speedup-256")
-		}
-	}
+	t := benchDriver(b, "compare", experiment.DriverOpts{Trials: 3}).Table
+	b.ReportMetric(rowValue(b, t, "mean(us)", "256", "SPAM"), "us/spam-bcast-256")
+	b.ReportMetric(rowValue(b, t, "vs SPAM", "256", "unicast-binomial"), "x/spam-speedup-256")
 }
 
 // BenchmarkAblationBufferSize regenerates the Section 5 input-buffer-size
 // question: loaded multicast latency with 1/2/4/8-flit input buffers.
 func BenchmarkAblationBufferSize(b *testing.B) {
-	var series experiment.Series
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.AblationConfig{Nodes: 64, Trials: 4, Seed: 1998, Sim: benchSim()}
-		var err error
-		series, err = experiment.RunBufferAblation(cfg, []int{1, 2, 4, 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + experiment.SeriesTable("Ablation A: input buffer size (loaded multicast)", "buffer(flits)", []experiment.Series{series}).Format())
-	b.ReportMetric(series.Points[0].Mean, "us/buf1")
-	b.ReportMetric(series.Points[len(series.Points)-1].Mean, "us/buf8")
+	pts := benchDriver(b, "ablate-buffer", experiment.DriverOpts{Trials: 4}).Series[0].Points
+	b.ReportMetric(pts[0].Mean, "us/buf1")
+	b.ReportMetric(pts[len(pts)-1].Mean, "us/buf8")
 }
 
 // BenchmarkAblationRootSelection regenerates the Section 5 spanning-tree
 // selection question: broadcast latency under min-ID, max-degree and
 // graph-center roots.
 func BenchmarkAblationRootSelection(b *testing.B) {
-	var rows []experiment.RootAblationRow
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.AblationConfig{Nodes: 128, Trials: 4, Seed: 1998, Sim: benchSim()}
-		var err error
-		rows, err = experiment.RunRootAblation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + experiment.RootAblationTable(rows).Format())
-	for _, r := range rows {
-		if r.Strategy == "center" {
-			b.ReportMetric(r.MeanUs, "us/center-root")
-		}
-	}
+	t := benchDriver(b, "ablate-root", experiment.DriverOpts{Trials: 4}).Table
+	b.ReportMetric(rowValue(b, t, "broadcast mean(us)", "center"), "us/center-root")
 }
 
 // BenchmarkAblationPartition regenerates the Section 5 destination
 // partitioning question under concurrent broadcast load.
 func BenchmarkAblationPartition(b *testing.B) {
-	var rows []experiment.PartitionAblationRow
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.AblationConfig{Nodes: 64, Trials: 2, Seed: 1998, Sim: benchSim()}
-		var err error
-		rows, err = experiment.RunPartitionAblation(cfg, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + experiment.PartitionAblationTable(rows).Format())
-	b.ReportMetric(rows[0].MeanUs, "us/unpartitioned")
+	t := benchDriver(b, "ablate-partition", experiment.DriverOpts{Trials: 2}).Table
+	b.ReportMetric(rowValue(b, t, "mcast(us)", "none"), "us/unpartitioned")
 }
 
 // BenchmarkThroughputSaturation regenerates the saturation view of the
 // Figure-3 workload: accepted vs offered throughput per multicast size.
 func BenchmarkThroughputSaturation(b *testing.B) {
-	var series []experiment.Series
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.DefaultFig3(300)
-		cfg.DestCounts = []int{8, 64}
-		cfg.Rates = []float64{0.005, 0.02, 0.04}
-		cfg.Sim = benchSim()
-		var err error
-		series, err = experiment.RunThroughput(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + experiment.SeriesTable("Accepted vs offered throughput (msg/us/proc)", "offered", series).Format())
-	for _, s := range series {
-		last := s.Points[len(s.Points)-1]
+	for _, s := range benchDriver(b, "throughput", experiment.DriverOpts{Messages: 300}).Series {
 		if s.Label == "8 destinations" {
-			b.ReportMetric(last.Mean, "msgus/accepted-8dest")
+			b.ReportMetric(s.Points[len(s.Points)-1].Mean, "msgus/accepted-8dest")
 		}
 	}
 }
 
 // BenchmarkHotSpotRootShare regenerates the Section 5 hot-spot observation:
-// the share of switch traffic entering the spanning-tree root grows with
+// the share of worms passing through the spanning-tree root grows with
 // the destination count, motivating destination partitioning.
 func BenchmarkHotSpotRootShare(b *testing.B) {
-	var series experiment.Series
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.AblationConfig{Nodes: 128, Trials: 6, Seed: 1998, Sim: benchSim()}
-		var err error
-		series, err = experiment.RunRootShare(cfg, []int{1, 4, 16, 64, 127})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + experiment.SeriesTable("Root hot-spot share vs destinations", "destinations", []experiment.Series{series}).Format())
-	b.ReportMetric(series.Points[0].Mean, "pct/unicast")
-	b.ReportMetric(series.Points[len(series.Points)-1].Mean, "pct/broadcast")
+	pts := benchDriver(b, "hotspot", experiment.DriverOpts{Trials: 6}).Series[0].Points
+	b.ReportMetric(pts[0].Mean, "pct/unicast")
+	b.ReportMetric(pts[len(pts)-1].Mean, "pct/64dest")
 }
 
 // BenchmarkAblationHeaderEncoding regenerates the header-encoding ablation:
 // the latency cost of carrying the destination set in extra header flits
 // versus the paper's single-header-flit abstraction.
 func BenchmarkAblationHeaderEncoding(b *testing.B) {
-	var series experiment.Series
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.AblationConfig{Nodes: 128, Trials: 4, Seed: 1998, Sim: benchSim()}
-		var err error
-		series, err = experiment.RunHeaderAblation(cfg, []int{0, 16, 8, 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + experiment.SeriesTable("Header-encoding cost (broadcast, 128 nodes)", "addrs/flit", []experiment.Series{series}).Format())
-	b.ReportMetric(series.Points[0].Mean, "us/ideal-header")
-	b.ReportMetric(series.Points[len(series.Points)-1].Mean, "us/4addr-header")
+	pts := benchDriver(b, "ablate-header", experiment.DriverOpts{Trials: 4}).Series[0].Points
+	b.ReportMetric(pts[0].Mean, "us/ideal-header")
+	b.ReportMetric(pts[len(pts)-1].Mean, "us/4addr-header")
 }
 
 // BenchmarkPruneVsSPAM regenerates the related-work contrast with the
@@ -231,17 +160,7 @@ func BenchmarkAblationHeaderEncoding(b *testing.B) {
 // [9], "effective only for short messages"): completion latency of both
 // schemes under contention as the message length grows.
 func BenchmarkPruneVsSPAM(b *testing.B) {
-	var series []experiment.Series
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.DefaultPruneComparison(3)
-		cfg.Sim = benchSim()
-		var err error
-		series, err = experiment.RunPruneComparison(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + experiment.SeriesTable("SPAM vs pruning-based multicast (related work [9])", "flits", series).Format())
+	series := benchDriver(b, "prune", experiment.DriverOpts{Trials: 3}).Series
 	spam, pr := series[0], series[1]
 	last := len(spam.Points) - 1
 	b.ReportMetric(pr.Points[0].Mean/spam.Points[0].Mean, "x/prune-overhead-short")
@@ -254,17 +173,7 @@ func BenchmarkPruneVsSPAM(b *testing.B) {
 // hops × length store-and-forward latency, SPAM needs one flit of buffering
 // and pays hops + length.
 func BenchmarkIBRVsSPAM(b *testing.B) {
-	var series []experiment.Series
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.DefaultPruneComparison(4)
-		cfg.Sim = benchSim()
-		var err error
-		series, err = experiment.RunIBRComparison(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + experiment.SeriesTable("SPAM vs IBR (related work [14,15])", "flits", series).Format())
+	series := benchDriver(b, "ibr", experiment.DriverOpts{Trials: 4}).Series
 	spam, ibr := series[0], series[1]
 	last := len(spam.Points) - 1
 	b.ReportMetric(ibr.Points[last].Mean/spam.Points[last].Mean, "x/ibr-overhead-512flit")
@@ -319,7 +228,7 @@ func BenchmarkSweepTrialReset(b *testing.B) {
 		if err := runner.Trial(w, 1998); err != nil {
 			b.Fatal(err)
 		}
-		lats = runner.AppendLatenciesUs(lats[:0], 10, nil)
+		lats = runner.AppendLatenciesUs(lats[:0], 10)
 		var sum float64
 		for _, l := range lats {
 			sum += l
@@ -355,7 +264,7 @@ func BenchmarkSweepTrialFresh(b *testing.B) {
 		if err := runner.Trial(w, 1998); err != nil {
 			b.Fatal(err)
 		}
-		lats = runner.AppendLatenciesUs(lats[:0], 10, nil)
+		lats = runner.AppendLatenciesUs(lats[:0], 10)
 		var sum float64
 		for _, l := range lats {
 			sum += l
@@ -507,25 +416,11 @@ func BenchmarkPolicyRoutingDecision(b *testing.B) {
 }
 
 // BenchmarkRoutingLatencySweep regenerates the adaptive-routing comparator's
-// Fig3-style latency-vs-rate sweep, one sub-benchmark per policy family so
-// the trajectory snapshot records each curve's headline point (mean latency
-// at the highest swept rate) separately.
+// Fig3-style latency-vs-rate sweep and reports each policy curve's headline
+// point (mean latency at the highest swept rate) separately.
 func BenchmarkRoutingLatencySweep(b *testing.B) {
-	var series []experiment.Series
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.DefaultRouting(300)
-		cfg.Rates = []float64{0.01, 0.04}
-		cfg.Sim = benchSim()
-		var err error
-		series, err = experiment.RunRoutingComparison(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + experiment.SeriesTable("Routing comparator: latency vs arrival rate per policy", "rate(msg/us/proc)", series).Format())
-	for _, s := range series {
-		last := s.Points[len(s.Points)-1]
-		b.ReportMetric(last.Mean, "us/msg-"+s.Label+"-high")
+	for _, s := range benchDriver(b, "routing", experiment.DriverOpts{Messages: 300}).Series {
+		b.ReportMetric(s.Points[len(s.Points)-1].Mean, "us/msg-"+s.Label+"-high")
 	}
 }
 
@@ -554,7 +449,7 @@ func BenchmarkRecompileSwap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := sim.New(core.NewRouter(lab), benchSim())
+	s, err := sim.New(core.NewRouter(lab), sim.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -643,7 +538,7 @@ func BenchmarkFaultStormTrial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner, err := workload.NewRunner(core.NewRouter(lab), benchSim())
+	runner, err := workload.NewRunner(core.NewRouter(lab), sim.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -44,7 +44,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/updown"
 	"repro/internal/workload"
 )
 
@@ -59,7 +58,6 @@ func main() {
 		bufFlits = flag.Int("inputbuf", 1, "input buffer size in flits")
 		flits    = flag.Int("flits", 128, "message length in flits")
 		workers  = flag.Int("workers", 0, "parallel replications (0 = GOMAXPROCS)")
-		report   = flag.String("report", "", "also write a consolidated Markdown report to this file")
 
 		campaignArg = flag.String("campaign", "", "run a campaign manifest: built-in name (paper | collectives | routing | smoke | scale) or path to a JSON manifest")
 		outDir      = flag.String("out", "campaign-out", "campaign output directory (REPORT.md, plots/, cells/ checkpoints)")
@@ -169,7 +167,6 @@ func main() {
 		return
 	}
 
-	var sections []experiment.MarkdownSection
 	names := []string{*exp}
 	if *exp == "all" {
 		names = experiment.Drivers()
@@ -197,19 +194,6 @@ func main() {
 				fmt.Sprintf("%s (y: %s, x: %s)", res.Table.Title, res.YLabel, res.XLabel),
 				res.Series))
 		}
-		if *report != "" {
-			sections = append(sections, experiment.MarkdownSection{Title: res.Table.Title, Table: res.Table})
-		}
-	}
-	if *report != "" {
-		md := experiment.MarkdownReport(
-			"SPAM reproduction report (Libeskind-Hadas, Mazzoni, Rajagopalan; IPPS/SPDP 1998)",
-			sections)
-		if err := os.WriteFile(*report, []byte(md), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "spamsim: writing report: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "report written to %s\n", *report)
 	}
 }
 
@@ -257,40 +241,6 @@ func runCampaign(arg, out string, workers int, simCfg sim.Config) error {
 	return nil
 }
 
-// buildScenarioSystem constructs the network + routing for a scenario run:
-// the -topo spec when given, else the paper lattice at -nodes switches, with
-// the -routing policy and -root strategy the params carry.
-func buildScenarioSystem(p workload.Params, nodes int, seed uint64) (*core.Router, *topology.Network, error) {
-	var (
-		net *topology.Network
-		err error
-	)
-	if p.Topology != "" {
-		var sp topology.Spec
-		if sp, err = topology.ParseSpec(p.Topology); err == nil {
-			net, err = sp.Build(seed)
-		}
-	} else {
-		net, err = topology.RandomLattice(topology.DefaultLattice(nodes, seed))
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	pol, _, err := workload.RoutingPolicy(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	root, _, err := workload.RootStrategy(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	lab, err := updown.New(net, root)
-	if err != nil {
-		return nil, nil, err
-	}
-	return core.NewRouterPolicy(lab, pol), net, nil
-}
-
 // runScenario executes a registered workload scenario on one reusable
 // session: trials run back to back on the same simulator via Reset, and the
 // measured latencies are aggregated with the warmup + batch-means harness.
@@ -312,13 +262,27 @@ func runScenario(name string, params workload.Params, simCfg sim.Config, nodes, 
 	if err != nil {
 		return err
 	}
-	router, net, err := buildScenarioSystem(params, nodes, seed)
+	// The -topo spec when given, else the paper lattice at -nodes switches.
+	spec := topology.Spec{Family: "lattice", A: nodes}
+	if params.Topology != "" {
+		if spec, err = topology.ParseSpec(params.Topology); err != nil {
+			return err
+		}
+	}
+	pol, budget, err := workload.RoutingPolicy(params)
 	if err != nil {
 		return err
 	}
-	_, budget, _ := workload.RoutingPolicy(params)
+	root, _, err := workload.RootStrategy(params)
+	if err != nil {
+		return err
+	}
+	sys, err := workload.NewSystem(workload.KeyFor(spec, seed, pol, root), nil)
+	if err != nil {
+		return err
+	}
 	simCfg.MisrouteBudget = budget
-	runner, err := workload.NewRunner(router, simCfg)
+	runner, err := workload.NewRunner(sys.Router, simCfg)
 	if err != nil {
 		return err
 	}
@@ -330,7 +294,7 @@ func runScenario(name string, params workload.Params, simCfg sim.Config, nodes, 
 		// budget-aware workloads (permutations, storms, collectives, replay)
 		// warm up proportionally; fall back to the -messages knob for
 		// workloads that report no budget.
-		if b := workload.Budget(w, net.NumProcs); b > 0 {
+		if b := workload.Budget(w, sys.Net.NumProcs); b > 0 {
 			warmup = b / 10
 		} else {
 			warmup = params.Messages / 10
@@ -363,7 +327,7 @@ func runScenario(name string, params workload.Params, simCfg sim.Config, nodes, 
 	}
 	t := &experiment.Table{
 		Title: fmt.Sprintf("Scenario %s (%s: %d switches / %d processors, %d trials on one reusable session, seed %d)",
-			sc.Name, topoName, net.NumSwitches, net.NumProcs, trials, seed),
+			sc.Name, topoName, sys.Net.NumSwitches, sys.Net.NumProcs, trials, seed),
 		Headers: []string{"metric", "value"},
 	}
 	t.AddRow("mean latency (us)", fmt.Sprintf("%.3f", st.Mean()))
@@ -376,7 +340,7 @@ func runScenario(name string, params workload.Params, simCfg sim.Config, nodes, 
 	t.AddRow("messages (last trial)", fmt.Sprintf("%d", c.WormsCompleted))
 	t.AddRow("events (last trial)", fmt.Sprintf("%d", c.Events))
 	t.AddRow("payload flit-hops (last trial)", fmt.Sprintf("%d", c.PayloadFlitHops))
-	if router.Policy() != core.PolicyBaseline {
+	if pol != core.PolicyBaseline {
 		t.AddRow("misroute hops (last trial)", fmt.Sprintf("%d", c.MisrouteHops))
 	}
 	if inj := runner.FaultInjector(); inj != nil {

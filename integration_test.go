@@ -152,7 +152,7 @@ func TestIntegrationMixedTrafficWithMetrics(t *testing.T) {
 }
 
 func TestIntegrationMultipleProcsPerSwitch(t *testing.T) {
-	sys, err := NewLattice(16, WithSeed(5), WithProcessorsPerSwitch(3))
+	sys, err := NewFromSpec("lattice:16/3", WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,6 +188,33 @@ func TestSanitizeSeries(t *testing.T) {
 	}
 }
 
+// TestCurvesSkipSamplelessPoints: a point without samples has no mean, so
+// the plot leaves it out, as the table prints "-" for it.
+func TestCurvesSkipSamplelessPoints(t *testing.T) {
+	c := toCurves([]experiment.Series{{
+		Label:  "x",
+		Points: []experiment.Point{{X: 0}, {X: 1, Mean: 5, CI95: 0.5, N: 3}},
+	}})
+	if len(c[0].Points) != 1 || c[0].Points[0].X != 1 {
+		t.Fatalf("curve points %+v, want only x=1", c[0].Points)
+	}
+}
+
+// TestMarkdownTableShortRows: the report's table writer pads a row shorter
+// than the header, and an empty cell, with "-".
+func TestMarkdownTableShortRows(t *testing.T) {
+	var sb strings.Builder
+	writeMarkdownTable(&sb, &experiment.Table{
+		Headers: []string{"x", "y", "z"},
+		Rows:    [][]string{{"only"}, {"1", "", "3"}},
+	})
+	for _, want := range []string{"| x | y | z |\n| --- | --- | --- |\n", "| only | - | - |\n", "| 1 | - | 3 |\n"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("table missing %q:\n%s", want, sb.String())
+		}
+	}
+}
+
 // TestCellSpecClamps: the MaxMessages admission cap is a ceiling, never a
 // default — an omitted budget falls to the scenario default; only budgets
 // above the cap clamp. The grid's fault axis is authoritative over any

@@ -151,8 +151,9 @@ type checkpoint struct {
 // checkpointVersion is bumped whenever a stored unit's meaning changes, so
 // older checkpoints recompute instead of loading. Version 2: duato cells run
 // as unbounded misroute, and Counters lost adaptive_hops (their hops count
-// in misroute_hops).
-const checkpointVersion = 2
+// in misroute_hops). Version 3: experiment tables print "-" for a CI from
+// fewer than two samples and name each series' unit in its headers.
+const checkpointVersion = 3
 
 // cellID derives the stable checkpoint identity of a unit from its complete
 // parameterization: any change to the spec changes the ID, so stale

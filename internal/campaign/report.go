@@ -143,13 +143,16 @@ func gridSVG(g *Grid, cells []*CellResult) string {
 		"latency (us)", out)
 }
 
-// toCurves converts experiment series to viz curves (CI as error bars).
+// toCurves converts experiment series to viz curves (CI as error bars),
+// leaving out points without samples, as the tables print no mean for them.
 func toCurves(series []experiment.Series) []viz.CurveSeries {
 	out := make([]viz.CurveSeries, len(series))
 	for i, s := range series {
 		out[i].Label = s.Label
 		for _, p := range s.Points {
-			out[i].Points = append(out[i].Points, viz.CurvePoint{X: p.X, Y: p.Mean, Err: p.CI95})
+			if p.N > 0 {
+				out[i].Points = append(out[i].Points, viz.CurvePoint{X: p.X, Y: p.Mean, Err: p.CI95})
+			}
 		}
 	}
 	return out

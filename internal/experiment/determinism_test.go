@@ -7,59 +7,34 @@ import (
 )
 
 // TestSweepSerialVsParallelGolden is the harness determinism golden: the
-// same seeded sweep run serially (Workers=1) and through the concurrent
-// worker pool at GOMAXPROCS 1, 4 and 8 must produce bit-identical series.
+// same seeded drivers run serially (Workers=1) and through the concurrent
+// worker pool at 4 and 8 workers, each at GOMAXPROCS 1, 4 and 8, must
+// produce bit-identical results.
 // This holds because every job owns its random stream, its reusable
 // simulator cache and its streaming summary, and results are merged by job
 // index rather than completion order — any shared mutable state or
 // completion-order dependence in the harness would show up here (and under
 // the race-enabled CI job) as a diff.
 func TestSweepSerialVsParallelGolden(t *testing.T) {
-	fig2 := Fig2Config{
-		Nodes:      []int{24},
-		DestCounts: []int{1, 4, 9},
-		Trials:     6,
-		Topologies: 2,
-		Seed:       1998,
-		Sim:        smallSim(),
-	}
-	fig3 := Fig3Config{
-		Nodes:             16,
-		DestCounts:        []int{2, 4},
-		Rates:             []float64{0.01},
-		MulticastFraction: 0.2,
-		Messages:          80,
-		Warmup:            10,
-		Seed:              6,
-		Sim:               smallSim(),
-	}
+	fig2Opts := DriverOpts{Trials: 2, Seed: 1998, Sim: smallSim()}
+	fig3Opts := DriverOpts{Messages: 30, Seed: 6, Sim: smallSim()}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var golden2, golden3 []Series
+	var golden2, golden3 *DriverResult
 	for _, procs := range []int{1, 4, 8} {
 		runtime.GOMAXPROCS(procs)
 		for _, workers := range []int{1, 4, 8} {
-			c2 := fig2
-			c2.Workers = workers
-			s2, err := RunFig2(c2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c3 := fig3
-			c3.Workers = workers
-			s3, err := RunFig3(c3)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fig2Opts.Workers, fig3Opts.Workers = workers, workers
+			r2, r3 := run(t, fig2, fig2Opts), run(t, fig3, fig3Opts)
 			if golden2 == nil {
-				golden2, golden3 = s2, s3
+				golden2, golden3 = r2, r3
 				continue
 			}
-			if !reflect.DeepEqual(s2, golden2) {
-				t.Fatalf("fig2 diverged at procs=%d workers=%d:\n got %+v\nwant %+v", procs, workers, s2, golden2)
+			if !reflect.DeepEqual(r2, golden2) {
+				t.Fatalf("fig2 diverged at procs=%d workers=%d:\n got %+v\nwant %+v", procs, workers, r2.Series, golden2.Series)
 			}
-			if !reflect.DeepEqual(s3, golden3) {
-				t.Fatalf("fig3 diverged at procs=%d workers=%d:\n got %+v\nwant %+v", procs, workers, s3, golden3)
+			if !reflect.DeepEqual(r3, golden3) {
+				t.Fatalf("fig3 diverged at procs=%d workers=%d:\n got %+v\nwant %+v", procs, workers, r3.Series, golden3.Series)
 			}
 		}
 	}

@@ -1,8 +1,9 @@
 package experiment
 
-// The driver registry names every figure/table driver of the reproduction
-// so callers — cmd/spamsim, the campaign engine, the serve layer — can run
-// "the paper" by name instead of hard-coding a switch over config types.
+// The driver registry names every figure/table driver of the reproduction,
+// so callers (cmd/spamsim, the campaign engine, the serve layer) run "the
+// paper" by name. A driver is a function of DriverOpts alone; the paper's
+// parameters are constants next to the code that uses them.
 
 import (
 	"fmt"
@@ -11,8 +12,8 @@ import (
 	"repro/internal/sim"
 )
 
-// DriverOpts are the shared knobs a named driver consumes. Zero values
-// select each driver's documented default effort.
+// DriverOpts are the knobs every named driver consumes. Zero values select
+// each driver's default effort.
 type DriverOpts struct {
 	// Trials is samples per data point (single-shot drivers); 0 = 20.
 	Trials int
@@ -55,195 +56,32 @@ type DriverResult struct {
 	XLabel, YLabel string
 }
 
-// driverFn runs one registered driver.
+// driverFn runs one registered driver on defaulted options.
 type driverFn struct {
 	run  func(o DriverOpts) (*DriverResult, error)
 	desc string
 }
 
 var drivers = map[string]driverFn{
-	"fig2": {desc: "Figure 2: latency vs destinations (single multicast, 128/256 nodes)", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultFig2(o.Trials)
-		cfg.Seed, cfg.Sim, cfg.Workers = o.Seed, o.Sim, o.Workers
-		series, err := RunFig2(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &DriverResult{
-			Table: SeriesTable(
-				"Figure 2: latency vs number of destinations (single multicast, 128/256 nodes)",
-				"destinations", series),
-			Series: series, XLabel: "destinations", YLabel: "latency (us)",
-		}, nil
-	}},
-	"fig3": {desc: "Figure 3: latency vs arrival rate (90/10 mixed traffic, 128 nodes)", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultFig3(o.Messages)
-		cfg.Seed, cfg.Sim, cfg.Workers = o.Seed, o.Sim, o.Workers
-		series, err := RunFig3(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &DriverResult{
-			Table: SeriesTable(
-				"Figure 3: latency vs arrival rate (90% unicast / 10% multicast, 128 nodes)",
-				"rate(msg/us/proc)", series),
-			Series: series, XLabel: "rate (msg/us/proc)", YLabel: "latency (us)",
-		}, nil
-	}},
-	"throughput": {desc: "accepted vs offered throughput saturation sweep", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultFig3(o.Messages)
-		cfg.Seed, cfg.Sim, cfg.Workers = o.Seed, o.Sim, o.Workers
-		series, err := RunThroughput(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &DriverResult{
-			Table: SeriesTable(
-				"Saturation: accepted vs offered throughput (msg/us/proc)",
-				"offered(msg/us/proc)", series),
-			Series: series, XLabel: "offered (msg/us/proc)", YLabel: "accepted (msg/us/proc)",
-		}, nil
-	}},
-	"faults": {desc: "latency/throughput/availability vs per-link fault rate", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultFaultSweep(o.Messages)
-		cfg.Seed, cfg.Sim, cfg.Workers, cfg.Trials = o.Seed, o.Sim, o.Workers, o.Trials
-		if o.FaultMTTRUs > 0 {
-			cfg.MTTRUs = o.FaultMTTRUs
-		}
-		series, err := RunFaultSweep(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &DriverResult{
-			Table: SeriesTable(
-				"Fault storms: latency/throughput vs per-link fault rate (live relabel + table hot-swap, 128 nodes)",
-				"failures/s/link", series),
-			Series: series, XLabel: "failures/s/link", YLabel: "latency (us) / rate / %",
-		}, nil
-	}},
-	"prune": {desc: "SPAM vs pruning-based tree multicast vs message length", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultPruneComparison(o.Trials)
-		cfg.Seed, cfg.Sim, cfg.Workers = o.Seed, o.Sim, o.Workers
-		series, err := RunPruneComparison(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &DriverResult{
-			Table: SeriesTable(
-				"SPAM vs pruning-based tree multicast (related work [9]) vs message length",
-				"flits", series),
-			Series: series, XLabel: "message length (flits)", YLabel: "latency (us)",
-		}, nil
-	}},
-	"ibr": {desc: "SPAM vs input-buffer-based replication vs message length", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultPruneComparison(o.Trials)
-		cfg.Seed, cfg.Sim, cfg.Workers = o.Seed, o.Sim, o.Workers
-		series, err := RunIBRComparison(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &DriverResult{
-			Table: SeriesTable(
-				"SPAM vs input-buffer-based replication (related work [14,15]) vs message length",
-				"flits", series),
-			Series: series, XLabel: "message length (flits)", YLabel: "latency (us)",
-		}, nil
-	}},
-	"hotspot": {desc: "share of switch traffic entering the root vs destinations", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultAblation(o.Trials)
-		cfg.Seed, cfg.Sim, cfg.Workers = o.Seed, o.Sim, o.Workers
-		series, err := RunRootShare(cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		all := []Series{series}
-		return &DriverResult{
-			Table: SeriesTable(
-				"Root hot-spot: share of switch traffic entering the root vs destinations (Section 5)",
-				"destinations", all),
-			Series: all, XLabel: "destinations", YLabel: "% of switch traffic",
-		}, nil
-	}},
-	"ablate-header": {desc: "broadcast latency vs destination addresses per header flit", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultAblation(o.Trials)
-		cfg.Seed, cfg.Sim, cfg.Workers = o.Seed, o.Sim, o.Workers
-		series, err := RunHeaderAblation(cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		all := []Series{series}
-		return &DriverResult{
-			Table: SeriesTable(
-				"Header-encoding cost: broadcast latency vs destination addresses per header flit (0 = ideal)",
-				"addrs/flit", all),
-			Series: all, XLabel: "addresses per header flit", YLabel: "latency (us)",
-		}, nil
-	}},
-	"ablate-buffer": {desc: "input buffer size ablation under loaded multicast", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultAblation(o.Trials)
-		cfg.Seed, cfg.Sim, cfg.Workers = o.Seed, o.Sim, o.Workers
-		series, err := RunBufferAblation(cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		all := []Series{series}
-		return &DriverResult{
-			Table: SeriesTable(
-				"Ablation A: input buffer size (loaded multicast, Section 5 future work)",
-				"buffer(flits)", all),
-			Series: all, XLabel: "input buffer (flits)", YLabel: "latency (us)",
-		}, nil
-	}},
-	"routing": {desc: "latency vs rate per routing policy (baseline / misroute / Duato)", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultRouting(o.Messages)
-		cfg.Seed, cfg.Sim, cfg.Workers = o.Seed, o.Sim, o.Workers
-		series, err := RunRoutingComparison(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &DriverResult{
-			Table: SeriesTable(
-				"Adaptive-routing comparator: latency vs arrival rate per routing policy (90/10 mixed, 128 nodes)",
-				"rate(msg/us/proc)", series),
-			Series: series, XLabel: "rate (msg/us/proc)", YLabel: "latency (us)",
-		}, nil
-	}},
-	"routing-root": {desc: "root placement × routing policy (fat-tree and torus roots)", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultRouting(o.Messages)
-		cfg.Seed, cfg.Sim, cfg.Workers = o.Seed, o.Sim, o.Workers
-		rows, err := RunRoutingRootSweep(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &DriverResult{Table: RoutingRootTable(rows)}, nil
-	}},
-	"compare": {desc: "SPAM vs software multicast baselines", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultComparison(o.Trials)
-		cfg.Seed, cfg.Sim, cfg.Workers = o.Seed, o.Sim, o.Workers
-		rows, err := RunComparison(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &DriverResult{Table: ComparisonTable(rows)}, nil
-	}},
-	"ablate-root": {desc: "spanning-tree root strategy ablation", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultAblation(o.Trials)
-		cfg.Seed, cfg.Sim, cfg.Workers = o.Seed, o.Sim, o.Workers
-		rows, err := RunRootAblation(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &DriverResult{Table: RootAblationTable(rows)}, nil
-	}},
-	"ablate-partition": {desc: "destination partitioning ablation", run: func(o DriverOpts) (*DriverResult, error) {
-		cfg := DefaultAblation(o.Trials)
-		cfg.Seed, cfg.Sim, cfg.Workers = o.Seed, o.Sim, o.Workers
-		rows, err := RunPartitionAblation(cfg, 4)
-		if err != nil {
-			return nil, err
-		}
-		return &DriverResult{Table: PartitionAblationTable(rows)}, nil
-	}},
+	"fig2":             {fig2, "Figure 2: latency vs destinations (single multicast, 128/256 nodes)"},
+	"fig3":             {fig3, "Figure 3: latency vs arrival rate (90/10 mixed traffic, 128 nodes)"},
+	"throughput":       {throughput, "accepted vs offered throughput saturation sweep"},
+	"faults":           {faultSweep, "latency/throughput/availability vs per-link fault rate"},
+	"prune":            {pruneComparison, "SPAM vs pruning-based tree multicast vs message length"},
+	"ibr":              {ibrComparison, "SPAM vs input-buffer-based replication vs message length"},
+	"hotspot":          {rootShare, "share of worms through the root vs destinations"},
+	"ablate-header":    {headerAblation, "broadcast latency vs destination addresses per header flit"},
+	"ablate-buffer":    {bufferAblation, "input buffer size ablation under loaded multicast"},
+	"routing":          {routingComparison, "latency vs rate per routing policy (baseline / misroute / Duato)"},
+	"routing-root":     {routingRootSweep, "root placement × routing policy (fat-tree and torus roots)"},
+	"compare":          {comparison, "SPAM vs software multicast baselines"},
+	"ablate-root":      {rootAblation, "spanning-tree root strategy ablation"},
+	"ablate-partition": {partitionAblation, "destination partitioning ablation"},
+}
+
+// seriesResult wraps a driver's series with their table and plot labels.
+func seriesResult(title, xName string, series []Series, xLabel, yLabel string) *DriverResult {
+	return &DriverResult{Table: SeriesTable(title, xName, series), Series: series, XLabel: xLabel, YLabel: yLabel}
 }
 
 // Drivers returns the registered driver names, sorted.

@@ -2,50 +2,85 @@ package experiment
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/updown"
 )
 
-// Small configurations keep tests fast; the CLI and benches run full scale.
+// The tests run the drivers at their fixed network sizes and a small
+// effort; the CLI and the campaigns run the full effort.
 
+// smallSim is the configuration `spamsim -flits 32` runs: 32-flit messages
+// keep the single-shot drivers fast.
 func smallSim() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Params.MessageFlits = 32
 	return cfg
 }
 
-func TestRunFig2Small(t *testing.T) {
-	cfg := Fig2Config{
-		Nodes:      []int{16, 24},
-		DestCounts: []int{1, 4, 8},
-		Trials:     6,
-		Topologies: 2,
-		Seed:       42,
-		Sim:        smallSim(),
-	}
-	series, err := RunFig2(cfg)
+// run executes a driver on o with RunDriver's defaults applied.
+func run(t *testing.T, driver func(DriverOpts) (*DriverResult, error), o DriverOpts) *DriverResult {
+	t.Helper()
+	res, err := driver(o.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("%d series", len(series))
+	return res
+}
+
+// text returns the table cell of the given row in the column headed
+// header, failing the test unless exactly one column carries that header,
+// so a change of column layout cannot make a test read the wrong column.
+func text(t *testing.T, tbl *Table, row int, header string) string {
+	t.Helper()
+	col := -1
+	for i, h := range tbl.Headers {
+		if h == header {
+			if col >= 0 {
+				t.Fatalf("%s: two %q columns", tbl.Title, header)
+			}
+			col = i
+		}
 	}
-	for _, s := range series {
-		if len(s.Points) != 3 {
-			t.Fatalf("series %q has %d points", s.Label, len(s.Points))
+	if col < 0 {
+		t.Fatalf("%s: no %q column in %q", tbl.Title, header, tbl.Headers)
+	}
+	return tbl.Rows[row][col]
+}
+
+// cell parses the numeric table cell of the given row under header (a
+// trailing "x" is dropped).
+func cell(t *testing.T, tbl *Table, row int, header string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.TrimSuffix(text(t, tbl, row, header), "x"), 64)
+	if err != nil {
+		t.Fatalf("%s row %d column %q: %v", tbl.Title, row, header, err)
+	}
+	return v
+}
+
+func TestRunFig2Small(t *testing.T) {
+	const trials = 3
+	res := run(t, fig2, DriverOpts{Trials: trials, Seed: 42, Sim: smallSim()})
+	if len(res.Series) != len(fig2Nodes) {
+		t.Fatalf("%d series", len(res.Series))
+	}
+	for i, s := range res.Series {
+		// destSweep ends at a broadcast to every other processor.
+		nodes := fig2Nodes[i]
+		if len(s.Points) != len(destSweep(nodes)) || s.Points[len(s.Points)-1].X != float64(nodes-1) {
+			t.Fatalf("series %q points %+v, want destSweep(%d) ending at %d", s.Label, s.Points, nodes, nodes-1)
 		}
 		for _, p := range s.Points {
-			// Latency must exceed startup (10 us) and stay near it at
-			// zero load (paper: 11-14 us band at 128 flits; here 32
-			// flits, so above 10 and below 15).
+			// Latency exceeds the 10 µs startup and stays near it at zero
+			// load (paper: 11-14 µs at 128 flits; here 32 flits).
 			if p.Mean < 10 || p.Mean > 15 {
 				t.Fatalf("series %q point %v has implausible latency %.2f us", s.Label, p.X, p.Mean)
 			}
-			if p.N != int64(cfg.Trials) {
-				t.Fatalf("point has %d samples want %d", p.N, cfg.Trials)
+			if p.N != trials {
+				t.Fatalf("point has %d samples want %d", p.N, trials)
 			}
 		}
 	}
@@ -53,96 +88,26 @@ func TestRunFig2Small(t *testing.T) {
 
 func TestFig2LatencyFlatInDestinations(t *testing.T) {
 	// The paper's headline: latency is essentially independent of the
-	// number of destinations. Check max/min mean ratio stays small.
-	cfg := Fig2Config{
-		Nodes:      []int{32},
-		DestCounts: []int{1, 8, 31},
-		Trials:     10,
-		Topologies: 2,
-		Seed:       7,
-		Sim:        sim.DefaultConfig(), // full 128-flit messages
-	}
-	series, err := RunFig2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := math.Inf(1), 0.0
-	for _, p := range series[0].Points {
-		if p.Mean < lo {
-			lo = p.Mean
+	// number of destinations, at the paper's 128-flit messages.
+	res := run(t, fig2, DriverOpts{Trials: 4, Seed: 7})
+	for _, s := range res.Series {
+		lo, hi := math.Inf(1), 0.0
+		for _, p := range s.Points {
+			lo, hi = min(lo, p.Mean), max(hi, p.Mean)
 		}
-		if p.Mean > hi {
-			hi = p.Mean
+		if hi/lo > 1.35 {
+			t.Fatalf("%s latency not flat: min %.2f max %.2f us", s.Label, lo, hi)
 		}
-	}
-	if hi/lo > 1.35 {
-		t.Fatalf("latency not flat: min %.2f max %.2f us", lo, hi)
-	}
-}
-
-func TestRunFig2Validation(t *testing.T) {
-	if _, err := RunFig2(Fig2Config{Nodes: []int{8}}); err == nil {
-		t.Fatal("zero trials accepted")
-	}
-}
-
-func TestRunFig2AdaptiveSampling(t *testing.T) {
-	// The paper's stopping criterion: sample until the 95% CI half-width
-	// falls below a fraction of the mean. A loose 5% target must be met
-	// and require no more than the cap.
-	cfg := Fig2Config{
-		Nodes:       []int{16},
-		DestCounts:  []int{4},
-		Trials:      3,
-		TargetRelCI: 0.05,
-		MaxTrials:   200,
-		Topologies:  2,
-		Seed:        11,
-		Sim:         smallSim(),
-	}
-	series, err := RunFig2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := series[0].Points[0]
-	if p.N < 3 || p.N > 200 {
-		t.Fatalf("adaptive sampling took %d trials", p.N)
-	}
-	if p.CI95/p.Mean > 0.05 && p.N < 200 {
-		t.Fatalf("stopped at %d trials with rel CI %.3f", p.N, p.CI95/p.Mean)
-	}
-	// A tight target must draw more samples than the loose one.
-	tight := cfg
-	tight.TargetRelCI = 0.002
-	tightSeries, err := RunFig2(tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tightSeries[0].Points[0].N < p.N {
-		t.Fatalf("tighter CI used fewer samples: %d vs %d", tightSeries[0].Points[0].N, p.N)
 	}
 }
 
 func TestRunFig3Small(t *testing.T) {
-	cfg := Fig3Config{
-		Nodes:             16,
-		DestCounts:        []int{2, 4},
-		Rates:             []float64{0.005, 0.02},
-		MulticastFraction: 0.1,
-		Messages:          120,
-		Warmup:            20,
-		Seed:              9,
-		Sim:               smallSim(),
+	res := run(t, fig3, DriverOpts{Messages: 60, Seed: 9, Sim: smallSim()})
+	if len(res.Series) != len(fig3Dests) {
+		t.Fatalf("%d series", len(res.Series))
 	}
-	series, err := RunFig3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 2 {
-		t.Fatalf("%d series", len(series))
-	}
-	for _, s := range series {
-		if len(s.Points) != 2 {
+	for _, s := range res.Series {
+		if len(s.Points) != len(fig3Rates) {
 			t.Fatalf("series %q has %d points", s.Label, len(s.Points))
 		}
 		for _, p := range s.Points {
@@ -157,156 +122,66 @@ func TestRunFig3Small(t *testing.T) {
 }
 
 func TestFig3LatencyGrowsWithRate(t *testing.T) {
-	cfg := Fig3Config{
-		Nodes:             24,
-		DestCounts:        []int{6},
-		Rates:             []float64{0.002, 0.05},
-		MulticastFraction: 0.2,
-		Messages:          400,
-		Warmup:            50,
-		Seed:              13,
-		Sim:               smallSim(),
-	}
-	series, err := RunFig3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := series[0].Points
-	if pts[1].Mean <= pts[0].Mean {
-		t.Fatalf("latency did not grow with rate: %.2f -> %.2f", pts[0].Mean, pts[1].Mean)
-	}
-}
-
-func TestRunFig3MetricFilters(t *testing.T) {
-	// Small message counts keep every point below the batch-means
-	// threshold so Point.N counts raw observations and the metric split
-	// must be exact: multicast + unicast = all.
-	base := Fig3Config{
-		Nodes:             16,
-		DestCounts:        []int{4},
-		Rates:             []float64{0.01},
-		MulticastFraction: 0.3,
-		Messages:          18,
-		Warmup:            2,
-		Seed:              5,
-		Sim:               smallSim(),
-	}
-	all, err := RunFig3(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi := base
-	multi.Metric = "multicast"
-	ms, err := RunFig3(multi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni := base
-	uni.Metric = "unicast"
-	us, err := RunFig3(uni)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nAll := all[0].Points[0].N
-	nM := ms[0].Points[0].N
-	nU := us[0].Points[0].N
-	if nM+nU != nAll {
-		t.Fatalf("metric split broken: %d + %d != %d", nM, nU, nAll)
-	}
-	if nM == 0 || nU == 0 {
-		t.Fatal("empty metric slice")
+	res := run(t, fig3, DriverOpts{Messages: 200, Seed: 13, Sim: smallSim()})
+	for _, s := range res.Series {
+		lo, hi := s.Points[0], s.Points[len(s.Points)-1]
+		if hi.Mean <= lo.Mean {
+			t.Fatalf("%s latency did not grow with rate: %.2f -> %.2f", s.Label, lo.Mean, hi.Mean)
+		}
 	}
 }
 
 func TestRunFig3BatchMeansKickIn(t *testing.T) {
-	cfg := Fig3Config{
-		Nodes:             16,
-		DestCounts:        []int{2},
-		Rates:             []float64{0.01},
-		MulticastFraction: 0.1,
-		Messages:          120,
-		Warmup:            20,
-		Seed:              6,
-		Sim:               smallSim(),
-	}
-	series, err := RunFig3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 100 measured messages -> streaming batch means with size doubling:
+	res := run(t, fig3, DriverOpts{Messages: 120, Seed: 6, Sim: smallSim()})
+	// 108 measured messages -> streaming batch means with size doubling:
 	// the CI sample count lands in [10, 20), well below the observation
 	// count, proving the batch CI (not the raw stream) backs the point.
-	if got := series[0].Points[0].N; got < 10 || got >= 20 {
-		t.Fatalf("N=%d want [10,20) batch means", got)
-	}
-}
-
-func TestRunFig3Validation(t *testing.T) {
-	if _, err := RunFig3(Fig3Config{Nodes: 0, Messages: 10}); err == nil {
-		t.Fatal("zero nodes accepted")
-	}
-	if _, err := RunFig3(Fig3Config{Nodes: 8, Messages: 10, Warmup: 10}); err == nil {
-		t.Fatal("warmup >= messages accepted")
+	for _, s := range res.Series {
+		for _, p := range s.Points {
+			if p.N < 10 || p.N >= 20 {
+				t.Fatalf("%s at rate %v: N=%d want [10,20) batch means", s.Label, p.X, p.N)
+			}
+		}
 	}
 }
 
 func TestRunComparisonSmall(t *testing.T) {
-	cfg := ComparisonConfig{
-		Nodes:  []int{24},
-		Trials: 3,
-		Seed:   3,
-		Sim:    smallSim(),
+	tbl := run(t, comparison, DriverOpts{Trials: 2, Seed: 3, Sim: smallSim()}).Table
+	if len(tbl.Rows) != 4*len(comparisonNodes) { // SPAM + 3 baselines per size
+		t.Fatalf("%d rows", len(tbl.Rows))
 	}
-	rows, err := RunComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 { // SPAM + 3 baselines
-		t.Fatalf("%d rows", len(rows))
-	}
-	var spam, binom float64
-	for _, r := range rows {
-		if r.MeanUs <= 0 {
-			t.Fatalf("row %+v non-positive", r)
+	var spam float64
+	for i, row := range tbl.Rows {
+		mean, bound := cell(t, tbl, i, "mean(us)"), text(t, tbl, i, "bound(us)")
+		if mean <= 0 {
+			t.Fatalf("row %v non-positive", row)
 		}
-		switch r.Scheme {
+		switch scheme := text(t, tbl, i, "scheme"); scheme {
 		case "SPAM":
-			spam = r.MeanUs
-		case "unicast-binomial":
-			binom = r.MeanUs
-			if r.BoundUs <= 0 {
-				t.Fatal("no analytic bound on software row")
+			spam = mean
+			if bound != "-" {
+				t.Fatalf("SPAM row carries a software bound: %v", row)
+			}
+		default:
+			if bound == "-" {
+				t.Fatalf("no analytic bound on software row %v", row)
+			}
+			if scheme == "unicast-binomial" && spam >= mean {
+				t.Fatalf("SPAM %.2f not faster than binomial %v", spam, row)
 			}
 		}
-	}
-	if spam >= binom {
-		t.Fatalf("SPAM %.2f not faster than binomial %.2f", spam, binom)
-	}
-	tbl := ComparisonTable(rows)
-	if !strings.Contains(tbl.Format(), "SPAM") {
-		t.Fatal("table missing SPAM row")
 	}
 	if !strings.Contains(tbl.CSV(), "scheme") {
 		t.Fatal("CSV missing header")
 	}
 }
 
-func TestRunComparisonValidation(t *testing.T) {
-	if _, err := RunComparison(ComparisonConfig{Nodes: []int{8}}); err == nil {
-		t.Fatal("zero trials accepted")
-	}
-}
-
 func TestBufferAblationSmall(t *testing.T) {
-	cfg := AblationConfig{Nodes: 16, Trials: 3, Seed: 77, Sim: smallSim()}
-	series, err := RunBufferAblation(cfg, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
+	res := run(t, bufferAblation, DriverOpts{Trials: 2, Seed: 77, Sim: smallSim()})
+	if len(res.Series) != 1 || len(res.Series[0].Points) != len(bufferSizes) {
+		t.Fatalf("series %+v", res.Series)
 	}
-	if len(series.Points) != 2 {
-		t.Fatalf("%d points", len(series.Points))
-	}
-	for _, p := range series.Points {
+	for _, p := range res.Series[0].Points {
 		if p.Mean <= 0 {
 			t.Fatal("non-positive ablation latency")
 		}
@@ -314,62 +189,58 @@ func TestBufferAblationSmall(t *testing.T) {
 }
 
 func TestRootAblationSmall(t *testing.T) {
-	cfg := AblationConfig{Nodes: 16, Trials: 3, Seed: 78, Sim: smallSim()}
-	rows, err := RunRootAblation(cfg)
-	if err != nil {
-		t.Fatal(err)
+	tbl := run(t, rootAblation, DriverOpts{Trials: 2, Seed: 78, Sim: smallSim()}).Table
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("%d rows", len(tbl.Rows))
 	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	byName := map[string]RootAblationRow{}
-	for _, r := range rows {
-		if r.TreeDepth <= 0 || r.MeanUs <= 0 {
-			t.Fatalf("row %+v", r)
+	depth := map[string]float64{}
+	for i, row := range tbl.Rows {
+		if cell(t, tbl, i, "tree depth") <= 0 || cell(t, tbl, i, "broadcast mean(us)") <= 0 {
+			t.Fatalf("row %v", row)
 		}
-		byName[r.Strategy] = r
+		depth[text(t, tbl, i, "root strategy")] = cell(t, tbl, i, "tree depth")
 	}
 	// A center root can never be deeper than the min-ID root's tree.
-	if byName["center"].TreeDepth > byName["min-id"].TreeDepth {
-		t.Fatalf("center root deeper than min-id: %+v", rows)
-	}
-	if RootAblationTable(rows).Format() == "" {
-		t.Fatal("empty table")
+	if depth["center"] > depth["min-id"] {
+		t.Fatalf("center root deeper than min-id:\n%s", tbl.Format())
 	}
 }
 
 func TestPartitionAblationSmall(t *testing.T) {
-	cfg := AblationConfig{Nodes: 16, Trials: 2, Seed: 79, Sim: smallSim()}
-	rows, err := RunPartitionAblation(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
+	tbl := run(t, partitionAblation, DriverOpts{Trials: 2, Seed: 79, Sim: smallSim()}).Table
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("%d rows", len(tbl.Rows))
 	}
-	if len(rows) != 4 {
-		t.Fatalf("%d rows", len(rows))
+	if text(t, tbl, 0, "strategy") != "none" || cell(t, tbl, 0, "groups/mcast") != 1 {
+		t.Fatalf("strategy none does not send one group:\n%s", tbl.Format())
 	}
-	if rows[0].Groups != 1 {
-		t.Fatalf("strategy none has %v groups", rows[0].Groups)
-	}
-	for _, r := range rows[1:] {
-		if r.Groups < 1 {
-			t.Fatalf("row %+v", r)
+	for i := range tbl.Rows[1:] {
+		if cell(t, tbl, i+1, "groups/mcast") < 1 {
+			t.Fatalf("row %v", tbl.Rows[i+1])
 		}
-	}
-	if PartitionAblationTable(rows).Format() == "" {
-		t.Fatal("empty table")
 	}
 }
 
 func TestSeriesTableAndCSV(t *testing.T) {
 	series := []Series{
-		{Label: "a", Points: []Point{{X: 1, Mean: 10, CI95: 0.1}, {X: 2, Mean: 11, CI95: 0.2}}},
-		{Label: "b", Points: []Point{{X: 1, Mean: 12, CI95: 0.3}}},
+		{Label: "a", Points: []Point{{X: 1, Mean: 10, CI95: 0.1, N: 5}, {X: 2, Mean: 11, CI95: 0.2, N: 5}}},
+		{Label: "b", Points: []Point{{X: 1, Mean: 12, CI95: 0.3, N: 5}}},
+		{Label: "c", Points: []Point{{X: 1, Mean: 7, CI95: 0.4, N: 1}, {X: 2}}},
 	}
 	tbl := SeriesTable("test", "x", series)
 	out := tbl.Format()
-	for _, want := range []string{"a mean(us)", "b mean(us)", "10.000", "12.000", "-"} {
+	for _, want := range []string{"a mean(us)", "b mean(us)", "10.000", "12.000", "7.000"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table output missing %q:\n%s", want, out)
+		}
+	}
+	// A missing point, a CI from one sample and a mean from none print "-".
+	for _, c := range []struct {
+		row    int
+		header string
+	}{{1, "b mean(us)"}, {0, "c ci95(us)"}, {1, "c mean(us)"}, {1, "c ci95(us)"}} {
+		if got := text(t, tbl, c.row, c.header); got != "-" {
+			t.Fatalf("row %d %q = %q, want -:\n%s", c.row, c.header, got, out)
 		}
 	}
 	csv := tbl.CSV()
@@ -378,25 +249,39 @@ func TestSeriesTableAndCSV(t *testing.T) {
 	}
 }
 
-func TestDefaultsAreSane(t *testing.T) {
-	f2 := DefaultFig2(10)
-	if len(f2.Nodes) != 2 || f2.Trials != 10 {
-		t.Fatalf("%+v", f2)
+func TestPlotRendersSeries(t *testing.T) {
+	series := []Series{{Label: "demo", Points: []Point{{X: 1, Mean: 10, N: 1}, {X: 2, Mean: 20, N: 1}}}}
+	out := Plot("title", series)
+	if !strings.Contains(out, "title") || !strings.Contains(out, "demo") {
+		t.Fatalf("plot output wrong:\n%s", out)
 	}
-	f3 := DefaultFig3(1000)
-	if f3.Nodes != 128 || len(f3.DestCounts) != 4 || len(f3.Rates) != 8 {
-		t.Fatalf("%+v", f3)
+	// A point without samples has no mean to draw.
+	if out := Plot("title", []Series{{Label: "empty", Points: []Point{{X: 1}}}}); !strings.Contains(out, "(no data)") {
+		t.Fatalf("sample-less point drawn:\n%s", out)
 	}
-	cmp := DefaultComparison(5)
-	if len(cmp.Nodes) != 2 {
-		t.Fatalf("%+v", cmp)
+}
+
+// TestDriverTablesFiniteWithUnits runs every registered driver at one trial
+// per point: a CI from fewer than two samples prints "-", never a +Inf or
+// NaN cell, and a column carries "(us)" only when its values are latencies.
+func TestDriverTablesFiniteWithUnits(t *testing.T) {
+	for _, name := range Drivers() {
+		res, err := RunDriver(name, DriverOpts{Trials: 1, Messages: 60, Seed: 3, Sim: smallSim()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range res.Table.Rows {
+			for _, c := range row {
+				if strings.Contains(c, "Inf") || strings.Contains(c, "NaN") {
+					t.Fatalf("%s: cell %q in row %v", name, c, row)
+				}
+			}
+		}
+		for _, h := range res.Table.Headers {
+			nonLatency := name == "hotspot" || name == "throughput" || (name == "faults" && !strings.HasPrefix(h, "latency-"))
+			if nonLatency && strings.Contains(h, "(us)") {
+				t.Fatalf("%s: header %q labels a non-latency column in µs", name, h)
+			}
+		}
 	}
-	ab := DefaultAblation(5)
-	if ab.Nodes != 128 {
-		t.Fatalf("%+v", ab)
-	}
-	if len(destSweep(128)) == 0 || destSweep(128)[len(destSweep(128))-1] != 127 {
-		t.Fatal("destSweep(128) must end at 127")
-	}
-	_ = updown.RootMinID
 }

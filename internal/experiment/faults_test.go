@@ -5,26 +5,13 @@ import (
 	"testing"
 )
 
-// smallFaultSweep keeps the sweep CI-sized.
-func smallFaultSweep() FaultSweepConfig {
-	cfg := DefaultFaultSweep(200)
-	cfg.Nodes = 32
-	cfg.MTBFUs = []float64{0, 20_000, 4_000}
-	cfg.Trials = 2
-	cfg.Seed = 17
-	return cfg
-}
-
 func TestRunFaultSweep(t *testing.T) {
-	series, err := RunFaultSweep(smallFaultSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := run(t, faultSweep, DriverOpts{Trials: 2, Messages: 200, Seed: 17, Sim: smallSim()}).Series
 	if len(series) != 5 {
 		t.Fatalf("got %d series", len(series))
 	}
 	for _, s := range series {
-		if len(s.Points) != 3 {
+		if len(s.Points) != len(faultMTBFUs) {
 			t.Fatalf("series %q has %d points", s.Label, len(s.Points))
 		}
 	}
@@ -35,19 +22,20 @@ func TestRunFaultSweep(t *testing.T) {
 	if a := series[4].Points[0].Mean; a != 100 {
 		t.Fatalf("baseline availability%% = %v", a)
 	}
-	// The dense-fault end must actually be disturbed: availability below
-	// 100, and retried deliveries observed with higher latency than the
-	// undisturbed stream.
-	if a := series[4].Points[2].Mean; a >= 100 || a <= 0 {
-		t.Fatalf("dense-fault availability%% = %v, want (0, 100)", a)
-	}
 	if lat := series[0].Points[0].Mean; lat <= 0 {
 		t.Fatalf("baseline latency %v", lat)
 	}
 	if series[1].Points[0].N != 0 {
 		t.Fatalf("fault-free baseline has disrupted-latency samples")
 	}
-	if d, u := series[1].Points[2].Mean, series[0].Points[2].Mean; d <= u {
+	// The dense-fault end must actually be disturbed: availability below
+	// 100, and retried deliveries observed with higher latency than the
+	// undisturbed stream.
+	dense := len(faultMTBFUs) - 1
+	if a := series[4].Points[dense].Mean; a >= 100 || a <= 0 {
+		t.Fatalf("dense-fault availability%% = %v, want (0, 100)", a)
+	}
+	if d, u := series[1].Points[dense].Mean, series[0].Points[dense].Mean; d <= u {
 		t.Fatalf("disrupted latency %v not above undisturbed %v at the dense-fault point", d, u)
 	}
 }
@@ -55,20 +43,11 @@ func TestRunFaultSweep(t *testing.T) {
 // TestFaultSweepWorkersGolden pins serial == parallel for the fault sweep:
 // identical output for 1, 4 and 8 worker goroutines.
 func TestFaultSweepWorkersGolden(t *testing.T) {
-	cfg := smallFaultSweep()
-	cfg.Workers = 1
-	golden, err := RunFaultSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := DriverOpts{Trials: 2, Messages: 100, Seed: 17, Workers: 1, Sim: smallSim()}
+	golden := run(t, faultSweep, o)
 	for _, workers := range []int{4, 8} {
-		cfg := smallFaultSweep()
-		cfg.Workers = workers
-		got, err := RunFaultSweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, golden) {
+		o.Workers = workers
+		if got := run(t, faultSweep, o); !reflect.DeepEqual(got, golden) {
 			t.Fatalf("fault sweep with %d workers drifts from serial golden", workers)
 		}
 	}

@@ -13,13 +13,15 @@ import (
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/updown"
+	"repro/internal/viz"
 	"repro/internal/workload"
 )
 
-// Point is one data point of a series: x value, mean latency in µs and the
-// 95% confidence half-width. N is the number of statistical samples behind
-// the CI — independent trials for single-shot experiments, batch means for
-// steady-state experiments (Figure 3).
+// Point is one data point of a series: x value, mean (in its series' unit)
+// and the 95% confidence half-width. N is the number of statistical samples
+// behind the CI — independent trials for single-shot experiments, batch
+// means for steady-state experiments (Figure 3); below two the CI is
+// unknown.
 type Point struct {
 	X    float64
 	Mean float64
@@ -31,6 +33,8 @@ type Point struct {
 type Series struct {
 	Label  string
 	Points []Point
+	// Unit names what the points' Mean and CI95 carry; empty means µs.
+	Unit string `json:",omitempty"`
 }
 
 // Table is a generic text table for experiment reports.
@@ -102,7 +106,11 @@ func SeriesTable(title, xName string, series []Series) *Table {
 	t.Headers = append(t.Headers, xName)
 	xs := map[float64]bool{}
 	for _, s := range series {
-		t.Headers = append(t.Headers, s.Label+" mean(us)", s.Label+" ci95(us)")
+		unit := s.Unit
+		if unit == "" {
+			unit = "us"
+		}
+		t.Headers = append(t.Headers, s.Label+" mean("+unit+")", s.Label+" ci95("+unit+")")
 		for _, p := range s.Points {
 			xs[p.X] = true
 		}
@@ -118,7 +126,11 @@ func SeriesTable(title, xName string, series []Series) *Table {
 			found := false
 			for _, p := range s.Points {
 				if p.X == x {
-					row = append(row, fmt.Sprintf("%.3f", p.Mean), fmt.Sprintf("%.3f", p.CI95))
+					mean := "-" // no samples, no mean
+					if p.N > 0 {
+						mean = fmt.Sprintf("%.3f", p.Mean)
+					}
+					row = append(row, mean, ci95Cell("%.3f", p.CI95, p.N))
 					found = true
 					break
 				}
@@ -130,6 +142,15 @@ func SeriesTable(title, xName string, series []Series) *Table {
 		t.AddRow(row...)
 	}
 	return t
+}
+
+// ci95Cell formats a confidence half-width from n samples, or "-" when
+// fewer than two samples leave it unknown.
+func ci95Cell(format string, ci float64, n int64) string {
+	if n < 2 {
+		return "-"
+	}
+	return fmt.Sprintf(format, ci)
 }
 
 func trimFloat(x float64) string {
@@ -211,9 +232,7 @@ type sweepTrial struct {
 	Sys  *workload.System
 	Sim  *sim.Simulator
 	Rand *rng.Source
-	// T is the trial index within the point.
-	T  int
-	st *stats.Summary
+	st   *stats.Summary
 }
 
 // AddNs records one latency sample in nanoseconds.
@@ -246,49 +265,118 @@ func (t *sweepTrial) proc(i int) topology.NodeID {
 	return topology.NodeID(t.Sys.Net.NumSwitches + i)
 }
 
+// idleCapNs bounds a single-shot trial's simulated time: far past any
+// multicast's drain, so reaching it means the trial is stuck.
+const idleCapNs = 1e16
+
+// multicast submits one multicast from a uniform source to d uniform
+// destinations at time 0 and runs the trial until the network is idle.
+func (t *sweepTrial) multicast(d int) (*sim.Worm, error) {
+	src := t.RandProc()
+	w, err := t.Sim.Submit(0, src, t.PickDests(src, d))
+	if err != nil {
+		return nil, err
+	}
+	return w, t.Sim.RunUntilIdle(idleCapNs)
+}
+
 // sweepSpec is the shared trial loop every single-shot experiment driver
-// runs on: repeated trials of `run` over per-goroutine reusable simulators
-// (rotating through systems when several topologies are sampled), with the
-// paper's adaptive stopping rule layered on top — sample until the 95% CI
-// half-width falls below targetRelCI of the mean, bounded by [trials,
-// maxTrials].
+// runs on: a fixed number of trials of `run` over per-goroutine reusable
+// simulators, rotating through systems when several topologies are sampled.
 type sweepSpec struct {
 	systems []*workload.System
 	cfg     sim.Config
 	seed    uint64
-	// trials is the minimum trial count; maxTrials caps adaptive sampling
-	// (0 = trials, i.e. fixed effort).
-	trials      int
-	maxTrials   int
-	targetRelCI float64
-	run         func(t *sweepTrial) error
+	trials  int
+	run     func(t *sweepTrial) error
 }
 
 // job converts the spec into a parallel work item.
 func (sp sweepSpec) job() job {
 	return func(c *workload.RunnerCache) (*stats.Summary, error) {
 		st := stats.NewSummary()
-		rand := rng.New(sp.seed)
-		tr := sweepTrial{Rand: rand, st: st}
-		max := sp.maxTrials
-		if max <= 0 {
-			max = sp.trials
-		}
-		for trial := 0; trial < max; trial++ {
-			if trial >= sp.trials && (sp.targetRelCI <= 0 || st.CI95Relative() <= sp.targetRelCI) {
-				break
-			}
+		tr := sweepTrial{Rand: rng.New(sp.seed), st: st}
+		for trial := 0; trial < sp.trials; trial++ {
 			sys := sp.systems[trial%len(sp.systems)]
 			runner, err := c.Get(sys, sp.cfg)
 			if err != nil {
 				return nil, err
 			}
 			runner.Sim().Reset()
-			tr.Sys, tr.Sim, tr.T = sys, runner.Sim(), trial
+			tr.Sys, tr.Sim = sys, runner.Sim()
 			if err := sp.run(&tr); err != nil {
 				return nil, err
 			}
 		}
 		return st, nil
 	}
+}
+
+// estimate is what a point reads from a summary or a stream.
+type estimate interface {
+	Mean() float64
+	CI95() float64
+	N() int64
+}
+
+// point is the data point at x of an estimate.
+func point(x float64, e estimate) Point {
+	return Point{X: x, Mean: e.Mean(), CI95: e.CI95(), N: e.N()}
+}
+
+// sweepGrid runs one job per (series, x) pair, series-major, and returns one
+// series per label with a point per x.
+func sweepGrid(labels []string, xs []float64, workers int, mk func(si, xi int) job) ([]Series, error) {
+	jobs := make([]job, 0, len(labels)*len(xs))
+	for si := range labels {
+		for xi := range xs {
+			jobs = append(jobs, mk(si, xi))
+		}
+	}
+	streams, err := runParallel(jobs, workers)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Series, len(labels))
+	for si, label := range labels {
+		out[si].Label = label
+		for xi, x := range xs {
+			out[si].Points = append(out[si].Points, point(x, streams[si*len(xs)+xi]))
+		}
+	}
+	return out, nil
+}
+
+// treeDepth is the depth of a system's up*/down* spanning tree.
+func treeDepth(sys *workload.System) int {
+	depth := 0
+	for v := 0; v < sys.Net.N(); v++ {
+		depth = max(depth, int(sys.Lab.Level[v]))
+	}
+	return depth
+}
+
+// floats converts a parameter list to x values.
+func floats(xs []int) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = float64(x)
+	}
+	return out
+}
+
+// Plot renders series as an ASCII chart (80×20), echoing the paper's
+// figures. Points without samples are left out.
+func Plot(title string, series []Series) string {
+	var curves []viz.Curve
+	for _, s := range series {
+		c := viz.Curve{Label: s.Label}
+		for _, p := range s.Points {
+			if p.N > 0 {
+				c.Points = append(c.Points, viz.Point{X: p.X, Y: p.Mean})
+			}
+		}
+		curves = append(curves, c)
+	}
+	return viz.Chart(title, 80, 20, curves)
 }

@@ -3,39 +3,25 @@ package experiment
 import "testing"
 
 func TestRunIBRComparison(t *testing.T) {
-	cfg := PruneComparisonConfig{
-		Nodes:  16,
-		Flits:  []int{8, 64},
-		Dests:  4,
-		Trials: 4,
-		Seed:   33,
-		Sim:    smallSim(),
-	}
-	series, err := RunIBRComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := run(t, ibrComparison, DriverOpts{Trials: 2, Seed: 33}).Series
 	if len(series) != 2 {
 		t.Fatalf("%d series", len(series))
 	}
 	spam, ibr := series[0], series[1]
-	// IBR is slower at every length, and its *relative* penalty grows
-	// with message length (store-and-forward pays hops x length).
+	// IBR is slower at every length, and its penalty grows with message
+	// length (store-and-forward pays hops x length).
 	for i := range spam.Points {
 		if ibr.Points[i].Mean <= spam.Points[i].Mean {
 			t.Fatalf("IBR not slower at %v flits: %.2f vs %.2f",
 				spam.Points[i].X, ibr.Points[i].Mean, spam.Points[i].Mean)
 		}
-	}
-	gapShort := ibr.Points[0].Mean - spam.Points[0].Mean
-	gapLong := ibr.Points[1].Mean - spam.Points[1].Mean
-	if gapLong <= gapShort {
-		t.Fatalf("IBR gap did not grow with length: %.2f -> %.2f", gapShort, gapLong)
-	}
-}
-
-func TestRunIBRComparisonValidation(t *testing.T) {
-	if _, err := RunIBRComparison(PruneComparisonConfig{}); err == nil {
-		t.Fatal("empty config accepted")
+		if i > 0 {
+			gapShort := ibr.Points[i-1].Mean - spam.Points[i-1].Mean
+			gapLong := ibr.Points[i].Mean - spam.Points[i].Mean
+			if gapLong <= gapShort {
+				t.Fatalf("IBR gap did not grow from %v to %v flits: %.2f -> %.2f",
+					spam.Points[i-1].X, spam.Points[i].X, gapShort, gapLong)
+			}
+		}
 	}
 }

@@ -3,24 +3,12 @@ package experiment
 import "testing"
 
 func TestRunPruneComparisonSmall(t *testing.T) {
-	cfg := PruneComparisonConfig{
-		Nodes:      16,
-		Flits:      []int{8, 128},
-		Concurrent: 4,
-		Dests:      6,
-		Trials:     4,
-		Seed:       77,
-		Sim:        smallSim(),
-	}
-	series, err := RunPruneComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := run(t, pruneComparison, DriverOpts{Trials: 2, Seed: 77}).Series
 	if len(series) != 2 {
 		t.Fatalf("%d series", len(series))
 	}
 	for _, s := range series {
-		if len(s.Points) != 2 {
+		if len(s.Points) != len(lengthSweepFlits) {
 			t.Fatalf("series %q has %d points", s.Label, len(s.Points))
 		}
 		for _, p := range s.Points {
@@ -29,26 +17,14 @@ func TestRunPruneComparisonSmall(t *testing.T) {
 			}
 		}
 	}
-	// The related-work claim: pruning degrades relative to SPAM as
-	// messages grow (each retry pays a fresh startup). Compare the
-	// prune/SPAM latency ratio at the two lengths.
+	// Pruning pays a fresh startup per retry round, so under contention it
+	// is slower than SPAM's waiting at every length. How the gap moves with
+	// length is checked on a smaller network in internal/prune.
 	spam, pr := series[0], series[1]
-	ratioShort := pr.Points[0].Mean / spam.Points[0].Mean
-	ratioLong := pr.Points[1].Mean / spam.Points[1].Mean
-	if ratioLong < ratioShort*0.8 {
-		t.Fatalf("pruning relatively better for long messages (%.2f vs %.2f)?", ratioLong, ratioShort)
-	}
-}
-
-func TestRunPruneComparisonValidation(t *testing.T) {
-	if _, err := RunPruneComparison(PruneComparisonConfig{}); err == nil {
-		t.Fatal("empty config accepted")
-	}
-}
-
-func TestDefaultPruneComparison(t *testing.T) {
-	cfg := DefaultPruneComparison(5)
-	if cfg.Nodes != 64 || len(cfg.Flits) != 4 || cfg.Trials != 5 {
-		t.Fatalf("%+v", cfg)
+	for i := range spam.Points {
+		if pr.Points[i].Mean <= spam.Points[i].Mean {
+			t.Fatalf("prune+retry not slower than SPAM at %v flits: %.2f vs %.2f",
+				spam.Points[i].X, pr.Points[i].Mean, spam.Points[i].Mean)
+		}
 	}
 }

@@ -1,81 +1,53 @@
 package experiment
 
 import (
-	"fmt"
-
 	"repro/internal/stats"
+	"repro/internal/updown"
 	"repro/internal/workload"
 )
 
-// RunThroughput complements Figure 3 with the classic saturation view:
-// accepted throughput (delivered messages per µs per processor) versus
-// offered load, per multicast destination count. Below saturation the
-// curves track the diagonal; past it they flatten at network capacity.
-func RunThroughput(cfg Fig3Config) ([]Series, error) {
-	if cfg.Nodes <= 0 || cfg.Messages <= 0 {
-		return nil, fmt.Errorf("experiment: throughput needs nodes and messages")
-	}
-	sys, err := lattice(cfg.Nodes, cfg.Seed, cfg.Root)
+// throughput complements Figure 3 with the classic saturation view on the
+// same grid: accepted throughput (delivered messages per µs per processor)
+// against offered load, per multicast destination count, one trial per
+// point. Below saturation the curves track the diagonal; past it they
+// flatten at network capacity.
+func throughput(o DriverOpts) (*DriverResult, error) {
+	sys, err := lattice(fig3Nodes, o.Seed, updown.RootMinID)
 	if err != nil {
 		return nil, err
 	}
-	type key struct {
-		d  int
-		ri int
-	}
-	var jobs []job
-	var keys []key
-	for _, d := range cfg.DestCounts {
-		for ri, rate := range cfg.Rates {
-			d, ri, rate := d, ri, rate
-			keys = append(keys, key{d: d, ri: ri})
-			jobs = append(jobs, func(c *workload.RunnerCache) (*stats.Summary, error) {
-				runner, err := c.Get(sys, cfg.Sim)
-				if err != nil {
-					return nil, err
-				}
-				seed := cfg.Seed ^ uint64(d)<<24 ^ uint64(ri)<<3 ^ 0x7f7f
-				if err := runner.Trial(cfg.mixedFor(rate, d), seed); err != nil {
-					return nil, err
-				}
-				// Accepted rate over the busy interval: messages
-				// delivered / span / processors, in msg/µs/proc.
-				worms := runner.Worms()
-				first, last := worms[0].SubmitNs, int64(0)
-				for _, w := range worms {
-					if w.SubmitNs < first {
-						first = w.SubmitNs
-					}
-					if w.DoneNs > last {
-						last = w.DoneNs
-					}
-				}
-				span := float64(last-first) / nsPerUs
-				st := stats.NewSummary()
-				if span > 0 {
-					st.Add(float64(len(worms)) / span / float64(sys.Net.NumProcs))
-				}
-				return st, nil
-			})
+	series, err := sweepGrid(fig3Labels(), fig3Rates, o.Workers, func(di, ri int) job {
+		d := fig3Dests[di]
+		return func(c *workload.RunnerCache) (*stats.Summary, error) {
+			runner, err := c.Get(sys, o.Sim)
+			if err != nil {
+				return nil, err
+			}
+			if err := runner.Trial(mixed(fig3Rates[ri], d, o.Messages), o.Seed^uint64(d)<<24^uint64(ri)<<3^0x7f7f); err != nil {
+				return nil, err
+			}
+			// Accepted rate over the busy interval: messages delivered /
+			// span / processors, in msg/µs/proc.
+			worms := runner.Worms()
+			first, last := worms[0].SubmitNs, int64(0)
+			for _, w := range worms {
+				first = min(first, w.SubmitNs)
+				last = max(last, w.DoneNs)
+			}
+			span := float64(last-first) / nsPerUs
+			st := stats.NewSummary()
+			if span > 0 {
+				st.Add(float64(len(worms)) / span / float64(sys.Net.NumProcs))
+			}
+			return st, nil
 		}
-	}
-	streams, err := runParallel(jobs, cfg.Workers)
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Series, len(cfg.DestCounts))
-	index := map[int]int{}
-	for i, d := range cfg.DestCounts {
-		out[i] = Series{Label: fmt.Sprintf("%d destinations", d)}
-		index[d] = i
+	for i := range series {
+		series[i].Unit = "msg/us/proc"
 	}
-	for i, k := range keys {
-		out[index[k.d]].Points = append(out[index[k.d]].Points, Point{
-			X:    cfg.Rates[k.ri],
-			Mean: streams[i].Mean(),
-			CI95: streams[i].CI95(),
-			N:    streams[i].N(),
-		})
-	}
-	return out, nil
+	return seriesResult("Saturation: accepted vs offered throughput (msg/us/proc)",
+		"offered(msg/us/proc)", series, "offered (msg/us/proc)", "accepted (msg/us/proc)"), nil
 }

@@ -190,9 +190,6 @@ type Spec struct {
 	Center, Radius int
 }
 
-// Zero reports whether the spec describes no faults at all.
-func (sp Spec) Zero() bool { return sp == Spec{} }
-
 // Resolve produces the concrete Script for a network.
 func (sp Spec) Resolve(net *topology.Network) (Script, error) {
 	if sp.DSL != "" {

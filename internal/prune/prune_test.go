@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/updown"
@@ -194,5 +195,88 @@ func TestMaxRoundsGuard(t *testing.T) {
 	// Either it completed within the cap or the guard fired.
 	if !run.Completed() && run.Err == nil {
 		t.Fatal("neither completed nor errored")
+	}
+}
+
+// meanContendedLatencyUs runs trials of `concurrent` multicasts to d random
+// destinations, launched 150 ns apart, under pruning or SPAM waiting, and
+// returns their mean completion latency in µs.
+func meanContendedLatencyUs(t *testing.T, s *sim.Simulator, net *topology.Network, pruning bool, seed uint64, trials, concurrent, d int) float64 {
+	t.Helper()
+	r := rng.New(seed)
+	proc := func(i int) topology.NodeID { return topology.NodeID(net.NumSwitches + i) }
+	var sum float64
+	for trial := 0; trial < trials; trial++ {
+		s.Reset()
+		var spam []*sim.Worm
+		var pruned []*Run
+		for c := 0; c < concurrent; c++ {
+			srcIdx := r.Intn(net.NumProcs)
+			var dests []topology.NodeID
+			for _, v := range r.Choose(net.NumProcs-1, d) {
+				if v >= srcIdx {
+					v++
+				}
+				dests = append(dests, proc(v))
+			}
+			at := int64(c) * 150
+			if pruning {
+				run, err := Send(s, at, proc(srcIdx), dests, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pruned = append(pruned, run)
+			} else {
+				w, err := s.Submit(at, proc(srcIdx), dests)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spam = append(spam, w)
+			}
+		}
+		if err := s.RunUntilIdle(1e16); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range spam {
+			sum += float64(w.Latency()) / 1000
+		}
+		for _, run := range pruned {
+			if !run.Completed() {
+				t.Fatalf("pruned run incomplete: %v", run.Err)
+			}
+			sum += float64(run.Latency()) / 1000
+		}
+	}
+	return sum / float64(trials*concurrent)
+}
+
+// TestPruningDegradesWithMessageLength checks the related-work claim that
+// pruning is "effective only for short messages" on a 16-switch lattice
+// with 4 concurrent 6-destination multicasts: from 8- to 128-flit messages
+// its latency relative to SPAM waiting improves by less than a fifth (each
+// retry pays a fresh startup, and long worms prune more).
+func TestPruningDegradesWithMessageLength(t *testing.T) {
+	net, err := topology.RandomLattice(topology.DefaultLattice(16, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, err := updown.New(net, updown.RootMinID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := map[int]float64{}
+	for _, flits := range []int{8, 128} {
+		cfg := sim.DefaultConfig()
+		cfg.Params.MessageFlits = flits
+		s, err := sim.New(core.NewRouter(lab), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spam := meanContendedLatencyUs(t, s, net, false, 77^uint64(flits)<<4, 4, 4, 6)
+		pruned := meanContendedLatencyUs(t, s, net, true, 77^1<<40^uint64(flits)<<4, 4, 4, 6)
+		ratio[flits] = pruned / spam
+	}
+	if ratio[128] < 0.8*ratio[8] {
+		t.Fatalf("pruning relatively better for long messages (prune/SPAM %.2f at 128 flits vs %.2f at 8)", ratio[128], ratio[8])
 	}
 }

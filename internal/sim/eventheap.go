@@ -55,7 +55,7 @@ func before(x, y *event) bool {
 // eventQueue is a deterministic priority queue over (t, seq) exploiting the
 // structure of a discrete-event wormhole simulation: every evArrive is
 // scheduled at now + ChanPropNs, every evRoute at now + RouterSetupNs, every
-// evStartup at now + StartupNs and every evWatchdog at now + WatchdogNs.
+// evStartup at now + StartupNs and every evWatchdog at now + watchdogNs.
 // Since `now` is non-decreasing and seq is globally increasing, the pending
 // events of each of those kinds are already in (t, seq) order at insertion:
 // they live in plain FIFO rings with O(1) push and pop. Only evCall events

@@ -73,12 +73,28 @@ type Simulator struct {
 	lastActivity uint64 // non-watchdog events at last watchdog tick
 	stalledFor   int
 	watchdogOn   bool
+	watchdogNs   int64 // simulated time between deadlock checks
 	// pendingWork counts scheduled non-watchdog events; when it reaches
 	// zero with worms outstanding and no progress, nothing can ever
 	// happen again (hard deadlock).
 	pendingWork int64
 	activity    uint64 // non-watchdog events processed
 	err         error
+}
+
+// The watchdog reports a stall after stallChecks consecutive intervals
+// without payload progress, and a simulation that processes more than
+// maxEvents events is aborted as runaway.
+const (
+	stallChecks = 8
+	maxEvents   = 4_000_000_000
+)
+
+// watchdogInterval is the simulated time between deadlock checks: a couple
+// of full message times, which keeps the checks' overhead low, and at least
+// ten startups.
+func watchdogInterval(p core.LatencyParams) int64 {
+	return max(50*int64(p.MessageFlits)*p.ChanPropNs, 10*p.StartupNs)
 }
 
 // New builds a simulator over the given SPAM router.
@@ -91,6 +107,7 @@ func New(router *core.Router, cfg Config) (*Simulator, error) {
 		router:      router,
 		net:         router.Net,
 		cfg:         cfg,
+		watchdogNs:  watchdogInterval(cfg.Params),
 		chans:       make([]chanState, len(router.Net.Channels)),
 		procs:       make([]procState, router.Net.NumProcs),
 		segAtInput:  make([]*segment, len(router.Net.Channels)),
@@ -355,11 +372,11 @@ func (s *Simulator) Reset() {
 }
 
 func (s *Simulator) armWatchdog() {
-	if s.watchdogOn || s.cfg.WatchdogNs <= 0 {
+	if s.watchdogOn || s.watchdogNs <= 0 {
 		return
 	}
 	s.watchdogOn = true
-	s.schedule(s.now+s.cfg.WatchdogNs, evWatchdog, 0)
+	s.schedule(s.now+s.watchdogNs, evWatchdog, 0)
 }
 
 func (s *Simulator) procIndex(p topology.NodeID) int32 {
@@ -418,8 +435,8 @@ func (s *Simulator) step() {
 	ev := s.heap.Pop()
 	s.now = ev.t
 	s.counters.Events++
-	if s.counters.Events > s.cfg.MaxEvents {
-		s.fail("event budget %d exhausted at t=%d", s.cfg.MaxEvents, s.now)
+	if s.counters.Events > maxEvents {
+		s.fail("event budget %d exhausted at t=%d", uint64(maxEvents), s.now)
 		return
 	}
 	if ev.kind != evWatchdog {
@@ -938,7 +955,7 @@ func (s *Simulator) logf(format string, args ...any) {
 //   - no payload progress and no scheduled work left: hard deadlock —
 //     nothing can ever happen again, fail immediately;
 //   - no payload progress but events still churn (e.g. bubble traffic):
-//     possible livelock, fail after StallChecks consecutive intervals;
+//     possible livelock, fail after stallChecks consecutive intervals;
 //   - no payload progress and no events processed, but work is scheduled
 //     for the future (a quiet gap before submissions): not a stall.
 func (s *Simulator) onWatchdog() {
@@ -966,7 +983,7 @@ func (s *Simulator) onWatchdog() {
 			s.fail("deadlock detected at t=%d: worm wait cycle %v", s.now, cycle)
 			return
 		}
-		if s.stalledFor >= s.cfg.StallChecks {
+		if s.stalledFor >= stallChecks {
 			s.fail("no payload progress for %d watchdog intervals at t=%d with %d worms outstanding",
 				s.stalledFor, s.now, s.outstanding)
 			return

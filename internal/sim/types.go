@@ -250,14 +250,6 @@ type Config struct {
 	// header, lengthening the worm. 0 (the default) selects the paper's
 	// abstraction of a single header flit regardless of d.
 	AddrsPerHeaderFlit int
-	// WatchdogNs is the simulated-time interval between deadlock checks;
-	// 0 selects a default derived from the message length.
-	WatchdogNs int64
-	// StallChecks is how many consecutive no-progress watchdog intervals
-	// are tolerated before the simulator reports a stall (default 8).
-	StallChecks int
-	// MaxEvents aborts runaway simulations (default 4e9).
-	MaxEvents uint64
 	// MisrouteBudget is the per-worm misroute budget under a PolicyMisroute
 	// router: how many deroute (non-minimal) channels one header may take.
 	// Ignored (treated as 0) under other policies; negative values clamp
@@ -288,19 +280,6 @@ func (c *Config) normalize() {
 	if c.StoreAndForward && c.InputBufFlits < c.Params.MessageFlits {
 		// IBR's defining requirement: the whole packet fits the buffer.
 		c.InputBufFlits = c.Params.MessageFlits
-	}
-	if c.WatchdogNs <= 0 {
-		// A couple of full message times per check keeps overhead low.
-		c.WatchdogNs = 50 * int64(c.Params.MessageFlits) * c.Params.ChanPropNs
-		if c.WatchdogNs < 10*c.Params.StartupNs {
-			c.WatchdogNs = 10 * c.Params.StartupNs
-		}
-	}
-	if c.StallChecks <= 0 {
-		c.StallChecks = 8
-	}
-	if c.MaxEvents == 0 {
-		c.MaxEvents = 4_000_000_000
 	}
 	c.MisrouteBudget = min(max(c.MisrouteBudget, 0), math.MaxInt32)
 }

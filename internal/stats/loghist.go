@@ -127,11 +127,6 @@ func (h *LogHist) Overflow() int64 { return h.overflow }
 // NumBins returns the bin count of the geometry.
 func (h *LogHist) NumBins() int { return len(h.bins) }
 
-// Geometry returns the histogram's range and bin density.
-func (h *LogHist) Geometry() (lo, hi float64, binsPerDecade int) {
-	return h.lo, h.hi, h.binsPerDecade
-}
-
 // QuantileErrorBound returns the worst-case relative error of Quantile for
 // in-range observations: half a bin in log space, 10^(1/(2·binsPerDecade))-1.
 func (h *LogHist) QuantileErrorBound() float64 {

@@ -74,15 +74,6 @@ func (s *Stream) CI95() float64 {
 	return tCritical95(s.n-1) * s.StdErr()
 }
 
-// CI95Relative returns CI95 as a fraction of the mean (Inf when the mean is
-// zero or the stream is too small). The paper's stopping criterion is 1%.
-func (s *Stream) CI95Relative() float64 {
-	if s.mean == 0 {
-		return math.Inf(1)
-	}
-	return math.Abs(s.CI95() / s.mean)
-}
-
 // String renders "mean ± ci95 (n=…)".
 func (s *Stream) String() string {
 	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean(), s.CI95(), s.N())

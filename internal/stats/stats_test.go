@@ -59,22 +59,6 @@ func TestCI95KnownCase(t *testing.T) {
 	}
 }
 
-func TestCI95Relative(t *testing.T) {
-	var s Stream
-	for i := 0; i < 1000; i++ {
-		s.Add(100) // zero variance
-	}
-	if rel := s.CI95Relative(); rel != 0 {
-		t.Fatalf("relative CI of constant stream = %v", rel)
-	}
-	var z Stream
-	z.Add(0)
-	z.Add(0)
-	if !math.IsInf(z.CI95Relative(), 1) {
-		t.Fatal("zero-mean relative CI must be infinite")
-	}
-}
-
 func TestCIShrinksWithSamples(t *testing.T) {
 	r := rng.New(9)
 	var small, big Stream

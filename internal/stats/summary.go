@@ -22,9 +22,6 @@ type Summary struct {
 // NewSummary builds a Summary over the default latency histogram geometry.
 func NewSummary() *Summary { return &Summary{hist: NewLatencyHist()} }
 
-// NewSummaryWithHist builds a Summary over a caller-chosen histogram.
-func NewSummaryWithHist(h *LogHist) *Summary { return &Summary{hist: h} }
-
 // Add inserts one observation. It never allocates.
 func (s *Summary) Add(x float64) {
 	s.stream.Add(x)
@@ -88,14 +85,6 @@ func (s *Summary) CI95() float64 {
 		return s.batch.CI95()
 	}
 	return s.stream.CI95()
-}
-
-// CI95Relative returns CI95 as a fraction of the mean.
-func (s *Summary) CI95Relative() float64 {
-	if s.batch != nil && s.batch.N() >= 2 {
-		return s.batch.CI95Relative()
-	}
-	return s.stream.CI95Relative()
 }
 
 // Quantile answers the q-th quantile (0 <= q <= 1) from the histogram; see

@@ -633,9 +633,6 @@ func (l *Labeling) LCASwitch(nodes []topology.NodeID) topology.NodeID {
 	return lca
 }
 
-// Depth returns the tree depth (level) of node v.
-func (l *Labeling) Depth(v topology.NodeID) int32 { return l.Level[v] }
-
 // Verify checks structural invariants of the labeling; it is used by tests
 // and cmd/deadlockcheck:
 //

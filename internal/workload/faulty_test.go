@@ -89,13 +89,13 @@ func TestFaultyThenCleanTrialMatchesFresh(t *testing.T) {
 	if err := dirty.Trial(clean, 123); err != nil {
 		t.Fatal(err)
 	}
-	dirtyLats := dirty.AppendLatenciesUs(nil, 0, nil)
+	dirtyLats := dirty.AppendLatenciesUs(nil, 0)
 
 	fresh := faultyTestRunner(t, 32, 3)
 	if err := fresh.Trial(clean, 123); err != nil {
 		t.Fatal(err)
 	}
-	freshLats := fresh.AppendLatenciesUs(nil, 0, nil)
+	freshLats := fresh.AppendLatenciesUs(nil, 0)
 	if len(dirtyLats) != len(freshLats) || len(dirtyLats) == 0 {
 		t.Fatalf("latency counts differ: %d vs %d", len(dirtyLats), len(freshLats))
 	}

@@ -255,14 +255,14 @@ func (r *Runner) Worms() []*sim.Worm { return r.gen.worms }
 func (r *Runner) FaultInjector() *faults.Injector { return r.gen.injector }
 
 // AppendLatenciesUs appends the latency (µs) of every completed worm past
-// the first `skip` submissions that passes the filter (nil = all) to dst.
-// Worms drained by fault injection never complete and are excluded (their
-// disruption is accounted by the injector's metrics). The loop deliberately
-// mirrors EachLatencyUs rather than wrapping it: an appending closure would
-// escape and break the 0 allocs/op sweep-trial benchmark.
-func (r *Runner) AppendLatenciesUs(dst []float64, skip int, filter func(*sim.Worm) bool) []float64 {
+// the first `skip` submissions to dst. Worms drained by fault injection
+// never complete and are excluded (their disruption is accounted by the
+// injector's metrics). The loop deliberately mirrors EachLatencyUs rather
+// than wrapping it: an appending closure would escape and break the 0
+// allocs/op sweep-trial benchmark.
+func (r *Runner) AppendLatenciesUs(dst []float64, skip int) []float64 {
 	for i, w := range r.gen.worms {
-		if i < skip || !w.Completed() || (filter != nil && !filter(w)) {
+		if i < skip || !w.Completed() {
 			continue
 		}
 		dst = append(dst, float64(w.Latency())/1000.0)
@@ -271,12 +271,11 @@ func (r *Runner) AppendLatenciesUs(dst []float64, skip int, filter func(*sim.Wor
 }
 
 // EachLatencyUs streams the latency (µs) of every completed worm of the
-// last trial past the first `skip` submissions that passes the filter
-// (nil = all) into fn — the constant-memory alternative to
-// AppendLatenciesUs.
-func (r *Runner) EachLatencyUs(skip int, filter func(*sim.Worm) bool, fn func(float64)) {
+// last trial past the first `skip` submissions into fn — the constant-memory
+// alternative to AppendLatenciesUs.
+func (r *Runner) EachLatencyUs(skip int, fn func(float64)) {
 	for i, w := range r.gen.worms {
-		if i < skip || !w.Completed() || (filter != nil && !filter(w)) {
+		if i < skip || !w.Completed() {
 			continue
 		}
 		fn(float64(w.Latency()) / 1000.0)
@@ -295,8 +294,6 @@ type MeasureOpts struct {
 	Batches int
 	// Seed is the base seed; trial i runs with a seed derived from it.
 	Seed uint64
-	// Filter restricts which worms enter the latency series (nil = all).
-	Filter func(*sim.Worm) bool
 }
 
 // TrialSeed derives the deterministic seed of trial i from a base seed —
@@ -353,7 +350,7 @@ func Measure(r *Runner, w Workload, opts MeasureOpts) (*stats.Summary, error) {
 		if max := len(r.Worms()) / 2; skip > max {
 			skip = max
 		}
-		r.EachLatencyUs(skip, opts.Filter, observe)
+		r.EachLatencyUs(skip, observe)
 	}
 	out := r.summary.Clone()
 	out.SetBatchCI(r.batch.Stream())

@@ -152,6 +152,38 @@ func TestMixedRateControlsArrivals(t *testing.T) {
 	}
 }
 
+// TestMixedSaturatesWithoutCollapse drives a 16-switch lattice at 20x its
+// knee with a heavy multicast share: the accepted rate (messages over the
+// busy span per processor, as the throughput figure measures it) falls well
+// short of offered, yet stays near the low-rate point — SPAM has no
+// retransmissions to thrash on.
+func TestMixedSaturatesWithoutCollapse(t *testing.T) {
+	r, err := NewRunner(testRouter(t, 16, 22), smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := func(ri int, rate float64) float64 {
+		w := Mixed{RatePerProcPerUs: rate, MulticastFraction: 0.5, MulticastDests: 8, Messages: 300}
+		if err := r.Trial(w, 22^8<<24^uint64(ri)<<3^0x7f7f); err != nil {
+			t.Fatal(err)
+		}
+		worms := r.Worms()
+		first, last := worms[0].SubmitNs, int64(0)
+		for _, w := range worms {
+			first = min(first, w.SubmitNs)
+			last = max(last, w.DoneNs)
+		}
+		return float64(len(worms)) / (float64(last-first) / 1000.0) / float64(r.gen.NumProcs())
+	}
+	low, high := accepted(0, 0.01), accepted(1, 0.2)
+	if high > 0.8*0.2 {
+		t.Fatalf("no saturation: accepted %.4f of offered 0.2", high)
+	}
+	if high < 0.8*low {
+		t.Fatalf("throughput collapse: %.4f at 0.01 -> %.4f at 0.2", low, high)
+	}
+}
+
 // TestPickDests pins destination sampling: k distinct processors, never the
 // source.
 func TestPickDests(t *testing.T) {
@@ -343,15 +375,6 @@ func TestMeasureWarmupAndBatches(t *testing.T) {
 	}
 	if p50 := st.Quantile(0.5); p50 < st.Min() || p50 > st.Max() {
 		t.Fatalf("p50 %.2f outside [min,max]", p50)
-	}
-	// Filters restrict the series.
-	uni, err := Measure(r, w, MeasureOpts{Trials: 1, WarmupMessages: 20, Seed: 6,
-		Filter: func(w *sim.Worm) bool { return len(w.Dests) == 1 }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uni.Mean() <= 0 {
-		t.Fatal("filtered measurement empty")
 	}
 	// Short series fall back to raw observations.
 	short, err := Measure(r, Mixed{RatePerProcPerUs: 0.01, MulticastFraction: 0, Messages: 8}, MeasureOpts{Seed: 2})

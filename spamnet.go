@@ -18,10 +18,10 @@
 //	fmt.Println(msg.Latency()) // nanoseconds, includes the 10 µs startup
 //
 // Beyond the paper's random lattices, NewFromSpec builds any topology-zoo
-// family from a spec string ("torus:8x8", "hypercube:6", "fattree:4x3",
-// "file:net.adj"); NewMesh, NewTorus, NewHypercube and NewFatTree are the
-// typed constructors. Session.InstallFaults attaches a deterministic fault
-// timeline to a running simulation.
+// family from a spec string ("mesh:8x8", "torus:8x8", "hypercube:6",
+// "fattree:4x3", "file:net.adj"), with a "/<procs>" suffix for more than one
+// processor per switch ("lattice:128/4"). Session.InstallFaults attaches a
+// deterministic fault timeline to a running simulation.
 package spamnet
 
 import (
@@ -74,8 +74,6 @@ type options struct {
 	policy     RoutingPolicy
 	simCfg     sim.Config
 	seed       uint64
-	procsPer   int
-	procsSet   bool
 	maxSimTime int64
 }
 
@@ -113,11 +111,6 @@ func WithInputBufferFlits(n int) Option { return func(o *options) { o.simCfg.Inp
 // WithSeed sets the topology generation seed.
 func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 
-// WithProcessorsPerSwitch attaches n processors per switch (paper: 1).
-func WithProcessorsPerSwitch(n int) Option {
-	return func(o *options) { o.procsPer, o.procsSet = n, true }
-}
-
 // WithTrace routes a hop-by-hop routing trace of every session to logf.
 func WithTrace(logf func(format string, args ...any)) Option {
 	return func(o *options) {
@@ -136,7 +129,7 @@ func WithMaxSimTime(d time.Duration) Option {
 }
 
 func buildOptions(opts []Option) options {
-	o := options{simCfg: sim.DefaultConfig(), procsPer: 1, maxSimTime: defaultMaxSimTimeNs}
+	o := options{simCfg: sim.DefaultConfig(), maxSimTime: defaultMaxSimTimeNs}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -160,12 +153,11 @@ type System struct {
 
 // NewLattice builds the paper's experimental platform: `switches` 8-port
 // switches placed on an integer lattice (connected, adjacent points linked)
-// with one processor per switch (configurable).
+// with one processor per switch. NewFromSpec("lattice:<n>/<procs>") attaches
+// more.
 func NewLattice(switches int, opts ...Option) (*System, error) {
 	o := buildOptions(opts)
-	cfg := topology.DefaultLattice(switches, o.seed)
-	cfg.ProcsPerSwitch = o.procsPer
-	net, err := topology.RandomLattice(cfg)
+	net, err := topology.RandomLattice(topology.DefaultLattice(switches, o.seed))
 	if err != nil {
 		return nil, err
 	}
@@ -182,50 +174,6 @@ func NewFigure1(opts ...Option) (*System, error) {
 	return newSystem(net, o)
 }
 
-// NewMesh builds a w×h mesh System (a regular topology, per the paper's
-// future-work discussion of spanning-tree selection on regular networks).
-func NewMesh(w, h int, opts ...Option) (*System, error) {
-	o := buildOptions(opts)
-	net, err := topology.Mesh(w, h, o.procsPer)
-	if err != nil {
-		return nil, err
-	}
-	return newSystem(net, o)
-}
-
-// NewTorus builds a w×h 2-D torus System (wraparound mesh; w, h >= 3).
-func NewTorus(w, h int, opts ...Option) (*System, error) {
-	o := buildOptions(opts)
-	net, err := topology.Torus(w, h, o.procsPer)
-	if err != nil {
-		return nil, err
-	}
-	return newSystem(net, o)
-}
-
-// NewHypercube builds a dim-dimensional hypercube System.
-func NewHypercube(dim int, opts ...Option) (*System, error) {
-	o := buildOptions(opts)
-	net, err := topology.Hypercube(dim, o.procsPer)
-	if err != nil {
-		return nil, err
-	}
-	return newSystem(net, o)
-}
-
-// NewFatTree builds a k-ary levels-tree fat-tree System. Processors attach
-// to the leaf stage only; WithProcessorsPerSwitch sets processors per leaf
-// switch (default 1, like every other constructor; pass k for the
-// canonical k-ary n-tree with k^levels processors).
-func NewFatTree(k, levels int, opts ...Option) (*System, error) {
-	o := buildOptions(opts)
-	net, err := topology.FatTree(k, levels, o.procsPer)
-	if err != nil {
-		return nil, err
-	}
-	return newSystem(net, o)
-}
-
 // NewFromSpec builds a System from a topology spec string — the same
 // grammar the campaign manifests, the serve wire format and the CLI -topo
 // flags share: "lattice:128", "gnm:64+32", "mesh:8x8", "torus:8x8",
@@ -236,11 +184,6 @@ func NewFromSpec(spec string, opts ...Option) (*System, error) {
 	sp, err := topology.ParseSpec(spec)
 	if err != nil {
 		return nil, err
-	}
-	// An explicit WithProcessorsPerSwitch (even 1) overrides the spec's
-	// family default unless the spec itself carries a /n suffix.
-	if sp.Procs == 0 && o.procsSet {
-		sp.Procs = o.procsPer
 	}
 	net, err := sp.Build(o.seed)
 	if err != nil {
@@ -410,9 +353,6 @@ const (
 	FaultProfileMaintenance = faults.ProfileMaintenance
 	FaultProfileRegional    = faults.ProfileRegional
 )
-
-// ParseFaultScript parses the fault DSL.
-func ParseFaultScript(dsl string) (FaultScript, error) { return faults.Parse(dsl) }
 
 // Session is one flit-level simulation over a System. Not safe for
 // concurrent use; run one Session per goroutine. Sessions are reusable:

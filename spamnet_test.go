@@ -55,7 +55,7 @@ func TestFigure1System(t *testing.T) {
 }
 
 func TestMeshSystem(t *testing.T) {
-	sys, err := NewMesh(4, 4, WithRootStrategy(RootCenter))
+	sys, err := NewFromSpec("mesh:4x4", WithRootStrategy(RootCenter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +80,11 @@ func TestOptions(t *testing.T) {
 	p := PaperParams()
 	p.MessageFlits = 64
 	var traced []string
-	sys, err := NewLattice(16,
+	sys, err := NewFromSpec("lattice:16/2",
 		WithSeed(7),
 		WithLatencyParams(p),
 		WithInputBufferFlits(4),
 		WithRootStrategy(RootMaxDegree),
-		WithProcessorsPerSwitch(2),
 		WithTrace(func(f string, a ...any) { traced = append(traced, f) }),
 	)
 	if err != nil {
