@@ -63,6 +63,7 @@ import (
 	spamnet "repro"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
+	"repro/internal/updown"
 	"repro/internal/workload"
 )
 
@@ -116,7 +117,7 @@ func main() {
 		fatal("-workers requires -coordinator")
 	}
 
-	strategy, err := rootStrategy(*root)
+	strategy, err := updown.ParseRootStrategy(*root)
 	if err != nil {
 		fatal("bad flag", "error", err.Error())
 	}
@@ -241,16 +242,4 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
 	}
 	return nil, fmt.Errorf("unknown -log-format %q (text | json)", format)
-}
-
-func rootStrategy(name string) (spamnet.RootStrategy, error) {
-	switch name {
-	case "min-id":
-		return spamnet.RootMinID, nil
-	case "max-degree":
-		return spamnet.RootMaxDegree, nil
-	case "center":
-		return spamnet.RootCenter, nil
-	}
-	return 0, fmt.Errorf("unknown root strategy %q (min-id | max-degree | center)", name)
 }

@@ -28,9 +28,6 @@ func main() {
 	scripted := spamnet.FaultSpec{
 		DSL: "120us down 0-1; 200us switch-down 7; 320us switch-up 7; 400us up 0-1",
 	}
-	// Swap the comment to try a generated storm instead:
-	// scripted = spamnet.FaultSpec{Profile: spamnet.FaultProfilePoisson,
-	//	Seed: 7, HorizonNs: 900_000, MTBFNs: 8_000_000, MTTRNs: 120_000}
 
 	inj, err := sess.InstallFaults(scripted, spamnet.FaultPolicy{
 		MaxRetries:   3,

@@ -14,8 +14,6 @@ import (
 	spamnet "repro"
 	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/topology"
-	"repro/internal/updown"
 )
 
 const trials = 15
@@ -24,34 +22,24 @@ func main() {
 	fmt.Println("SPAM broadcast on regular vs irregular topologies (64 switches, 1 proc each)")
 	fmt.Printf("%-22s %-12s %10s %14s %10s\n", "topology", "root", "depth", "broadcast(us)", "ci95(us)")
 
-	type build struct {
-		name string
-		mk   func() (*topology.Network, error)
-	}
-	builds := []build{
-		{"irregular lattice", func() (*topology.Network, error) {
-			return topology.RandomLattice(topology.DefaultLattice(64, 9))
-		}},
-		{"8x8 mesh", func() (*topology.Network, error) { return topology.Mesh(8, 8, 1) }},
-		{"hypercube dim 6", func() (*topology.Network, error) { return topology.Hypercube(6, 1) }},
+	builds := []struct{ name, spec string }{
+		{"irregular lattice", "lattice:64"},
+		{"8x8 mesh", "mesh:8x8"},
+		{"hypercube dim 6", "hypercube:6"},
 	}
 	for _, b := range builds {
-		for _, strat := range []updown.RootStrategy{updown.RootMinID, updown.RootCenter} {
-			net, err := b.mk()
-			if err != nil {
-				log.Fatal(err)
-			}
-			lab, err := updown.New(net, strat)
+		for _, strat := range []spamnet.RootStrategy{spamnet.RootMinID, spamnet.RootCenter} {
+			sys, err := spamnet.NewFromSpec(b.spec, spamnet.WithSeed(9), spamnet.WithRootStrategy(strat))
 			if err != nil {
 				log.Fatal(err)
 			}
 			depth := int32(0)
-			for _, l := range lab.Level {
+			for _, l := range sys.Labeling().Level {
 				if l > depth {
 					depth = l
 				}
 			}
-			st := measure(net, lab)
+			st := measure(sys)
 			fmt.Printf("%-22s %-12s %10d %14.2f %10.2f\n",
 				b.name, strat, depth, st.Mean(), st.CI95())
 		}
@@ -60,19 +48,15 @@ func main() {
 	fmt.Println("pure tree route; a center root halves the tree depth of a corner root.")
 }
 
-func measure(net *topology.Network, lab *updown.Labeling) *stats.Stream {
+func measure(sys *spamnet.System) *stats.Stream {
 	r := rng.New(5)
 	st := &stats.Stream{}
+	procs := sys.Processors()
 	for trial := 0; trial < trials; trial++ {
-		sys, err := systemFor(net, lab)
-		if err != nil {
-			log.Fatal(err)
-		}
 		sess, err := sys.NewSession()
 		if err != nil {
 			log.Fatal(err)
 		}
-		procs := sys.Processors()
 		src := procs[r.Intn(len(procs))]
 		var dests []spamnet.NodeID
 		for _, d := range procs {
@@ -90,10 +74,4 @@ func measure(net *topology.Network, lab *updown.Labeling) *stats.Stream {
 		st.Add(float64(w.Latency()) / 1000)
 	}
 	return st
-}
-
-// systemFor wraps a pre-built network+labeling; the facade normally builds
-// these itself, so this example reaches one level deeper deliberately.
-func systemFor(net *topology.Network, lab *updown.Labeling) (*spamnet.System, error) {
-	return spamnet.FromParts(net, lab)
 }

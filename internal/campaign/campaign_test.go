@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -222,22 +223,30 @@ func TestMarkdownTableShortRows(t *testing.T) {
 func TestCellSpecClamps(t *testing.T) {
 	g := &Grid{Name: "g", Scenarios: []string{"mixed"}}
 	cell := Cell{Grid: "g", Scenario: "mixed", Seed: 3}
+	specFor := func(opts Options) cellSpec {
+		t.Helper()
+		spec, err := cellSpecFor(g, cell, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
 
-	spec := cellSpecFor(g, cell, Options{MaxMessages: 20000})
+	spec := specFor(Options{MaxMessages: 20000})
 	if spec.Params.Messages != 0 {
 		t.Errorf("omitted budget became %d; cap must not act as default", spec.Params.Messages)
 	}
 	g.Params.Messages = 50000
-	if spec = cellSpecFor(g, cell, Options{MaxMessages: 20000}); spec.Params.Messages != 20000 {
+	if spec = specFor(Options{MaxMessages: 20000}); spec.Params.Messages != 20000 {
 		t.Errorf("oversize budget not clamped: %d", spec.Params.Messages)
 	}
 	g.Params.Messages = 500
-	if spec = cellSpecFor(g, cell, Options{MaxMessages: 20000}); spec.Params.Messages != 500 {
+	if spec = specFor(Options{MaxMessages: 20000}); spec.Params.Messages != 500 {
 		t.Errorf("in-cap budget rewritten to %d", spec.Params.Messages)
 	}
 
 	g.Params.FaultProfile = "poisson"
-	if spec = cellSpecFor(g, cell, Options{}); spec.Params.FaultProfile != "" {
+	if spec = specFor(Options{}); spec.Params.FaultProfile != "" {
 		t.Error("fault-free cell kept a smuggled profile")
 	}
 	// When the axis is empty, cells() carries the Params profile into the
@@ -253,6 +262,68 @@ func TestCellSpecClamps(t *testing.T) {
 	m.Grids[0].Params.FaultScript = "x"
 	if err := m.Validate(false); err == nil {
 		t.Error("malformed params-level fault script escaped validation")
+	}
+}
+
+// TestCellBudgetClampScalesWithProcs: a served cell applies the same budget
+// clamp as /run, on the params the cell runs and against its own network's
+// processor count, so scenarios whose submission count grows with the
+// processors stay under the cap, a fault profile in Params that the cell's
+// fault axis replaces cannot hide the budget, and a replayed trace over the
+// cap is refused before any unit of its campaign runs.
+func TestCellBudgetClampScalesWithProcs(t *testing.T) {
+	opts := Options{MaxMessages: 1000}
+	for _, c := range []struct {
+		scenario string
+		params   workload.Params
+	}{
+		{"transpose", workload.Params{Rounds: 200}},
+		{"allreduce-ring", workload.Params{Messages: 100_000}},
+	} {
+		g := Grid{Name: "g", Topologies: []string{"torus:6x6"}, Scenarios: []string{c.scenario}, Trials: 1, Params: c.params}
+		cell := Cell{Grid: "g", Topology: "torus:6x6", Scenario: c.scenario, Seed: 1}
+		res, err := RunSingleCell(context.Background(), g, cell, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Counters.WormsSubmitted; got > uint64(opts.MaxMessages) {
+			t.Errorf("%s: %d worms submitted, cap %d", c.scenario, got, opts.MaxMessages)
+		}
+	}
+
+	// The fault axis (empty here) replaces the profile in Params before the
+	// clamp reads the budget. Fault retries resubmit drained worms, so the
+	// check reads the budget of the spec the cell runs, not its worm count.
+	g := Grid{Name: "g", Topologies: []string{"torus:6x6"}, Scenarios: []string{"fault-storm"}, Trials: 1,
+		Params: workload.Params{FaultProfile: "bogus", Messages: 100_000}}
+	cell := Cell{Grid: "g", Topology: "torus:6x6", Scenario: "fault-storm", Seed: 1}
+	spec, err := cellSpecFor(&g, cell, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, _ := workload.Lookup("fault-storm")
+	if got := workload.Budget(sc.New(spec.Params), 36); got > opts.MaxMessages {
+		t.Errorf("fault-storm with a replaced profile: budget %d, cap %d", got, opts.MaxMessages)
+	}
+
+	trace := "trace 1\nprocs 36\n" + strings.Repeat("msg 0 0 1\n", opts.MaxMessages+1)
+	g = Grid{Name: "g", Topologies: []string{"torus:6x6"}, Scenarios: []string{"replay"}, Trials: 1,
+		Params: workload.Params{Trace: trace}}
+	cell = Cell{Grid: "g", Topology: "torus:6x6", Scenario: "replay", Seed: 1}
+	if _, err := RunSingleCell(context.Background(), g, cell, opts); !errors.Is(err, workload.ErrInvalidWorkload) {
+		t.Errorf("replay of %d messages under cap %d: %v, want an invalid-workload error", opts.MaxMessages+1, opts.MaxMessages, err)
+	}
+	// A campaign holding that cell is refused before any unit runs: the
+	// in-cap grid ahead of it leaves no checkpoint.
+	ok := Grid{Name: "ok", Topologies: []string{"torus:4x4"}, Scenarios: []string{"mixed"}, Trials: 1,
+		Params: workload.Params{Messages: 50}}
+	m := &Manifest{Name: "m", Seed: 1, Grids: []Grid{ok, g}}
+	dir := t.TempDir()
+	if _, err := Run(context.Background(), m, Options{Workers: 1, MaxMessages: opts.MaxMessages, CheckpointDir: dir}); !errors.Is(err, workload.ErrInvalidWorkload) {
+		t.Errorf("campaign replaying %d messages under cap %d: %v, want an invalid-workload error", opts.MaxMessages+1, opts.MaxMessages, err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Errorf("refused campaign checkpointed %d units first (%v)", len(ents), err)
 	}
 }
 

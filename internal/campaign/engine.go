@@ -266,6 +266,16 @@ func Run(ctx context.Context, m *Manifest, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("campaign: manifest expands to %d cells, limit %d", n, opts.MaxCells)
 	}
 	cells := m.cells()
+	// Every cell's identity resolves before any unit runs, so a cell the
+	// budget clamp refuses fails the campaign before it costs anything.
+	specs := make([]cellSpec, len(cells))
+	for i, cell := range cells {
+		spec, err := cellSpecFor(m.grid(cell.Grid), cell, opts)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: cell %s: %w", cell, err)
+		}
+		specs[i] = spec
+	}
 
 	res := &Result{Manifest: m, SVGs: map[string]string{}}
 
@@ -342,7 +352,7 @@ func Run(ctx context.Context, m *Manifest, opts Options) (*Result, error) {
 			for i := range next {
 				cell := cells[i]
 				g := m.grid(cell.Grid)
-				spec := cellSpecFor(g, cell, opts)
+				spec := specs[i]
 				id := cellID("cell", cell.Grid+"-"+cell.Scenario, spec)
 				if cp := loadCheckpoint(opts.CheckpointDir, id); cp != nil && cp.Cell != nil {
 					opts.Metrics.CellsCached.Inc()
@@ -443,14 +453,18 @@ func RunSingleCell(ctx context.Context, g Grid, cell Cell, opts Options) (*CellR
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	spec := cellSpecFor(&g, cell, opts)
+	spec, err := cellSpecFor(&g, cell, opts)
+	if err != nil {
+		return nil, err
+	}
 	id := cellID("cell", cell.Grid+"-"+cell.Scenario, spec)
 	return runCell(cell, spec, id, opts, workload.NewSystemCache(0, nil), workload.NewRunnerCache(0))
 }
 
 // cellSpecFor resolves the complete checkpoint identity of a cell,
 // including the Options clamps (a clamp change must invalidate checkpoints).
-func cellSpecFor(g *Grid, cell Cell, opts Options) cellSpec {
+// It fails when the clamp refuses the cell (a replayed trace over the cap).
+func cellSpecFor(g *Grid, cell Cell, opts Options) (cellSpec, error) {
 	trials := g.Trials
 	if trials <= 0 {
 		trials = 3
@@ -459,15 +473,6 @@ func cellSpecFor(g *Grid, cell Cell, opts Options) cellSpec {
 		trials = opts.MaxTrials
 	}
 	params := g.Params
-	// Clamp the message budget only downward: resolve the scenario default
-	// first (an omitted "messages" must fall to the registry default, not
-	// to the operator cap — the cap is a ceiling, never a default; the
-	// serve /run path does the same).
-	if opts.MaxMessages > 0 {
-		if sc, ok := workload.Lookup(cell.Scenario); ok && workload.Budget(sc.New(params), 0) > opts.MaxMessages {
-			params.Messages = opts.MaxMessages
-		}
-	}
 	// The grid's fault-profile axis is authoritative: cell.Fault overrides
 	// (or clears) any profile smuggled in via Params, so the report's
 	// faults column always matches what ran.
@@ -475,7 +480,24 @@ func cellSpecFor(g *Grid, cell Cell, opts Options) cellSpec {
 	if cell.Fault != "" && params.FaultSeed == 0 {
 		params.FaultSeed = cell.Seed ^ 0xfa17
 	}
-	return cellSpec{Cell: cell, Trials: trials, Warmup: g.WarmupMessages, Params: params}
+	// The same budget clamp as serve's /run, on the params the cell runs,
+	// against the cell network's processor count.
+	if sc, ok := workload.Lookup(cell.Scenario); ok {
+		var err error
+		if params, err = workload.ClampBudget(sc, params, cellProcs(cell.Topology), opts.MaxMessages); err != nil {
+			return cellSpec{}, err
+		}
+	}
+	return cellSpec{Cell: cell, Trials: trials, Warmup: g.WarmupMessages, Params: params}, nil
+}
+
+// cellProcs predicts the processor count of a cell's network from its spec,
+// without a build. A file spec, whose size is known only after loading,
+// predicts 0, as does a spec that does not parse (its cell fails when it
+// builds); only the CLI runs file specs, and it sets no message cap.
+func cellProcs(topo string) int {
+	sp, _ := topology.ParseSpec(topo)
+	return max(sp.Nodes()-sp.Switches(), 0)
 }
 
 // runCell measures one grid cell on the worker's reusable simulator for the

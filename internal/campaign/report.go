@@ -178,10 +178,3 @@ func writeMarkdownTable(sb *strings.Builder, t *experiment.Table) {
 		sb.WriteString("| " + strings.Join(cells, " | ") + " |\n")
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

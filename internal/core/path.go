@@ -91,76 +91,34 @@ func (r *Router) appendPhase1Path(dst []topology.ChannelID, src, lcaSwitch topol
 	return dst, nil
 }
 
-// PathBuf is reusable storage for MulticastPathsInto. The zero value is
-// ready to use; reusing one buffer across calls retires the per-call map and
-// per-destination slice allocations of MulticastPaths once warm.
-type PathBuf struct {
-	paths map[topology.NodeID][]topology.ChannelID
-	pool  [][]topology.ChannelID // spare per-destination slices, len 0
-	p1    []topology.ChannelID
-	rev   []topology.ChannelID
-}
-
-// reset clears the map, recycling the value slices into the pool.
-func (b *PathBuf) reset() {
-	if b.paths == nil {
-		b.paths = make(map[topology.NodeID][]topology.ChannelID)
-		return
-	}
-	for d, p := range b.paths {
-		b.pool = append(b.pool, p[:0])
-		delete(b.paths, d)
-	}
-}
-
-// next returns an empty path slice, reusing pooled capacity when available.
-func (b *PathBuf) next() []topology.ChannelID {
-	if n := len(b.pool); n > 0 {
-		p := b.pool[n-1]
-		b.pool = b.pool[:n-1]
-		return p
-	}
-	return nil
-}
-
 // MulticastPaths returns, for every destination, the full contention-free
 // channel path a SPAM worm follows from src: the greedy phase-1 path to the
 // LCA followed by the unique tree path from the LCA to the destination
 // (ending in the consumption channel).
 func (r *Router) MulticastPaths(src topology.NodeID, dests []topology.NodeID) (map[topology.NodeID][]topology.ChannelID, error) {
-	return r.MulticastPathsInto(new(PathBuf), src, dests)
-}
-
-// MulticastPathsInto is MulticastPaths writing into caller-provided storage:
-// the returned map and its value slices are owned by buf and are valid until
-// the next call with the same buf. Callers that evaluate many multicasts
-// (baselines, analytics sweeps) reuse one PathBuf to keep the per-call cost
-// at the path computation itself.
-func (r *Router) MulticastPathsInto(buf *PathBuf, src topology.NodeID, dests []topology.NodeID) (map[topology.NodeID][]topology.ChannelID, error) {
 	if _, err := r.DestSet(dests); err != nil {
 		return nil, err
 	}
 	lca := r.LCASwitch(dests)
-	p1, err := r.appendPhase1Path(buf.p1[:0], src, lca)
+	p1, err := r.appendPhase1Path(nil, src, lca)
 	if err != nil {
 		return nil, err
 	}
-	buf.p1 = p1
-	buf.reset()
+	paths := make(map[topology.NodeID][]topology.ChannelID, len(dests))
+	var rev []topology.ChannelID
 	for _, d := range dests {
 		// Tree path LCA -> d via parent chain from d.
-		rev := buf.rev[:0]
+		rev = rev[:0]
 		for v := d; v != lca; v = r.Lab.Parent[v] {
 			rev = append(rev, r.Lab.ParentChan[v])
 		}
-		buf.rev = rev
-		path := append(buf.next(), p1...)
+		path := append(make([]topology.ChannelID, 0, len(p1)+len(rev)), p1...)
 		for i := len(rev) - 1; i >= 0; i-- {
 			path = append(path, rev[i])
 		}
-		buf.paths[d] = path
+		paths[d] = path
 	}
-	return buf.paths, nil
+	return paths, nil
 }
 
 // ZeroLoadLatency computes the closed-form latency of a single multicast in

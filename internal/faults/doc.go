@@ -9,7 +9,9 @@
 //
 //   - a fault-script model (Event/Script, a compact text DSL, and seeded
 //     generators: Poisson failure/repair, rolling maintenance windows,
-//     correlated regional outages);
+//     correlated regional outages). A Spec is the one description of a
+//     timeline: its DSL, or a profile with the fields that profile's
+//     generator reads, and Spec.Resolve turns it into a Script;
 //   - an Injector that owns a private mutable labeling + router for one
 //     simulator and applies script events inside the simulation's event
 //     loop. Every applied mutation drains every launched worm (see

@@ -394,11 +394,12 @@ func TestDSLRoundTrip(t *testing.T) {
 // generators.
 func TestGenerators(t *testing.T) {
 	net, _, _ := testRig(t, 48, 77)
-	p1, err := Poisson(net, PoissonConfig{Seed: 3, HorizonNs: 2_000_000, MTBFNs: 5_000_000, MTTRNs: 100_000})
+	storm := Spec{Profile: ProfilePoisson, Seed: 3, HorizonNs: 2_000_000, MTBFNs: 5_000_000, MTTRNs: 100_000}
+	p1, err := storm.Resolve(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _ := Poisson(net, PoissonConfig{Seed: 3, HorizonNs: 2_000_000, MTBFNs: 5_000_000, MTTRNs: 100_000})
+	p2, _ := storm.Resolve(net)
 	if len(p1) == 0 {
 		t.Fatal("poisson generated nothing")
 	}
@@ -431,7 +432,7 @@ func TestGenerators(t *testing.T) {
 		}
 	}
 
-	m, err := RollingMaintenance(net, MaintenanceConfig{StartNs: 10_000, WindowNs: 50_000, GapNs: 20_000})
+	m, err := Spec{Profile: ProfileMaintenance, StartNs: 10_000, WindowNs: 50_000, GapNs: 20_000}.Resolve(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +443,7 @@ func TestGenerators(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg, err := RegionalOutage(net, RegionalConfig{Center: 0, Radius: 2, StartNs: 5_000, DurationNs: 40_000})
+	reg, err := Spec{Profile: ProfileRegional, Center: 0, Radius: 2, StartNs: 5_000, WindowNs: 40_000}.Resolve(net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
+	spamnet "repro"
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -51,6 +55,66 @@ func TestRunMisrouteZeroBaselineDifferential(t *testing.T) {
 		if !reflect.DeepEqual(resp, want) {
 			t.Fatalf("pool %d: misroute-0 diverged from baseline:\n got %+v\nwant %+v", pool, resp, want)
 		}
+	}
+}
+
+// TestNamedRoutingOverridesDaemonPolicy: a request that names a routing
+// policy runs on it, even when it names baseline on a misroute daemon; a
+// request that names no topology, routing or root runs on the daemon's
+// default system.
+func TestNamedRoutingOverridesDaemonPolicy(t *testing.T) {
+	sys, err := spamnet.NewLattice(16, spamnet.WithSeed(7),
+		spamnet.WithRoutingPolicy(spamnet.PolicyMisroute), spamnet.WithMisrouteBudget(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := newService(t, sys, 1)
+	for _, c := range []struct {
+		name   string
+		params workload.Params
+		pol    core.Policy
+		budget int
+	}{
+		{"baseline named", workload.Params{Routing: "baseline"}, core.PolicyBaseline, 0},
+		{"nothing named", workload.Params{}, core.PolicyMisroute, 2},
+	} {
+		rv, err := svc.resolveRun(RunRequest{Scenario: "mixed", Params: c.params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rv.sys.Key.Policy != c.pol || rv.cfg.MisrouteBudget != c.budget {
+			t.Errorf("%s: resolved policy %v budget %d, want %v budget %d",
+				c.name, rv.sys.Key.Policy, rv.cfg.MisrouteBudget, c.pol, c.budget)
+		}
+	}
+}
+
+// TestNamedDefaultRootUsesDefaultSystem: naming the root strategy the
+// default system was built with selects that system, not a rebuilt copy,
+// and answers the same bytes as naming nothing.
+func TestNamedDefaultRootUsesDefaultSystem(t *testing.T) {
+	svc := newService(t, testSystem(t, 16), 1)
+	answer := func(root string) []byte {
+		t.Helper()
+		req := smallRequest(2)
+		req.Params.Root = root
+		resp, err := svc.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.ElapsedMs = 0
+		blob, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	named, unnamed := answer("min-id"), answer("")
+	if n := svc.systems.Len(); n != 0 {
+		t.Errorf("naming the default root built %d systems, want 0", n)
+	}
+	if !bytes.Equal(named, unnamed) {
+		t.Errorf("named default root answered\n%s\nnaming nothing answered\n%s", named, unnamed)
 	}
 }
 

@@ -12,12 +12,10 @@ import (
 
 	spamnet "repro"
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/updown"
 	"repro/internal/workload"
 )
 
@@ -32,11 +30,13 @@ type Config struct {
 	// MaxTrials clamps the per-request trial count (0 = 64).
 	MaxTrials int
 	// MaxMessages clamps the per-trial message *submission* budget
-	// (0 = 20000); permutation rounds and storm sources are clamped to the
-	// equivalent submission count. Deliveries can exceed it by the
-	// multicast fan-out — worst case messages × (procs-1) for broadcasts,
-	// which is the service's job to serve — so size it (with the
-	// simulated-time horizon) for the largest legitimate sweep.
+	// (0 = 20000) of /run and of campaign cells alike, through
+	// workload.ClampBudget, which also lowers permutation rounds and
+	// pipeline stages to fit it and refuses a replayed trace over it.
+	// Deliveries can exceed it by the multicast fan-out — worst case
+	// messages × (procs-1) for broadcasts, which is the service's job to
+	// serve — so size it (with the simulated-time horizon) for the largest
+	// legitimate sweep.
 	MaxMessages int
 	// MaxInflight is the admission bound: how many requests (Run,
 	// RunCampaign, RunShard, RunCell) may be in flight at once before new
@@ -87,12 +87,6 @@ const (
 	// far less than the trial it serves.
 	workerRunners = 1
 )
-
-// ownRoot is the root strategy in the default system's key. The default
-// network is not built from a spec and its labeling need not come from any
-// strategy (spamnet.FromParts), so no strategy a request names matches it:
-// only a request that names no root runs on the default labeling.
-const ownRoot = updown.RootStrategy(255)
 
 // task is one trial awaiting a pooled simulator.
 type task struct {
@@ -175,7 +169,7 @@ func New(cfg Config) (*Service, error) {
 	// requests' traces. Tracing stays a Session-level debugging tool.
 	s.simCfg = cfg.System.SimConfig()
 	s.simCfg.Logf = nil
-	s.home = workload.SystemKey{Policy: cfg.System.Policy(), Root: ownRoot}
+	s.home = workload.SystemKey{Policy: cfg.System.Policy(), Root: cfg.System.RootStrategy()}
 	home := &workload.System{Key: s.home, Net: cfg.System.Topology(), Lab: cfg.System.Labeling(), Router: cfg.System.Router()}
 	s.systems = workload.NewSystemCache(maxSystems, home)
 	switch {
@@ -501,13 +495,14 @@ func (s *Service) resolveRun(req RunRequest) (*resolvedRun, error) {
 	if trials > s.cfg.MaxTrials {
 		trials = s.cfg.MaxTrials
 	}
-	// A request may select its own topology family ("topology" param),
-	// routing policy ("routing" + "misroute_budget") or root strategy
-	// ("root"); any override names another system, validated, built and
-	// cached up front, whose trials run on the same bounded pool. On the
-	// default topology an empty root keeps the default labeling. The budget
-	// is clamped into the params so every layer (local trials, fleet
-	// shards) sees the same resolved value.
+	// A request that names no topology, routing policy or root runs on the
+	// default system. A request that names any of them ("topology",
+	// "routing" + "misroute_budget", "root") runs on the system they name,
+	// validated, built and cached up front, whose trials run on the same
+	// bounded pool: an empty routing is baseline, and on the default
+	// topology an empty root keeps the default root strategy. The budget is
+	// clamped into the params so every layer (local trials, fleet shards)
+	// sees the same resolved value.
 	params := req.Params
 	if err := workload.ValidateRoutingParams(params); err != nil {
 		return nil, fmt.Errorf("%w: %w", workload.ErrInvalidWorkload, err)
@@ -515,7 +510,7 @@ func (s *Service) resolveRun(req RunRequest) (*resolvedRun, error) {
 	pol, budget, _ := workload.RoutingPolicy(params)
 	params.MisrouteBudget = budget
 	key, cfg := s.home, s.simCfg
-	if params.Topology != "" || pol != core.PolicyBaseline || params.Root != "" {
+	if params.Topology != "" || params.Routing != "" || params.Root != "" {
 		key.Policy, cfg.MisrouteBudget = pol, budget
 		root, named, _ := workload.RootStrategy(params)
 		if params.Topology != "" {
@@ -532,25 +527,7 @@ func (s *Service) resolveRun(req RunRequest) (*resolvedRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadTopology, err)
 	}
-	// Clamp every wire-exposed knob that scales per-trial work. The message
-	// budget is checked after scenario defaults resolve: an omitted
-	// "messages" param falls to the scenario default, which must not bypass
-	// the operator's cap either. Budget-less workloads scale differently —
-	// permutations submit rounds·procs messages and a storm one broadcast
-	// per source — so their knobs are clamped directly.
 	procs := sys.Net.NumProcs
-	if maxRounds := max(1, s.cfg.MaxMessages/max(1, procs)); params.Rounds > maxRounds {
-		params.Rounds = maxRounds
-	}
-	if params.Sources > procs {
-		params.Sources = procs
-	}
-	// A pipeline's budget is items·(Stages−1) with items ≥ 1, so the stage
-	// count itself must respect both the processor count and the message
-	// cap for the clamp below to be able to bound the trial.
-	if maxStages := min(procs, 1+s.cfg.MaxMessages); params.Stages > maxStages {
-		params.Stages = maxStages
-	}
 	if params.Topology != "" {
 		// A topology-selecting request shares scenario defaults sized for
 		// the 128-proc default system; clamp fan-out to what the selected
@@ -559,8 +536,8 @@ func (s *Service) resolveRun(req RunRequest) (*resolvedRun, error) {
 		params = workload.ClampFanOut(params, procs)
 	}
 	// Replay requests carry the full submission stream inline; validate
-	// the trace before building anything so a malformed or oversized file
-	// is a client error, and so the budget clamp below sees its size.
+	// the trace before any trial runs so a malformed or mismatched file is
+	// a client error (ClampBudget refuses an oversized one).
 	if req.Scenario == "replay" || params.Trace != "" {
 		tr, err := workload.ParseTrace(params.Trace)
 		if err != nil {
@@ -570,13 +547,9 @@ func (s *Service) resolveRun(req RunRequest) (*resolvedRun, error) {
 			return nil, fmt.Errorf("%w: workload: trace was captured on %d processors, network has %d",
 				workload.ErrInvalidWorkload, tr.Procs, procs)
 		}
-		if len(tr.Msgs) > s.cfg.MaxMessages {
-			return nil, fmt.Errorf("%w: workload: trace has %d messages, cap is %d",
-				workload.ErrInvalidWorkload, len(tr.Msgs), s.cfg.MaxMessages)
-		}
 	}
-	if workload.Budget(sc.New(params), procs) > s.cfg.MaxMessages {
-		params.Messages = s.cfg.MaxMessages
+	if params, err = workload.ClampBudget(sc, params, procs, s.cfg.MaxMessages); err != nil {
+		return nil, err
 	}
 	messages := workload.Budget(sc.New(params), procs)
 	// Validate the fault-injection parameters up front: bad drain/profile

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	spamnet "repro"
+	"repro/internal/campaign"
 	"repro/internal/workload"
 )
 
@@ -544,6 +545,16 @@ func TestServeReplayValidation(t *testing.T) {
 		over.Msgs = append(over.Msgs, workload.TraceMsg{Parent: -1, Src: 0, Dests: []int32{1}})
 	}
 	bad("oversized", RunRequest{Scenario: "replay", Params: workload.Params{Trace: over.Format()}}, "cap")
+	// /cell shares the clamp: a grid cell replaying the same trace is
+	// refused as well.
+	_, err = svc.RunCell(context.Background(), CellRequest{
+		Grid: campaign.Grid{Name: "g", Topologies: []string{"lattice:16"}, Scenarios: []string{"replay"},
+			Params: workload.Params{Trace: over.Format()}},
+		Cell: campaign.Cell{Grid: "g", Topology: "lattice:16", Scenario: "replay", Seed: 1},
+	})
+	if !errors.Is(err, workload.ErrInvalidWorkload) || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("oversized cell: got %v, want ErrInvalidWorkload naming the cap", err)
+	}
 
 	// The same validation guards a trace smuggled under another scenario
 	// name — params.Trace alone triggers it.

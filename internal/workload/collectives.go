@@ -10,10 +10,16 @@ package workload
 // trial cost, and all are deterministic per (workload, seed) like every
 // other generator.
 
-import (
-	"fmt"
+import "repro/internal/sim"
 
-	"repro/internal/sim"
+// Schedule constants of the collectives. No Params field reaches them;
+// dependent steps forward the instant their predecessor completes.
+const (
+	// allToAllGapNs separates all-to-all round start times.
+	allToAllGapNs = 1000
+	// pipelineGapNs separates successive item arrivals into the first
+	// pipeline stage.
+	pipelineGapNs = 2000
 )
 
 // RingAllReduce models the classic ring all-reduce: n concurrent chains,
@@ -23,9 +29,6 @@ import (
 // completion hook — the offered load self-regulates exactly like the
 // collective would on a real machine.
 type RingAllReduce struct {
-	// ThinkNs delays each forwarding step after the predecessor completes
-	// (per-hop software overhead; 0 = immediate).
-	ThinkNs int64
 	// Messages caps the total submissions of the trial (0 = the full
 	// 2·n·(n−1) message volume).
 	Messages int
@@ -48,7 +51,6 @@ type ringState struct {
 	g      *Gen
 	n      int
 	steps  int // steps per chain: 2(n−1)
-	think  int64
 	budget int
 	// step maps an in-flight worm to its chain step index.
 	step map[int64]int
@@ -58,10 +60,7 @@ type ringState struct {
 // Generate implements Workload.
 func (ra RingAllReduce) Generate(g *Gen) error {
 	n := g.NumProcs()
-	if n < 2 {
-		return fmt.Errorf("workload: ring all-reduce needs >= 2 processors")
-	}
-	st := &ringState{g: g, n: n, steps: 2 * (n - 1), think: ra.ThinkNs, budget: ra.MessageBudgetFor(n), step: make(map[int64]int)}
+	st := &ringState{g: g, n: n, steps: 2 * (n - 1), budget: ra.MessageBudgetFor(n), step: make(map[int64]int)}
 	st.hook = st.complete
 	for s := 0; s < n && st.budget > 0; s++ {
 		if err := st.submit(s, 0, 0); err != nil {
@@ -87,7 +86,7 @@ func (st *ringState) submit(srcIdx, k int, at int64) error {
 }
 
 // complete forwards the chain: the receiver of step k sends step k+1 to
-// its own successor after the think time.
+// its own successor.
 func (st *ringState) complete(w *sim.Worm, t int64) {
 	k := st.step[w.ID]
 	delete(st.step, w.ID)
@@ -95,7 +94,7 @@ func (st *ringState) complete(w *sim.Worm, t int64) {
 		return
 	}
 	next := (int(w.Src) - st.g.router.Net.NumSwitches + 1) % st.n
-	if err := st.submit(next, k+1, t+st.think); err != nil {
+	if err := st.submit(next, k+1, t); err != nil {
 		st.g.setHookErr(err)
 	}
 }
@@ -110,8 +109,6 @@ func (st *ringState) complete(w *sim.Worm, t int64) {
 type TreeAllReduce struct {
 	// Fanout is the tree arity (0 selects 2).
 	Fanout int
-	// ThinkNs delays each forwarding step after its dependency completes.
-	ThinkNs int64
 	// Messages caps the total submissions of the trial (0 = full volume).
 	Messages int
 }
@@ -145,7 +142,6 @@ type treeState struct {
 	g      *Gen
 	n      int
 	f      int
-	think  int64
 	budget int
 	// pend[i] counts node i's children whose reduce contribution is still
 	// outstanding; when it hits 0 the node forwards up (or, at the root,
@@ -159,11 +155,8 @@ type treeState struct {
 // Generate implements Workload.
 func (ta TreeAllReduce) Generate(g *Gen) error {
 	n := g.NumProcs()
-	if n < 2 {
-		return fmt.Errorf("workload: tree all-reduce needs >= 2 processors")
-	}
 	f := ta.fanout()
-	st := &treeState{g: g, n: n, f: f, think: ta.ThinkNs, budget: ta.MessageBudgetFor(n), down: make(map[int64]bool)}
+	st := &treeState{g: g, n: n, f: f, budget: ta.MessageBudgetFor(n), down: make(map[int64]bool)}
 	st.hook = st.complete
 	st.pend = make([]int, n)
 	for i := 0; i < n; i++ {
@@ -232,7 +225,7 @@ func (st *treeState) complete(w *sim.Worm, t int64) {
 		delete(st.down, w.ID)
 		for c := st.f*i + 1; c <= st.f*i+st.f && c < st.n; c++ {
 			if st.children(c) > 0 && st.budget > 0 {
-				if err := st.sendDown(c, t+st.think); err != nil {
+				if err := st.sendDown(c, t); err != nil {
 					st.g.setHookErr(err)
 					return
 				}
@@ -248,9 +241,9 @@ func (st *treeState) complete(w *sim.Worm, t int64) {
 	}
 	var err error
 	if p == 0 {
-		err = st.sendDown(0, t+st.think)
+		err = st.sendDown(0, t)
 	} else {
-		err = st.sendUp(p, t+st.think)
+		err = st.sendUp(p, t)
 	}
 	if err != nil {
 		st.g.setHookErr(err)
@@ -258,13 +251,11 @@ func (st *treeState) complete(w *sim.Worm, t int64) {
 }
 
 // AllToAll is the personalized all-to-all exchange in the canonical
-// rotation schedule: round r (1 ≤ r < n) starts at (r−1)·GapNs and has
-// every processor i send one unicast to (i+r) mod n — the full n(n−1)
+// rotation schedule: round r (1 ≤ r < n) starts at (r−1)·allToAllGapNs and
+// has every processor i send one unicast to (i+r) mod n — the full n(n−1)
 // message volume of MPI_Alltoall, open loop so the network's congestion
 // response is measured rather than hidden.
 type AllToAll struct {
-	// GapNs separates round start times (0 selects 1000 ns).
-	GapNs int64
 	// Messages caps the total submissions of the trial (0 = full volume),
 	// truncating the schedule in round-major order.
 	Messages int
@@ -285,16 +276,9 @@ func (aa AllToAll) MessageBudgetFor(procs int) int {
 // Generate implements Workload.
 func (aa AllToAll) Generate(g *Gen) error {
 	n := g.NumProcs()
-	if n < 2 {
-		return fmt.Errorf("workload: all-to-all needs >= 2 processors")
-	}
-	gap := aa.GapNs
-	if gap <= 0 {
-		gap = 1000
-	}
 	budget := aa.MessageBudgetFor(n)
 	for r := 1; r < n && budget > 0; r++ {
-		at := int64(r-1) * gap
+		at := int64(r-1) * allToAllGapNs
 		for i := 0; i < n && budget > 0; i++ {
 			g.dests = append(g.dests[:0], g.Proc((i+r)%n))
 			if _, err := g.Submit(at, g.Proc(i), g.dests); err != nil {
@@ -308,18 +292,13 @@ func (aa AllToAll) Generate(g *Gen) error {
 
 // Pipeline is a stage DAG: the processors are split into Stages contiguous
 // bands, and work items flow through the bands in order. Item k enters the
-// first band at k·GapNs; each inter-stage message is submitted only when
-// the item's previous stage message completes (plus a think time) — the
+// first band at k·pipelineGapNs; each inter-stage message is submitted only
+// when the item's previous stage message completes — the
 // pipelined-dataflow pattern whose throughput is set by the slowest stage
 // link, not the offered rate.
 type Pipeline struct {
 	// Stages is the band count (0 selects 4; clamped to [2, procs]).
 	Stages int
-	// GapNs separates successive item arrivals into the first stage (0
-	// selects 2000 ns).
-	GapNs int64
-	// ThinkNs is the per-stage processing delay before forwarding.
-	ThinkNs int64
 	// Messages sizes the trial: the item count is max(1, Messages/(S−1)),
 	// so total submissions ≈ Messages (exactly items·(S−1)).
 	Messages int
@@ -369,7 +348,6 @@ type pipeState struct {
 	g      *Gen
 	n      int
 	stages int
-	think  int64
 	// meta maps an in-flight worm to item·stages + stage.
 	meta map[int64]int
 	hook func(w *sim.Worm, t int64)
@@ -385,18 +363,11 @@ func (st *pipeState) band(s, k int) int {
 // Generate implements Workload.
 func (pl Pipeline) Generate(g *Gen) error {
 	n := g.NumProcs()
-	if n < 2 {
-		return fmt.Errorf("workload: pipeline needs >= 2 processors")
-	}
 	s := pl.stages(n)
-	gap := pl.GapNs
-	if gap <= 0 {
-		gap = 2000
-	}
-	st := &pipeState{g: g, n: n, stages: s, think: pl.ThinkNs, meta: make(map[int64]int)}
+	st := &pipeState{g: g, n: n, stages: s, meta: make(map[int64]int)}
 	st.hook = st.complete
 	for k := 0; k < pl.items(s); k++ {
-		if err := st.submit(k, 0, int64(k)*gap); err != nil {
+		if err := st.submit(k, 0, int64(k)*pipelineGapNs); err != nil {
 			return err
 		}
 	}
@@ -424,7 +395,7 @@ func (st *pipeState) complete(w *sim.Worm, t int64) {
 	if s+1 >= st.stages-1 {
 		return
 	}
-	if err := st.submit(k, s+1, t+st.think); err != nil {
+	if err := st.submit(k, s+1, t); err != nil {
 		st.g.setHookErr(err)
 	}
 }

@@ -116,10 +116,10 @@ func TestPipelineFlow(t *testing.T) {
 // reproduces the same per-worm completion times.
 func TestCollectivesAreDeterministic(t *testing.T) {
 	for _, w := range []Workload{
-		RingAllReduce{Messages: 120, ThinkNs: 100},
-		TreeAllReduce{Fanout: 3, ThinkNs: 100},
+		RingAllReduce{Messages: 120},
+		TreeAllReduce{Fanout: 3},
 		AllToAll{Messages: 120},
-		Pipeline{Stages: 3, Messages: 60, ThinkNs: 100},
+		Pipeline{Stages: 3, Messages: 60},
 	} {
 		sig := func() []int64 {
 			r := newTestRunner(t, 16)
@@ -202,7 +202,7 @@ func TestClosedLoopExactBudget(t *testing.T) {
 // cost outside the hook contract this test pins.
 func TestClosedLoopTrialAllocFree(t *testing.T) {
 	r := newTestRunner(t, 64)
-	var w Workload = ClosedLoop{Window: 1, ThinkNs: 200, Messages: 150}
+	var w Workload = ClosedLoop{Window: 1, Messages: 150}
 	trial := func() {
 		if err := r.Trial(w, 33); err != nil {
 			t.Fatal(err)

@@ -8,6 +8,17 @@
 // window of outstanding messages per processor and resubmit from completion
 // hooks while the simulation runs.
 //
+// The scenario registry names the workloads the CLIs, the serve wire and
+// the campaign manifests run. Each registered scenario is a function of
+// Params: every field of the workload it builds is set from some Params
+// field, and the generators' timings (slot widths, round gaps, burst
+// lengths) are constants. ClampFanOut fits a scenario's fan-out to a
+// network's processor count, and ClampBudget bounds its per-trial
+// submission count, refusing a replayed trace that no knob can shorten;
+// serve's /run and the campaign engine call both, so no front end runs a
+// trial another would refuse. Runner.Trial refuses a network of fewer than
+// two processors for every workload.
+//
 // The measurement harness (Measure) implements the paper's Section 4
 // methodology: warmup messages are excluded, and confidence intervals for
 // correlated steady-state series come from batch means rather than raw

@@ -42,19 +42,6 @@ func (f Faulty) Generate(g *Gen) error {
 	return f.Inner.Generate(g)
 }
 
-// Registry fallbacks: the defaults the pre-wired fault scenarios fall back
-// to if parameter mapping rejects the caller's strings (scenario
-// constructors cannot return errors; a malformed DSL still fails loudly at
-// resolve time inside the trial).
-var (
-	faultsDefaultStorm = faults.Spec{
-		Profile: faults.ProfilePoisson, MTBFNs: 20_000_000, MTTRNs: 150_000, HorizonNs: 2_000_000,
-	}
-	faultsDefaultMaintenance = faults.Spec{
-		Profile: faults.ProfileMaintenance, StartNs: 50_000, WindowNs: 80_000, GapNs: 40_000,
-	}
-)
-
 // HasFaults reports whether the parameters request fault injection.
 func HasFaults(p Params) bool {
 	return p.FaultScript != "" || p.FaultProfile != ""

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -212,6 +213,10 @@ func TestFaultScenarioRegistry(t *testing.T) {
 		}
 		if r.FaultInjector().Metrics().EventsApplied == 0 {
 			t.Fatalf("%q applied no fault events", name)
+		}
+		// A bad profile fails the trial, as a bad replay trace does.
+		if err := r.Trial(sc.New(Params{FaultProfile: "nope"}), 3); !errors.Is(err, ErrInvalidWorkload) {
+			t.Fatalf("%q with a bad profile: %v, want an invalid-workload error", name, err)
 		}
 	}
 

@@ -15,11 +15,40 @@ import (
 	"repro/internal/topology"
 )
 
+// Generator timing constants. No Params field reaches them, so each
+// scenario is a function of Params alone.
+const (
+	// mixedSlotNs is the arrival-process granularity of Mixed (one flit
+	// time), and mixedNegBinomialR the r of its inter-arrival distribution:
+	// inter-arrival times are mixedSlotNs·(1 + NegBinomial(r, p)).
+	mixedSlotNs       = 10
+	mixedNegBinomialR = 2
+	// roundGapNs separates permutation rounds (Transpose, BitReverse).
+	roundGapNs = 10_000
+	// stormGapNs staggers successive broadcast-storm submissions.
+	stormGapNs = 200
+	// meanBurstNs and meanIdleNs are Bursty's mean ON and OFF durations.
+	meanBurstNs = 50_000
+	meanIdleNs  = 150_000
+)
+
+// checkDests rejects a multicast fraction outside [0, 1] and, when
+// multicasts can occur, a destination count n processors cannot express.
+func checkDests(fraction float64, dests, n int) error {
+	if fraction < 0 || fraction > 1 {
+		return fmt.Errorf("workload: multicast fraction %v out of [0,1]", fraction)
+	}
+	if fraction > 0 && (dests < 1 || dests > n-1) {
+		return fmt.Errorf("workload: %d multicast destinations infeasible with %d processors", dests, n)
+	}
+	return nil
+}
+
 // Mixed is the paper's Figure-3 workload: every processor submits messages
-// with negative-binomial inter-arrival times at the configured average
-// rate; each message is a unicast to a uniform destination with probability
-// 1−MulticastFraction, otherwise a multicast to MulticastDests uniform
-// destinations.
+// with negative-binomial inter-arrival times (r = 2, 10 ns slots) at the
+// configured average rate; each message is a unicast to a uniform
+// destination with probability 1−MulticastFraction, otherwise a multicast
+// to MulticastDests uniform destinations.
 type Mixed struct {
 	// RatePerProcPerUs is the average arrival rate per processor in
 	// messages per microsecond (the paper sweeps ~0.005 to 0.04).
@@ -30,12 +59,6 @@ type Mixed struct {
 	// MulticastDests is the destination count of each multicast (paper:
 	// 8, 16, 32 or 64).
 	MulticastDests int
-	// NegBinomialR is the r parameter of the inter-arrival distribution
-	// (0 selects 2). Inter-arrival times are slot·(1 + NegBinomial(r, p)).
-	NegBinomialR int
-	// SlotNs is the arrival-process granularity; 0 selects 10 ns (one
-	// flit time).
-	SlotNs int64
 	// Messages is the total message count of the trial.
 	Messages int
 }
@@ -51,17 +74,11 @@ func (m Mixed) validate(n int) error {
 	if m.RatePerProcPerUs <= 0 {
 		return fmt.Errorf("workload: rate %v must be positive", m.RatePerProcPerUs)
 	}
-	if m.MulticastFraction < 0 || m.MulticastFraction > 1 {
-		return fmt.Errorf("workload: multicast fraction %v out of [0,1]", m.MulticastFraction)
-	}
-	if m.MulticastFraction > 0 && (m.MulticastDests < 1 || m.MulticastDests > n-1) {
-		return fmt.Errorf("workload: %d multicast destinations infeasible with %d processors", m.MulticastDests, n)
+	if err := checkDests(m.MulticastFraction, m.MulticastDests, n); err != nil {
+		return err
 	}
 	if m.Messages <= 0 {
 		return fmt.Errorf("workload: message count %d must be positive", m.Messages)
-	}
-	if m.NegBinomialR < 0 {
-		return fmt.Errorf("workload: negative-binomial r %d must be >= 0", m.NegBinomialR)
 	}
 	return nil
 }
@@ -72,24 +89,16 @@ func (m Mixed) Generate(g *Gen) error {
 	if err := m.validate(n); err != nil {
 		return err
 	}
-	slot := m.SlotNs
-	if slot <= 0 {
-		slot = 10
-	}
-	nbR := m.NegBinomialR
-	if nbR == 0 {
-		nbR = 2
-	}
-	meanSlots := 1000.0 / m.RatePerProcPerUs / float64(slot)
+	meanSlots := 1000.0 / m.RatePerProcPerUs / mixedSlotNs
 	if meanSlots <= 1 {
-		return fmt.Errorf("workload: rate %v too high for slot %d ns", m.RatePerProcPerUs, slot)
+		return fmt.Errorf("workload: rate %v too high for slot %d ns", m.RatePerProcPerUs, mixedSlotNs)
 	}
-	p := rng.NegBinomialP(nbR, meanSlots-1)
+	p := rng.NegBinomialP(mixedNegBinomialR, meanSlots-1)
 	perProc := (m.Messages + n - 1) / n
 	for i := 0; i < n; i++ {
 		t := int64(0)
 		for j := 0; j < perProc; j++ {
-			t += slot * (1 + g.Rand.NegBinomial(nbR, p))
+			t += mixedSlotNs * (1 + g.Rand.NegBinomial(mixedNegBinomialR, p))
 			g.arrivals = append(g.arrivals, arrival{t: t, srcIdx: int32(i)})
 		}
 	}
@@ -108,17 +117,15 @@ func (m Mixed) Generate(g *Gen) error {
 }
 
 // HotSpot concentrates open-loop unicast traffic on one destination: each
-// message targets the hot processor with probability HotFraction, a uniform
-// destination otherwise — the paper's Section 5 root hot-spot discussion
-// turned into a workload.
+// message targets the hot processor (dense index 0) with probability
+// HotFraction, a uniform destination otherwise — the paper's Section 5 root
+// hot-spot discussion turned into a workload.
 type HotSpot struct {
 	// RatePerProcPerUs is the average per-processor arrival rate.
 	RatePerProcPerUs float64
 	// HotFraction is the probability a message targets the hot processor
 	// (0 selects 0.5).
 	HotFraction float64
-	// HotIdx is the dense processor index of the hot destination.
-	HotIdx int
 	// Messages is the total message count of the trial.
 	Messages int
 }
@@ -135,9 +142,6 @@ func (h HotSpot) Generate(g *Gen) error {
 	n := g.NumProcs()
 	if h.RatePerProcPerUs <= 0 || h.Messages <= 0 {
 		return fmt.Errorf("workload: hotspot needs positive rate and messages")
-	}
-	if h.HotIdx < 0 || h.HotIdx >= n {
-		return fmt.Errorf("workload: hot index %d out of [0,%d)", h.HotIdx, n)
 	}
 	hot := h.HotFraction
 	if hot == 0 {
@@ -158,8 +162,8 @@ func (h HotSpot) Generate(g *Gen) error {
 	}
 	return g.submitArrivals(func(a arrival) []topology.NodeID {
 		src := int(a.srcIdx)
-		if src != h.HotIdx && g.Rand.Bool(hot) {
-			g.dests = append(g.dests[:0], g.Proc(h.HotIdx))
+		if src != 0 && g.Rand.Bool(hot) {
+			g.dests = append(g.dests[:0], g.Proc(0))
 			return g.dests
 		}
 		return g.PickDests(src, 1)
@@ -173,11 +177,8 @@ func (h HotSpot) Generate(g *Gen) error {
 // a structured saturation pattern with long-range pairwise contention.
 type Transpose struct {
 	// Rounds is how many back-to-back permutation rounds to submit (0
-	// selects 1).
+	// selects 1), roundGapNs apart.
 	Rounds int
-	// RoundGapNs separates round start times (0 selects one startup
-	// latency so rounds pipeline behind the injection queues).
-	RoundGapNs int64
 }
 
 // Name implements Workload.
@@ -195,7 +196,7 @@ func (tr Transpose) MessageBudgetFor(procs int) int {
 
 // Generate implements Workload.
 func (tr Transpose) Generate(g *Gen) error {
-	return generatePermutation(g, tr.Rounds, tr.RoundGapNs, func(i, n int) int {
+	return generatePermutation(g, tr.Rounds, func(i, n int) int {
 		w := int(math.Sqrt(float64(n)))
 		if w < 2 {
 			return (i + 1) % n
@@ -217,11 +218,9 @@ func (tr Transpose) Generate(g *Gen) error {
 // communication pattern, adversarial for tree-based routing because paired
 // nodes are maximally separated in index space.
 type BitReverse struct {
-	// Rounds is how many permutation rounds to submit (0 selects 1).
+	// Rounds is how many permutation rounds to submit (0 selects 1),
+	// roundGapNs apart.
 	Rounds int
-	// RoundGapNs separates round start times (0 selects one startup
-	// latency).
-	RoundGapNs int64
 }
 
 // Name implements Workload.
@@ -239,7 +238,7 @@ func (br BitReverse) MessageBudgetFor(procs int) int {
 
 // Generate implements Workload.
 func (br BitReverse) Generate(g *Gen) error {
-	return generatePermutation(g, br.Rounds, br.RoundGapNs, func(i, n int) int {
+	return generatePermutation(g, br.Rounds, func(i, n int) int {
 		width := bits.Len(uint(n - 1))
 		if width == 0 {
 			return (i + 1) % n
@@ -255,19 +254,13 @@ func (br BitReverse) Generate(g *Gen) error {
 
 // generatePermutation submits rounds of one unicast per processor, with the
 // destination index given by perm(i, n).
-func generatePermutation(g *Gen, rounds int, gapNs int64, perm func(i, n int) int) error {
+func generatePermutation(g *Gen, rounds int, perm func(i, n int) int) error {
 	n := g.NumProcs()
-	if n < 2 {
-		return fmt.Errorf("workload: permutation needs >= 2 processors")
-	}
 	if rounds <= 0 {
 		rounds = 1
 	}
-	if gapNs <= 0 {
-		gapNs = 10_000
-	}
 	for r := 0; r < rounds; r++ {
-		at := int64(r) * gapNs
+		at := int64(r) * roundGapNs
 		for i := 0; i < n; i++ {
 			g.dests = append(g.dests[:0], g.Proc(perm(i, n)))
 			if _, err := g.Submit(at, g.Proc(i), g.dests); err != nil {
@@ -284,10 +277,8 @@ func generatePermutation(g *Gen, rounds int, gapNs int64, perm func(i, n int) in
 // scale.
 type BroadcastStorm struct {
 	// Sources is how many distinct processors broadcast (0 selects 4;
-	// capped at the processor count).
+	// capped at the processor count), stormGapNs apart.
 	Sources int
-	// GapNs staggers successive broadcast submissions (0 selects 200 ns).
-	GapNs int64
 }
 
 // Name implements Workload.
@@ -309,19 +300,12 @@ func (bs BroadcastStorm) MessageBudgetFor(procs int) int {
 // Generate implements Workload.
 func (bs BroadcastStorm) Generate(g *Gen) error {
 	n := g.NumProcs()
-	if n < 2 {
-		return fmt.Errorf("workload: broadcast storm needs >= 2 processors")
-	}
 	k := bs.Sources
 	if k <= 0 {
 		k = 4
 	}
 	if k > n {
 		k = n
-	}
-	gap := bs.GapNs
-	if gap <= 0 {
-		gap = 200
 	}
 	g.idx = g.chooser.AppendChoose(g.Rand, g.idx[:0], n, k)
 	for si, srcIdx := range g.idx {
@@ -331,7 +315,7 @@ func (bs BroadcastStorm) Generate(g *Gen) error {
 				g.dests = append(g.dests, g.Proc(i))
 			}
 		}
-		if _, err := g.Submit(int64(si)*gap, g.Proc(srcIdx), g.dests); err != nil {
+		if _, err := g.Submit(int64(si)*stormGapNs, g.Proc(srcIdx), g.dests); err != nil {
 			return err
 		}
 	}
@@ -339,16 +323,13 @@ func (bs BroadcastStorm) Generate(g *Gen) error {
 }
 
 // Bursty is on/off modulated traffic: each processor alternates exponential
-// ON periods (during which it submits at the configured rate) and OFF
-// periods of silence. Bursts across processors are uncorrelated, producing
-// the transient congestion clusters smooth open-loop arrivals never show.
+// ON periods (mean meanBurstNs, during which it submits at the configured
+// rate) and OFF periods of silence (mean meanIdleNs). Bursts across
+// processors are uncorrelated, producing the transient congestion clusters
+// smooth open-loop arrivals never show.
 type Bursty struct {
 	// RatePerProcPerUs is the arrival rate during ON periods.
 	RatePerProcPerUs float64
-	// MeanBurstNs is the mean ON duration (0 selects 50 µs).
-	MeanBurstNs int64
-	// MeanIdleNs is the mean OFF duration (0 selects 150 µs).
-	MeanIdleNs int64
 	// MulticastFraction and MulticastDests mix multicasts into the bursts.
 	MulticastFraction float64
 	MulticastDests    int
@@ -369,32 +350,21 @@ func (bw Bursty) Generate(g *Gen) error {
 	if bw.RatePerProcPerUs <= 0 || bw.Messages <= 0 {
 		return fmt.Errorf("workload: bursty needs positive rate and messages")
 	}
-	if bw.MulticastFraction < 0 || bw.MulticastFraction > 1 {
-		return fmt.Errorf("workload: multicast fraction %v out of [0,1]", bw.MulticastFraction)
-	}
-	if bw.MulticastFraction > 0 && (bw.MulticastDests < 1 || bw.MulticastDests > n-1) {
-		return fmt.Errorf("workload: %d multicast destinations infeasible with %d processors", bw.MulticastDests, n)
-	}
-	burst := bw.MeanBurstNs
-	if burst <= 0 {
-		burst = 50_000
-	}
-	idle := bw.MeanIdleNs
-	if idle <= 0 {
-		idle = 150_000
+	if err := checkDests(bw.MulticastFraction, bw.MulticastDests, n); err != nil {
+		return err
 	}
 	meanNs := 1000.0 / bw.RatePerProcPerUs
 	perProc := (bw.Messages + n - 1) / n
 	for i := 0; i < n; i++ {
 		t := int64(0)
-		onUntil := int64(g.Rand.Exp(float64(burst))) + 1
+		onUntil := int64(g.Rand.Exp(meanBurstNs)) + 1
 		for j := 0; j < perProc; j++ {
 			t += int64(g.Rand.Exp(meanNs)) + 1
 			for t > onUntil {
 				// The ON window closed before this arrival: skip the
 				// OFF period and open the next window.
-				t = onUntil + int64(g.Rand.Exp(float64(idle))) + 1
-				onUntil = t + int64(g.Rand.Exp(float64(burst))) + 1
+				t = onUntil + int64(g.Rand.Exp(meanIdleNs)) + 1
+				onUntil = t + int64(g.Rand.Exp(meanBurstNs)) + 1
 			}
 			g.arrivals = append(g.arrivals, arrival{t: t, srcIdx: int32(i)})
 		}
@@ -414,15 +384,13 @@ func (bw Bursty) Generate(g *Gen) error {
 }
 
 // ClosedLoop keeps a fixed window of outstanding messages per processor:
-// each completion triggers the next submission after a think time, so the
-// offered load self-regulates to the network's accepted throughput — the
+// each completion triggers the next submission at once, so the offered
+// load self-regulates to the network's accepted throughput — the
 // complement of the open-loop generators, which plow on regardless of
 // congestion.
 type ClosedLoop struct {
 	// Window is the outstanding-message window per processor (0 selects 1).
 	Window int
-	// ThinkNs delays each resubmission after a completion.
-	ThinkNs int64
 	// MulticastFraction and MulticastDests mix multicasts into the stream.
 	MulticastFraction float64
 	MulticastDests    int
@@ -443,18 +411,14 @@ func (cl ClosedLoop) Generate(g *Gen) error {
 	if cl.Messages <= 0 {
 		return fmt.Errorf("workload: closed loop needs a positive message budget")
 	}
-	if cl.MulticastFraction < 0 || cl.MulticastFraction > 1 {
-		return fmt.Errorf("workload: multicast fraction %v out of [0,1]", cl.MulticastFraction)
-	}
-	if cl.MulticastFraction > 0 && (cl.MulticastDests < 1 || cl.MulticastDests > n-1) {
-		return fmt.Errorf("workload: %d multicast destinations infeasible with %d processors", cl.MulticastDests, n)
+	if err := checkDests(cl.MulticastFraction, cl.MulticastDests, n); err != nil {
+		return err
 	}
 	window := cl.Window
 	if window <= 0 {
 		window = 1
 	}
 	g.clBudget = cl.Messages
-	g.clThink = cl.ThinkNs
 	g.clMF = cl.MulticastFraction
 	g.clMD = cl.MulticastDests
 	if g.clHook == nil {
@@ -500,7 +464,7 @@ func (g *Gen) closedLoopComplete(w *sim.Worm, t int64) {
 	srcIdx := int(w.Src) - g.router.Net.NumSwitches
 	// There is no caller to return to inside a hook: record the error
 	// for Trial to surface after the run.
-	if err := g.closedLoopLaunch(srcIdx, t+g.clThink); err != nil {
+	if err := g.closedLoopLaunch(srcIdx, t); err != nil {
 		g.setHookErr(err)
 	}
 }

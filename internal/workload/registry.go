@@ -6,8 +6,6 @@ package workload
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/faults"
 )
 
 // Params are the shared knobs a scenario constructor may consult. Zero
@@ -142,6 +140,41 @@ func ClampFanOut(p Params, procs int) Params {
 	return p
 }
 
+// ClampBudget lowers the knobs of p that scale a trial's submission count
+// until scenario sc submits at most maxMessages messages per trial on a
+// network of procs processors (maxMessages <= 0 clamps nothing). A
+// permutation keeps at least one round, so on a network with more
+// processors than the cap it still submits one message per processor.
+// Storm sources and pipeline stages are bounded before the message budget,
+// which is checked after the scenario's defaults resolve, so an omitted
+// "messages" cannot pass the cap through its default, and the cap never
+// becomes a default. Knobs within the cap are left as they are. A replayed
+// trace has no knob to lower, so one over the cap is refused with
+// ErrInvalidWorkload. Serve's /run and the campaign engine share this
+// clamp.
+func ClampBudget(sc Scenario, p Params, procs, maxMessages int) (Params, error) {
+	if maxMessages <= 0 {
+		return p, nil
+	}
+	if maxRounds := max(1, maxMessages/max(1, procs)); p.Rounds > maxRounds {
+		p.Rounds = maxRounds
+	}
+	if p.Sources > maxMessages {
+		p.Sources = maxMessages
+	}
+	if p.Stages > 1+maxMessages {
+		p.Stages = 1 + maxMessages
+	}
+	w := sc.New(p)
+	if n := Budget(w, procs); n > maxMessages {
+		if _, ok := w.(Replay); ok {
+			return p, fmt.Errorf("%w: workload: trace has %d messages, cap is %d", ErrInvalidWorkload, n, maxMessages)
+		}
+		p.Messages = maxMessages
+	}
+	return p, nil
+}
+
 // defaultMulticastDests is the registry-wide default multicast fan-out
 // every scenario constructor applies via orI.
 const defaultMulticastDests = 8
@@ -219,18 +252,18 @@ func init() {
 	})
 	// faultyMixed builds the pre-wired fault scenarios: paper mixed traffic
 	// under a forced fault profile. Constructors cannot return errors, so a
-	// malformed fault profile falls back to the profile's defaults here and
-	// a malformed script fails when the trial resolves it. Serving layers,
-	// campaign validation and CLIs reject both first via
-	// ValidateFaultParams, so neither is reachable from the wire.
-	faultyMixed := func(profile string, fallback faults.Spec) func(Params) Workload {
+	// malformed fault profile surfaces when the trial generates, as a bad
+	// replay trace does, and a malformed script fails when the trial
+	// resolves it. Serving layers, campaign validation and CLIs reject both
+	// first via ValidateFaultParams.
+	faultyMixed := func(profile string) func(Params) Workload {
 		return func(p Params) Workload {
 			if p.FaultProfile == "" {
 				p.FaultProfile = profile
 			}
 			spec, err := FaultSpec(p)
 			if err != nil {
-				spec = fallback
+				return invalid{name: "mixed+faults", err: err}
 			}
 			return Faulty{
 				Inner: Mixed{
@@ -247,12 +280,12 @@ func init() {
 	Register(Scenario{
 		Name:        "fault-storm",
 		Description: "paper mixed traffic under seeded Poisson link failure/repair with live relabeling",
-		New:         faultyMixed("poisson", faultsDefaultStorm),
+		New:         faultyMixed("poisson"),
 	})
 	Register(Scenario{
 		Name:        "maintenance",
 		Description: "paper mixed traffic under rolling switch-drain maintenance windows",
-		New:         faultyMixed("maintenance", faultsDefaultMaintenance),
+		New:         faultyMixed("maintenance"),
 	})
 	Register(Scenario{
 		Name:        "closed-loop",

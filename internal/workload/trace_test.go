@@ -225,24 +225,39 @@ func TestReplayValidation(t *testing.T) {
 // TestReplayClosedLoopDeltas: a closed-loop capture must record dependent
 // entries (the completion-triggered resubmissions), not collapse everything
 // to absolute times — that is what carries bit-identity for feedback
-// workloads.
+// workloads. A closed loop resubmits the instant a worm completes, so its
+// deltas are 0; the replay of a hand-written trace with 500 ns deltas must
+// re-record them exactly.
 func TestReplayClosedLoopDeltas(t *testing.T) {
 	r := newTestRunner(t, 16)
 	r.CaptureTrace(true)
-	if err := r.Trial(ClosedLoop{Window: 1, ThinkNs: 500, Messages: 50}, 7); err != nil {
+	if err := r.Trial(ClosedLoop{Window: 1, Messages: 50}, 7); err != nil {
 		t.Fatal(err)
 	}
 	deps := 0
 	for _, m := range r.Trace().Msgs {
 		if m.Parent >= 0 {
 			deps++
-			if m.At != 500 {
-				t.Fatalf("dep delta %d, want the 500ns think time", m.At)
+			if m.At != 0 {
+				t.Fatalf("dep delta %d, want 0: a closed loop resubmits on completion", m.At)
 			}
 		}
 	}
 	if deps == 0 {
 		t.Fatal("closed-loop capture recorded no dependent entries")
+	}
+
+	const file = "# spamnet arrival trace: 5 messages, 16 processors\ntrace 1\nprocs 16\n" +
+		"msg 0 0 1\nmsg 100 5 6 7\ndep 0 500 1 2\ndep 1 500 6 9\ndep 2 500 2 3 4\n"
+	tr, err := ParseTrace(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Trial(Replay{Trace: tr}, 7); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Trace().Format(); got != file {
+		t.Fatalf("re-recorded replay drifted:\n got %q\nwant %q", got, file)
 	}
 }
 

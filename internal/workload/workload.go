@@ -64,7 +64,6 @@ type Gen struct {
 	// ClosedLoop.Generate refreshes the parameters each trial.
 	clHook   func(w *sim.Worm, t int64)
 	clBudget int
-	clThink  int64
 	clMF     float64
 	clMD     int
 	// recorder captures the trial's submission stream when armed (see
@@ -236,6 +235,11 @@ func (r *Runner) Trial(w Workload, seed uint64) error {
 	r.gen.hookErr = nil
 	if r.gen.recorder != nil {
 		r.gen.recorder.reset(r.gen.NumProcs())
+	}
+	// With fewer than two processors no message has a destination other
+	// than its source, whatever the workload.
+	if n := r.gen.NumProcs(); n < 2 {
+		return fmt.Errorf("%w: workload: %d processor(s) leave no destination", ErrInvalidWorkload, n)
 	}
 	if err := w.Generate(&r.gen); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidWorkload, err)

@@ -1,6 +1,10 @@
 package workload
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -73,6 +77,157 @@ func TestEveryRegisteredScenarioRuns(t *testing.T) {
 	}
 	if len(Scenarios()) < 7 {
 		t.Fatalf("only %d scenarios registered", len(Scenarios()))
+	}
+}
+
+// TestScenarioFieldsReachFromParams: every exported field of every
+// registered scenario's workload, walked through Faulty.Inner, changes when
+// some Params field is set to a value no scenario takes by default. So each
+// scenario is a function of Params, and no generator keeps a knob that only
+// Go code can set.
+func TestScenarioFieldsReachFromParams(t *testing.T) {
+	trace := func(dest int) string { return fmt.Sprintf("trace 1\nprocs 4\nmsg 0 0 %d\n", dest) }
+	base := Params{Trace: trace(1)}
+	strs := map[string]string{
+		"Topology": "torus:4x4", "Routing": "misroute", "Root": "center",
+		"Trace": trace(2), "FaultScript": "10us down 0-1", "FaultProfile": "regional",
+	}
+	pt := reflect.TypeOf(base)
+	perturbed := make([]Params, pt.NumField())
+	for i := range perturbed {
+		p := base
+		f, name := reflect.ValueOf(&p).Elem().Field(i), pt.Field(i).Name
+		switch f.Kind() {
+		case reflect.String:
+			v, ok := strs[name]
+			if !ok {
+				t.Fatalf("Params.%s: no non-default value chosen", name)
+			}
+			f.SetString(v)
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.Uint64:
+			f.SetUint(7)
+		case reflect.Float64:
+			f.SetFloat(0.37)
+		default:
+			t.Fatalf("Params.%s: unhandled kind %s", name, f.Kind())
+		}
+		perturbed[i] = p
+	}
+	// leaves flattens a workload's exported fields, descending into
+	// interface-typed fields (Faulty.Inner).
+	var leaves func(prefix string, v reflect.Value, out map[string]any)
+	leaves = func(prefix string, v reflect.Value, out map[string]any) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			key := prefix + v.Type().Name() + "." + f.Name
+			if f.Type.Kind() == reflect.Interface {
+				leaves(key+" → ", v.Field(i).Elem(), out)
+				continue
+			}
+			out[key] = v.Field(i).Interface()
+		}
+	}
+	total := 0
+	for _, sc := range Scenarios() {
+		b := sc.New(base)
+		want := map[string]any{}
+		leaves("", reflect.ValueOf(b), want)
+		reached := map[string]bool{}
+		for i, p := range perturbed {
+			w := sc.New(p)
+			if reflect.TypeOf(w) != reflect.TypeOf(b) {
+				t.Fatalf("%s: Params.%s turns a %T into a %T", sc.Name, pt.Field(i).Name, b, w)
+			}
+			got := map[string]any{}
+			leaves("", reflect.ValueOf(w), got)
+			for k, v := range want {
+				if !reflect.DeepEqual(got[k], v) {
+					reached[k] = true
+				}
+			}
+		}
+		for k := range want {
+			if !reached[k] {
+				t.Errorf("%s: %s is set by no Params field", sc.Name, k)
+			}
+		}
+		total += len(want)
+	}
+	if total == 0 {
+		t.Fatal("no workload fields walked")
+	}
+	t.Logf("walked %d workload fields over %d scenarios", total, len(Scenarios()))
+}
+
+// TestClampBudget: under the cap every scenario's per-trial submission
+// count stays within it, and knobs already within it are left alone. Only a
+// permutation, whose round is one message per processor, exceeds a cap
+// below the processor count. A replayed trace over the cap, which no knob
+// can shorten, is refused.
+func TestClampBudget(t *testing.T) {
+	const maxMessages = 1000
+	clamp := func(sc Scenario, p Params, procs, maxMessages int) Params {
+		t.Helper()
+		p, err := ClampBudget(sc, p, procs, maxMessages)
+		if err != nil {
+			t.Fatalf("%s on %d processors: %v", sc.Name, procs, err)
+		}
+		return p
+	}
+	huge := Params{Messages: 100_000, Rounds: 200, Stages: 5000, Sources: 1 << 30, Trace: "trace 1\nprocs 36\nmsg 0 0 1\n"}
+	for _, sc := range Scenarios() {
+		for _, procs := range []int{2, 16, 36, 128, 1000, 4096} {
+			p := clamp(sc, huge, procs, maxMessages)
+			want := maxMessages
+			if sc.Name == "transpose" || sc.Name == "bitreverse" {
+				want = max(maxMessages, procs)
+			}
+			if got := Budget(sc.New(p), procs); got > want {
+				t.Errorf("%s on %d processors: budget %d after the clamp, want at most %d", sc.Name, procs, got, want)
+			}
+		}
+		small := Params{Messages: 50, Rounds: 2, Stages: 3}
+		if p := clamp(sc, small, 36, maxMessages); p != small {
+			t.Errorf("%s: in-cap knobs rewritten to %+v", sc.Name, p)
+		}
+		if p := clamp(sc, huge, 36, 0); p != huge {
+			t.Errorf("%s: no cap still clamped to %+v", sc.Name, p)
+		}
+	}
+	// An omitted budget falls to the scenario default, never to the cap.
+	sc, _ := Lookup("mixed")
+	if p := clamp(sc, Params{}, 36, 20_000); p.Messages != 0 {
+		t.Errorf("omitted budget became %d; the cap must not act as a default", p.Messages)
+	}
+	if p := clamp(sc, Params{}, 36, 100); p.Messages != 100 {
+		t.Errorf("default budget over the cap kept %d", p.Messages)
+	}
+	// A trace at the cap passes; one message more is refused.
+	sc, _ = Lookup("replay")
+	trace := "trace 1\nprocs 36\n" + strings.Repeat("msg 0 0 1\n", 3)
+	if _, err := ClampBudget(sc, Params{Trace: trace}, 36, 3); err != nil {
+		t.Errorf("trace at the cap refused: %v", err)
+	}
+	if _, err := ClampBudget(sc, Params{Trace: trace}, 36, 2); !errors.Is(err, ErrInvalidWorkload) {
+		t.Errorf("trace over the cap: %v, want an invalid-workload error", err)
+	}
+}
+
+// TestScenariosRejectOneProcessor: on a network with one processor no
+// message has a destination other than its source, so every registered
+// scenario fails its trial with an invalid-workload error (a 400 on the
+// serve wire) instead of panicking.
+func TestScenariosRejectOneProcessor(t *testing.T) {
+	r := newTestRunner(t, 1)
+	for _, sc := range Scenarios() {
+		if err := r.Trial(sc.New(Params{}), 1); !errors.Is(err, ErrInvalidWorkload) {
+			t.Errorf("%s: %v, want an invalid-workload error", sc.Name, err)
+		}
 	}
 }
 
@@ -245,7 +400,7 @@ func TestPickDestsPanics(t *testing.T) {
 
 func TestHotSpotConcentrates(t *testing.T) {
 	r := newTestRunner(t, 16)
-	w := HotSpot{RatePerProcPerUs: 0.01, HotFraction: 0.8, HotIdx: 3, Messages: 150}
+	w := HotSpot{RatePerProcPerUs: 0.01, HotFraction: 0.8, Messages: 150}
 	if err := r.Trial(w, 11); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +413,7 @@ func TestHotSpotConcentrates(t *testing.T) {
 		if int(worm.Dests[0]) == int(worm.Src) {
 			t.Fatal("self-send")
 		}
-		if worm.Dests[0] == topology.NodeID(16+3) {
+		if worm.Dests[0] == topology.NodeID(16) { // processor 0
 			hot++
 		}
 	}
@@ -287,7 +442,7 @@ func TestPermutationsAreValid(t *testing.T) {
 
 func TestBroadcastStormFanout(t *testing.T) {
 	r := newTestRunner(t, 16)
-	if err := r.Trial(BroadcastStorm{Sources: 3, GapNs: 100}, 21); err != nil {
+	if err := r.Trial(BroadcastStorm{Sources: 3}, 21); err != nil {
 		t.Fatal(err)
 	}
 	worms := r.Worms()
@@ -308,7 +463,7 @@ func TestBroadcastStormFanout(t *testing.T) {
 
 func TestBurstyIsBursty(t *testing.T) {
 	r := newTestRunner(t, 16)
-	w := Bursty{RatePerProcPerUs: 0.1, MeanBurstNs: 20_000, MeanIdleNs: 200_000, Messages: 300}
+	w := Bursty{RatePerProcPerUs: 0.1, Messages: 300}
 	if err := r.Trial(w, 13); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +493,7 @@ func TestBurstyIsBursty(t *testing.T) {
 
 func TestClosedLoopRespectsBudgetAndWindow(t *testing.T) {
 	r := newTestRunner(t, 16)
-	w := ClosedLoop{Window: 2, Messages: 100, ThinkNs: 100}
+	w := ClosedLoop{Window: 2, Messages: 100}
 	if err := r.Trial(w, 17); err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +566,6 @@ func TestGeneratorValidation(t *testing.T) {
 		Mixed{RatePerProcPerUs: 0.01, Messages: 10, MulticastFraction: 0.5, MulticastDests: 99},
 		Mixed{RatePerProcPerUs: 1e9, Messages: 10}, // rate too high for slot
 		HotSpot{RatePerProcPerUs: 0, Messages: 10},
-		HotSpot{RatePerProcPerUs: 0.01, Messages: 10, HotIdx: -1},
 		Bursty{RatePerProcPerUs: 0, Messages: 10},
 		ClosedLoop{Messages: 0},
 		ClosedLoop{Messages: 10, MulticastFraction: 0.5, MulticastDests: 999},
@@ -432,7 +586,6 @@ func TestMixedValidation(t *testing.T) {
 		{RatePerProcPerUs: 0.01, MulticastFraction: 0.1, MulticastDests: 1000, Messages: 10},
 		{RatePerProcPerUs: 0.01, Messages: 0},
 		{RatePerProcPerUs: 1e9, Messages: 10}, // rate too high for slot
-		{RatePerProcPerUs: 0.01, Messages: 10, NegBinomialR: -1},
 	}
 	for i, w := range bad {
 		if err := r.Trial(w, 1); err == nil {

@@ -192,21 +192,6 @@ func NewFromSpec(spec string, opts ...Option) (*System, error) {
 	return newSystem(net, o)
 }
 
-// FromParts wraps an existing network and labeling into a System with the
-// default simulator configuration — for callers that build topologies or
-// labelings directly (see examples/regular).
-func FromParts(net *topology.Network, lab *updown.Labeling, opts ...Option) (*System, error) {
-	o := buildOptions(opts)
-	return &System{
-		net:        net,
-		lab:        lab,
-		router:     core.NewRouterPolicy(lab, o.policy),
-		simCfg:     o.simCfg,
-		policy:     o.policy,
-		maxSimTime: o.maxSimTime,
-	}, nil
-}
-
 func newSystem(net *topology.Network, o options) (*System, error) {
 	lab, err := updown.New(net, o.root)
 	if err != nil {
@@ -316,6 +301,10 @@ func (s *System) Router() *core.Router { return s.router }
 // Policy returns the routing-policy family this system was built with.
 func (s *System) Policy() RoutingPolicy { return s.policy }
 
+// RootStrategy returns the strategy that chose this system's spanning-tree
+// root (see WithRootStrategy).
+func (s *System) RootStrategy() RootStrategy { return s.root }
+
 // TableMemStats is the byte-level accounting of the system's compiled
 // routing tables (see core.MemStats): distinct rows/pages/columns after
 // structural sharing, arena size, and the compression ratio against the
@@ -346,13 +335,6 @@ type FaultPolicy = faults.Policy
 
 // FaultInjector is the live fault-injection engine attached to a Session.
 type FaultInjector = faults.Injector
-
-// Fault profiles re-exported for option construction.
-const (
-	FaultProfilePoisson     = faults.ProfilePoisson
-	FaultProfileMaintenance = faults.ProfileMaintenance
-	FaultProfileRegional    = faults.ProfileRegional
-)
 
 // Session is one flit-level simulation over a System. Not safe for
 // concurrent use; run one Session per goroutine. Sessions are reusable:
